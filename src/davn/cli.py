@@ -139,6 +139,8 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
             rows += parse_fixture_text(resource.read_text())
         except (FileNotFoundError, OSError) as exc:
             raise ValueError(f"missing fixture table {label}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{resource.name}: {exc}") from exc
     if not rows:
         raise ValueError(f"no fixture rows found under {fixdir}")
     try:

@@ -8,18 +8,21 @@ i**(u*v_j).  A derived constraint  X_k**u X_l**v = i**t  therefore reads
 
 a linear condition over Z4.  Refutation is by brute force over all
 4**4 = 256 assignments; exhaustiveness is the proof, so the scan is the
-permanent implementation, not a placeholder.  Minimal unsatisfiable cores
-are found by increasing-size subset enumeration with lexicographic
-tie-breaking, which makes every report byte-reproducible.
+permanent implementation, not a placeholder.  It runs on 256-bit masks:
+bit k is ASSIGNMENTS[k], a set's truth set is the AND of its members'
+masks, and the lexicographically first witness is the lowest set bit.
+Minimal unsatisfiable cores are found by increasing-size subset
+enumeration with lexicographic tie-breaking, which makes every report
+byte-reproducible.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import combinations, product
+from operator import and_
 
 from .factory import joint_z_probability, z_support
 from .gauss import phase_str
@@ -35,6 +38,15 @@ ASSIGNMENTS: tuple[tuple[int, int, int, int], ...] = tuple(
 
 Assignment = tuple[int, int, int, int]
 
+#: Mask with one bit per assignment, all set.
+ALL_ASSIGNMENTS = (1 << len(ASSIGNMENTS)) - 1
+
+#: _SITE_VALUE[j][x]: mask of the assignments with v_j == x.
+_SITE_VALUE = [
+    [sum(1 << k for k, a in enumerate(ASSIGNMENTS) if a[j] == x) for x in range(4)]
+    for j in range(4)
+]
+
 
 @dataclass(frozen=True)
 class Constraint:
@@ -49,6 +61,23 @@ class Constraint:
 
     def holds(self, values: Assignment) -> bool:
         return sum(e * v for e, v in zip(self.exps, values)) % 4 == self.target
+
+    @cached_property
+    def truth_mask(self) -> int:
+        """Bit k set iff ASSIGNMENTS[k] satisfies the constraint.
+
+        by_sum[s] holds the assignments whose sum of e_j * v_j over the
+        sites so far is s mod 4 (disjoint masks, so sum is union).
+        """
+        by_sum = [ALL_ASSIGNMENTS, 0, 0, 0]
+        for site, e in enumerate(self.exps):
+            if e:
+                values = _SITE_VALUE[site]
+                by_sum = [
+                    sum(by_sum[(s - e * x) % 4] & values[x] for x in range(4))
+                    for s in range(4)
+                ]
+        return by_sum[self.target]
 
     def word_str(self) -> str:
         word = PauliWord.from_exponents(
@@ -74,22 +103,11 @@ def constraint_from_row(
 def satisfiable(constraints: list[Constraint]) -> Assignment | None:
     """First assignment (lexicographic) meeting every constraint, or None.
 
-    Scans all 256 assignments; an empty constraint list is vacuously
-    satisfied by (0, 0, 0, 0).
+    Bit k of the AND of the truth masks is ASSIGNMENTS[k]; the witness is
+    the lowest set bit.  An empty list is satisfied by (0, 0, 0, 0).
     """
-    for values in ASSIGNMENTS:
-        if all(c.holds(values) for c in constraints):
-            return values
-    return None
-
-
-def _mask(constraint: Constraint) -> int:
-    """Bitmask over ASSIGNMENTS of where the constraint holds."""
-    bits = 0
-    for index, values in enumerate(ASSIGNMENTS):
-        if constraint.holds(values):
-            bits |= 1 << index
-    return bits
+    joint = reduce(and_, (c.truth_mask for c in constraints), ALL_ASSIGNMENTS)
+    return ASSIGNMENTS[(joint & -joint).bit_length() - 1] if joint else None
 
 
 def minimal_unsat_core(constraints: list[Constraint]) -> list[Constraint]:
@@ -101,15 +119,10 @@ def minimal_unsat_core(constraints: list[Constraint]) -> list[Constraint]:
     """
     if satisfiable(constraints) is not None:
         raise ValueError("constraint set is satisfiable; no unsat core")
-    masks = [_mask(c) for c in constraints]
+    masks = [c.truth_mask for c in constraints]
     for size in range(1, len(constraints) + 1):
         for combo in combinations(range(len(constraints)), size):
-            joint = (1 << len(ASSIGNMENTS)) - 1
-            for index in combo:
-                joint &= masks[index]
-                if not joint:
-                    break
-            if not joint:
+            if not reduce(and_, (masks[index] for index in combo)):
                 return [constraints[index] for index in combo]
     raise AssertionError("unsatisfiable set must contain an unsat core")
 
@@ -127,16 +140,6 @@ def classify_type(outcome: BasisKet) -> str:
         if key in blocks:
             return label
     raise ValueError(f"outcome {outcome} is not one of the 56 supported tuples")
-
-
-def _dedup(constraints: list[Constraint]) -> list[Constraint]:
-    seen = set()
-    out = []
-    for c in constraints:
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,7 @@ def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
         for row in rows
         if row.extended is not None
     ]
-    merged = _dedup(basics + extendeds)
+    merged = list(dict.fromkeys(basics + extendeds))
     witness = satisfiable(merged)
     core = None if witness is not None else tuple(minimal_unsat_core(merged))
     try:
@@ -197,7 +200,7 @@ def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
         constraints_extended=tuple(extendeds),
         witness=witness,
         minimal_core=core,
-        extended_only_unsatisfiable=satisfiable(_dedup(extendeds)) is None,
+        extended_only_unsatisfiable=satisfiable(extendeds) is None,
     )
 
 
@@ -233,31 +236,10 @@ class DavnReport:
         return {k: counts[k] for k in order}
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("DAVN_PARALLEL")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def verify_davn(state: StateVector) -> DavnReport:
-    """Run verify_paradox over the whole support, in outcome order.
-
-    Outcomes are independent, so the scan honours DAVN_PARALLEL as a
-    worker cap; output order is deterministic either way.
-    """
+    """Run verify_paradox over the whole support, in outcome order."""
     outcomes = z_support(state)
-    workers = _worker_count()
-    if workers > 1 and len(outcomes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = tuple(
-                pool.map(lambda o: verify_paradox(state, o), outcomes)
-            )
-    else:
-        reports = tuple(verify_paradox(state, o) for o in outcomes)
+    reports = tuple(verify_paradox(state, o) for o in outcomes)
     probability_sum = sum(
         (r.probability for r in reports), Fraction(0)
     )

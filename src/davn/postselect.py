@@ -28,9 +28,11 @@ from .states import StateVector, eigenvalue_of
 #: An eigen-relation of a two-site residual: ((u, v), eigenvalue exponent).
 Eigenword = tuple[tuple[int, int], int]
 
-#: Row-major candidate scan order for eigenwords.
-CANDIDATE_EXPONENTS = tuple(
-    (u, v) for u in range(1, 4) for v in range(1, 4)
+#: Candidate eigenwords X_k**u X_l**v by exponents, in row-major scan
+#: order, built once.
+CANDIDATE_WORDS = tuple(
+    ((u, v), PauliWord.from_exponents(2, x_exps={0: u, 1: v}))
+    for u in range(1, 4) for v in range(1, 4)
 )
 
 
@@ -119,11 +121,10 @@ def derive_constraints(
     if residual.n_sites != 2:
         raise ValueError("constraints are derived from two-site residuals")
     found = []
-    for u, v in CANDIDATE_EXPONENTS:
-        word = PauliWord.from_exponents(2, x_exps={0: u, 1: v})
+    for exps, word in CANDIDATE_WORDS:
         t = eigenvalue_of(word, residual)
         if t is not None:
-            found.append(((u, v), t))
+            found.append((exps, t))
     eigenwords = tuple(found)
     if not eigenwords:
         return eigenwords, None, None
@@ -277,13 +278,29 @@ def render_fixture_row(row: FixtureRow) -> str:
     )
 
 
+def _parse_digits(text: str, length: int, digits: str = "0123") -> BasisKet:
+    """Exactly ``length`` characters, each one of ``digits``."""
+    if len(text) != length or text.strip(digits):
+        raise ValueError(f"{text!r} is not {length} of the digits {digits}")
+    return tuple(int(c) for c in text)
+
+
+def _parse_site(label: str) -> int:
+    """0-based site of a ``Z1``..``Z4`` label."""
+    if label[:1] != "Z":
+        raise ValueError(f"{label!r} is not a Z site label")
+    return _parse_digits(label[1:], 1, "1234")[0] - 1
+
+
 def parse_fixture_text(text: str) -> list[FixtureRow]:
     """Parse one fixture file.
 
     Data lines are ``table=.. | pair=Z<i>=<v>,Z<j>=<v> | residual=
     <ket>:<t>;.. | basic=<u,v>:<v>|none | extended=..``; block header
     comments ``# block <n> outcome=<digits>`` attach the outcome each
-    row group belongs to.
+    row group belongs to.  Outcomes (4 digits) and residual kets (2) take
+    digits 0..3 and pair sites 1..4; anything malformed raises ValueError
+    naming the line, so it is an input error, not a failed verification.
     """
     rows: list[FixtureRow] = []
     block = 0
@@ -293,35 +310,37 @@ def parse_fixture_text(text: str) -> list[FixtureRow]:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            if "outcome=" in line:
-                block += 1
-                digits = line.split("outcome=")[1].split()[0]
-                block_outcome = tuple(int(c) for c in digits)
-            continue
-        fields = {}
-        for part in line.split("|"):
-            key, _, value = part.strip().partition("=")
-            fields[key] = value
         try:
+            if line.startswith("#"):
+                if "outcome=" in line:
+                    block += 1
+                    digits = line.split("outcome=", 1)[1].split() or [""]
+                    block_outcome = _parse_digits(digits[0], 4)
+                continue
+            fields = {}
+            for part in line.split("|"):
+                key, _, value = part.strip().partition("=")
+                fields[key] = value
             table = canonical_table_label(fields["table"])
             left, right = fields["pair"].split(",")
             site_i, value_i = left.split("=")
             site_j, value_j = right.split("=")
             pair = PairSelection(
-                int(site_i[1:]) - 1,
-                int(site_j[1:]) - 1,
+                _parse_site(site_i),
+                _parse_site(site_j),
                 parse_phase(value_i),
                 parse_phase(value_j),
             )
             residual = {}
             for term in fields["residual"].split(";"):
                 digits, t = term.split(":")
-                residual[tuple(int(c) for c in digits)] = int(t) % 4
+                residual[_parse_digits(digits, 2)] = int(t) % 4
             basic = _parse_eigenword(fields["basic"])
             extended = _parse_eigenword(fields["extended"])
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad fixture line {line_no}: {raw!r}") from exc
+            raise ValueError(
+                f"bad fixture line {line_no} ({exc}): {raw!r}"
+            ) from exc
         if block_outcome is None:
             raise ValueError(f"fixture line {line_no} precedes a block header")
         index += 1

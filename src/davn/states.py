@@ -81,10 +81,7 @@ class StateVector:
         """t with self == i**t * other amplitude-by-amplitude, else None."""
         if self.level != other.level or self.n_sites != other.n_sites:
             return None
-        for t in range(4):
-            if self.equals_exactly(other.scaled_by_phase(t)):
-                return t
-        return None
+        return _phase_between(self.amplitudes, other.amplitudes)
 
     def dump(self) -> str:
         """Line-oriented text form: header then ``<digits> <phase t>``.
@@ -140,17 +137,42 @@ def apply_to_state(word: PauliWord, state: StateVector) -> StateVector:
     return StateVector(state.n_sites, out, level=state.level)
 
 
+def _phase_between(a: dict, b: dict) -> int | None:
+    """c with a[k] == i**c * b[k] on one common support, or None.
+
+    Amplitudes are nonzero, so the first ket fixes c; no copies are built.
+    """
+    if a.keys() != b.keys():
+        return None
+    first = next(iter(a), None)
+    if first is None:
+        return 0
+    c = next((t for t in range(4) if b[first].times_phase(t) == a[first]), None)
+    if c is None or any(b[k].times_phase(c) != amp for k, amp in a.items()):
+        return None
+    return c
+
+
 def eigenvalue_of(word: PauliWord, state: StateVector) -> int | None:
     """Phase exponent c with word|s> = i**c |s>, or None.
 
-    The check is amplitude-by-amplitude equality after applying the word,
-    so a non-None result is an exact eigen-relation with a fourth-root
-    eigenvalue.  Raises on a zero state, where the relation is vacuous.
+    Decided from amplitudes: the word sends k to i**t |k'>, so the relation
+    holds exactly when every k' is in the support and amp[k] * i**t ==
+    i**c * amp[k'] with one common c, a fourth-root eigenvalue.  Raises on
+    a zero state, where the relation is vacuous.
     """
     if state.is_zero():
         raise ValueError("zero state has no eigenvalues")
-    image = apply_to_state(word, state)
-    return image.phase_relative_to(state)
+    if state.level != 4:
+        raise ValueError("Pauli words act on 4-level states only")
+    amplitudes = state.amplitudes
+    image = {}
+    for ket, amp in amplitudes.items():
+        t, shifted = apply_word(word, ket)
+        if shifted not in amplitudes:
+            return None
+        image[shifted] = amp.times_phase(t)
+    return _phase_between(image, amplitudes)
 
 
 def x_eigenstate(m: int) -> StateVector:

@@ -179,19 +179,66 @@ def test_fixtures_diff_passes_on_packaged_tables(capsys):
     assert "allowlisted" in out
 
 
-def test_fixtures_diff_flags_tampered_fixture(tmp_path, capsys):
+def copy_fixtures(tmp_path):
     from importlib import resources
 
     src = resources.files("davn") / "fixtures"
     for name in [p.name for p in src.iterdir() if p.name.endswith(".txt")]:
         (tmp_path / name).write_text((src / name).read_text())
-    table = tmp_path / "table_I.txt"
+    return tmp_path
+
+
+def test_fixtures_diff_flags_tampered_fixture(tmp_path, capsys):
+    table = copy_fixtures(tmp_path) / "table_I.txt"
     text = table.read_text().replace("basic=1,3:-i", "basic=1,3:i", 1)
     table.write_text(text)
     code, out, _ = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 1
     assert "FAILURES" in out
     assert "table I row 1" in out
+
+
+@pytest.mark.parametrize(
+    "old,new,line",
+    [
+        ("outcome=0000", "outcome=000", 2),
+        ("outcome=0000", "outcome=00000", 2),
+        ("outcome=0000", "outcome=0004", 2),
+        ("outcome=0000", "outcome=00a0", 2),
+        ("outcome=0000", "outcome=", 2),
+        ("pair=Z1=1,Z2=1", "pair=Z9=1,Z2=1", 3),
+        ("pair=Z1=1,Z2=1", "pair=Z1=1,Z0=1", 3),
+        ("pair=Z1=1,Z2=1", "pair=Z12=1,Z2=1", 3),
+        ("pair=Z1=1,Z2=1", "pair=Q1=1,Z2=1", 3),
+        ("residual=00:0;", "residual=000:0;", 3),
+        ("residual=00:0;", "residual=40:0;", 3),
+        ("residual=00:0;", "residual=0:0;", 3),
+    ],
+)
+def test_fixtures_diff_malformed_table_is_an_input_error(
+    tmp_path, capsys, old, new, line
+):
+    table = copy_fixtures(tmp_path) / "table_I.txt"
+    text = table.read_text()
+    assert old in text
+    table.write_text(text.replace(old, new, 1))
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: table_I.txt: bad fixture line")
+    assert f"line {line} (" in lines[0]
+
+
+def test_fixtures_diff_flags_unused_allowlist_entry(tmp_path, capsys):
+    allowlist = copy_fixtures(tmp_path) / "allowlist.txt"
+    allowlist.write_text(
+        allowlist.read_text()
+        + "table=I | row=1 | kind=derivation | tag=UNUSED | note=matches\n"
+    )
+    code, out, _ = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 1
+    assert "no longer fire:\n  table I row 1 kind derivation" in out
 
 
 def test_fixtures_diff_missing_dir(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Hidden-variable refutation: satisfiability, cores, classification."""
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from davn.factory import build_psi_1234
@@ -217,8 +218,78 @@ def test_davn_not_awarded_to_product_state():
     assert report.failing_outcomes == ((0, 0, 0, 0),)
 
 
-def test_davn_parallel_env_matches_serial(monkeypatch):
-    serial = verify_davn(PSI)
-    monkeypatch.setenv("DAVN_PARALLEL", "4")
-    parallel = verify_davn(PSI)
-    assert parallel == serial
+
+# ---------------------------------------------------------------------------
+# Reference equivalence: the mask-based scan against a plain Constraint.holds
+# loop over ASSIGNMENTS, kept here as the specification.
+
+
+def reference_satisfiable(constraints):
+    for values in ASSIGNMENTS:
+        if all(k.holds(values) for k in constraints):
+            return values
+    return None
+
+
+def reference_core(constraints):
+    for size in range(1, len(constraints) + 1):
+        for combo in combinations(range(len(constraints)), size):
+            subset = [constraints[i] for i in combo]
+            if reference_satisfiable(subset) is None:
+                return subset
+    return None
+
+
+constraint_strategy = st.builds(c, exps_strategy, st.integers(0, 3))
+
+
+@st.composite
+def satisfiable_constraints(draw):
+    # Targets read off a hidden assignment, so that assignment meets all.
+    hidden = draw(st.sampled_from(ASSIGNMENTS))
+    exps_list = draw(st.lists(exps_strategy, max_size=6))
+    return [
+        c(e, sum(a * v for a, v in zip(e, hidden)) % 4) for e in exps_list
+    ]
+
+
+constraint_lists = st.one_of(
+    st.lists(constraint_strategy, max_size=6), satisfiable_constraints()
+)
+
+
+def test_truth_mask_matches_holds_for_every_constraint():
+    for exps in ASSIGNMENTS[1:]:
+        for target in range(4):
+            constraint = c(exps, target)
+            expected = sum(
+                1 << k for k, values in enumerate(ASSIGNMENTS)
+                if constraint.holds(values)
+            )
+            assert constraint.truth_mask == expected
+
+
+@settings(max_examples=200)
+@given(constraint_lists)
+def test_satisfiable_matches_reference_scan(constraints):
+    assert satisfiable(constraints) == reference_satisfiable(constraints)
+
+
+@settings(max_examples=200)
+@given(constraint_lists)
+def test_minimal_core_matches_reference_search(constraints):
+    if reference_satisfiable(constraints) is not None:
+        with pytest.raises(ValueError):
+            minimal_unsat_core(constraints)
+    else:
+        assert minimal_unsat_core(constraints) == reference_core(constraints)
+
+
+@given(st.lists(constraint_strategy, min_size=1, max_size=5), constraint_strategy)
+def test_minimal_core_matches_reference_on_contradictions(constraints, extra):
+    # Adding a constraint and its negation-by-target makes any list
+    # unsatisfiable, so the core search is always exercised here.
+    clash = c(extra.exps, (extra.target + 1) % 4)
+    constraints = constraints + [extra, clash]
+    assert satisfiable(constraints) is None
+    assert minimal_unsat_core(constraints) == reference_core(constraints)

@@ -1,9 +1,13 @@
 """StateVector behaviour: exactness, word action, eigen tests, dump format."""
 
+from itertools import product
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from davn.gauss import GaussInt
-from davn.pauli import PauliWord
+from davn.pauli import PauliWord, apply_word
 from davn.states import (
     StateVector,
     apply_to_state,
@@ -133,3 +137,98 @@ def test_load_rejects_bad_header_and_norm():
         StateVector.load("00 0\n")
     with pytest.raises(ValueError):
         StateVector.load("norm_sq=5\n00 0\n13 1\n")
+
+
+# ---------------------------------------------------------------------------
+# Reference equivalence: eigenvalue_of against building the image state and
+# searching the four phase copies, kept here as the specification.
+
+
+def reference_eigenvalue(word, state):
+    image = apply_to_state(word, state)
+    for t in range(4):
+        if image.equals_exactly(state.scaled_by_phase(t)):
+            return t
+    return None
+
+
+def reference_phase(state, other):
+    if state.level != other.level or state.n_sites != other.n_sites:
+        return None
+    for t in range(4):
+        if state.equals_exactly(other.scaled_by_phase(t)):
+            return t
+    return None
+
+
+@st.composite
+def words(draw, n_sites):
+    exps = st.lists(st.integers(0, 3), min_size=n_sites, max_size=n_sites)
+    return PauliWord(draw(st.integers(0, 3)), tuple(zip(draw(exps), draw(exps))))
+
+
+@st.composite
+def word_and_state(draw):
+    n_sites = draw(st.integers(1, 2))
+    word = draw(words(n_sites))
+    kets = list(product(range(4), repeat=n_sites))
+    if draw(st.booleans()):
+        phases = draw(
+            st.dictionaries(st.sampled_from(kets), st.integers(0, 3), min_size=1)
+        )
+    else:
+        # Follow the word's orbit of one ket, choosing each phase so that
+        # word|s> = i**c |s> would hold; the orbit may still fail to close
+        # consistently, so both answers occur.
+        c = draw(st.integers(0, 3))
+        ket = draw(st.sampled_from(kets))
+        phases = {ket: draw(st.integers(0, 3))}
+        while True:
+            t, image = apply_word(word, ket)
+            if image in phases:
+                break
+            phases[image] = (phases[ket] + t - c) % 4
+            ket = image
+    return word, unit_state(phases, n_sites=n_sites)
+
+
+@given(word_and_state())
+def test_eigenvalue_matches_reference_image_search(case):
+    word, state = case
+    assert eigenvalue_of(word, state) == reference_eigenvalue(word, state)
+
+
+def test_eigenvalue_matches_reference_on_every_single_site_case():
+    # All 624 nonzero one-site unit states against all 16 one-site words
+    # without a global phase (the word phase only shifts c; the
+    # hypothesis test above covers it).
+    seen = set()
+    for phases in product(range(5), repeat=4):
+        entries = {(k,): t for k, t in enumerate(phases) if t < 4}
+        if not entries:
+            continue
+        state = unit_state(entries, n_sites=1)
+        for a, b in product(range(4), repeat=2):
+            word = PauliWord(0, ((a, b),))
+            expected = reference_eigenvalue(word, state)
+            assert eigenvalue_of(word, state) == expected
+            seen.add(expected)
+    assert seen == {None, 0, 1, 2, 3}
+
+
+@given(
+    word_and_state(), st.integers(0, 3), st.sampled_from(["", "phase", "drop"])
+)
+def test_phase_relative_to_matches_reference(case, t, perturb):
+    # Compare a state with a phase copy of itself, optionally with one
+    # amplitude rotated or one ket dropped from the support.
+    _, state = case
+    amplitudes = dict(state.scaled_by_phase(t).amplitudes)
+    ket = min(amplitudes)
+    if perturb == "phase":
+        amplitudes[ket] = amplitudes[ket].times_phase(1)
+    elif perturb == "drop":
+        del amplitudes[ket]
+    other = StateVector(state.n_sites, amplitudes)
+    assert state.phase_relative_to(other) == reference_phase(state, other)
+    assert other.phase_relative_to(state) == reference_phase(other, state)
