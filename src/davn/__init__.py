@@ -26,7 +26,7 @@ from .lhv import (
     verify_davn,
     verify_paradox,
 )
-from .pauli import PauliWord, apply_word, mul_words, parse_word, word_str
+from .pauli import PauliWord, apply_word, word_str
 from .postselect import (
     PairSelection,
     derive_constraints,
@@ -56,9 +56,7 @@ __all__ = [
     "embed_qubit_state",
     "joint_z_probability",
     "minimal_unsat_core",
-    "mul_words",
     "nonstabilizer_test",
-    "parse_word",
     "postselect_pair",
     "reduced_density",
     "satisfiable",

@@ -23,16 +23,6 @@ _PHASE_FROM_STRING["+1"] = 0
 _PHASE_FROM_STRING["+i"] = 1
 
 
-def phase_mul(t1: int, t2: int) -> int:
-    """Exponent of i**t1 * i**t2."""
-    return (t1 + t2) % 4
-
-
-def phase_pow(t: int, u: int) -> int:
-    """Exponent of (i**t) ** u."""
-    return (t * u) % 4
-
-
 def phase_str(t: int) -> str:
     """Render i**t as one of 1, i, -1, -i."""
     return PHASE_STRINGS[t % 4]

@@ -6,20 +6,16 @@ global phase exponent t.  The defining actions on a basis ket are
 
     X |k> = |k + 1 mod 4>          Z |k> = i**k |k>
 
-so reordering uses Z**b X**a = i**(a*b) X**a Z**b and every phase stays
-inside {1, i, -1, -i}.  Exponents are reduced mod 4 (X**4 = Z**4 = 1).
+so every phase stays inside {1, i, -1, -i}.  Exponents are reduced
+mod 4 (X**4 = Z**4 = 1).
 
 Words have a text form used by the CLI and reports, e.g. ``X3*X4^3``,
-``Z1*Z2*Z3*Z4`` or ``i^3*X1*Z2^2`` (site labels are 1-based); parsing and
-printing round-trip exactly.
+``Z1*Z2*Z3*Z4`` or ``i^3*X1*Z2^2`` (site labels are 1-based).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-
-from .gauss import phase_mul
 
 BasisKet = tuple[int, ...]
 
@@ -40,13 +36,6 @@ class PauliWord:
     @property
     def n_sites(self) -> int:
         return len(self.sites)
-
-    def is_identity(self) -> bool:
-        return self.phase == 0 and all(s == (0, 0) for s in self.sites)
-
-    @classmethod
-    def identity(cls, n_sites: int) -> PauliWord:
-        return cls(0, ((0, 0),) * n_sites)
 
     @classmethod
     def from_exponents(
@@ -84,31 +73,6 @@ def apply_word(word: PauliWord, ket: BasisKet) -> tuple[int, BasisKet]:
     return phase % 4, tuple(digits)
 
 
-def mul_words(w1: PauliWord, w2: PauliWord) -> PauliWord:
-    """Normal-ordered product w1 * w2 with exact phase bookkeeping.
-
-    Reordering Z**b1 past X**a2 on one site contributes i**(b1*a2).
-    """
-    if w1.n_sites != w2.n_sites:
-        raise ValueError(
-            f"site counts differ: {w1.n_sites} vs {w2.n_sites}"
-        )
-    phase = phase_mul(w1.phase, w2.phase)
-    sites = []
-    for (a1, b1), (a2, b2) in zip(w1.sites, w2.sites):
-        phase = (phase + b1 * a2) % 4
-        sites.append(((a1 + a2) % 4, (b1 + b2) % 4))
-    return PauliWord(phase, tuple(sites))
-
-
-def word_pow(word: PauliWord, exponent: int) -> PauliWord:
-    """word multiplied by itself `exponent` times (exponent >= 0)."""
-    result = PauliWord.identity(word.n_sites)
-    for _ in range(exponent):
-        result = mul_words(result, word)
-    return result
-
-
 def word_str(word: PauliWord) -> str:
     """Canonical text form; ``I`` is the identity with no phase."""
     factors = []
@@ -122,42 +86,3 @@ def word_str(word: PauliWord) -> str:
     if word.phase:
         return f"i^{word.phase}*{body}"
     return body
-
-
-_FACTOR_RE = re.compile(r"^([XZ])(\d+)(?:\^(\d+))?$")
-_PHASE_RE = re.compile(r"^i\^(\d+)$")
-
-
-def parse_word(text: str, n_sites: int) -> PauliWord:
-    """Inverse of :func:`word_str`.
-
-    Accepts factors in any order and repeated factors on a site, which
-    are multiplied out (so parse/print is exact on canonical strings and
-    tolerant on input).
-    """
-    word = PauliWord.identity(n_sites)
-    for token in text.replace(" ", "").split("*"):
-        if not token:
-            raise ValueError(f"empty factor in word: {text!r}")
-        if token == "I":
-            continue
-        phase_match = _PHASE_RE.match(token)
-        if phase_match:
-            word = mul_words(
-                word, PauliWord(int(phase_match.group(1)), ((0, 0),) * n_sites)
-            )
-            continue
-        match = _FACTOR_RE.match(token)
-        if not match:
-            raise ValueError(f"bad factor {token!r} in word {text!r}")
-        kind, label, exp = match.group(1), int(match.group(2)), match.group(3)
-        if not 1 <= label <= n_sites:
-            raise ValueError(f"site {label} out of range 1..{n_sites}")
-        exponent = int(exp) if exp else 1
-        factor = PauliWord.from_exponents(
-            n_sites,
-            x_exps={label - 1: exponent} if kind == "X" else None,
-            z_exps={label - 1: exponent} if kind == "Z" else None,
-        )
-        word = mul_words(word, factor)
-    return word

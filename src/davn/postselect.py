@@ -255,7 +255,7 @@ def _parse_eigenword(text: str) -> Eigenword | None:
     if text == "none":
         return None
     exps, value = text.split(":")
-    u, v = (int(p) for p in exps.split(","))
+    u, v = (_parse_digits(p, 1)[0] for p in exps.split(","))
     return ((u, v), parse_phase(value))
 
 
@@ -298,9 +298,10 @@ def parse_fixture_text(text: str) -> list[FixtureRow]:
     Data lines are ``table=.. | pair=Z<i>=<v>,Z<j>=<v> | residual=
     <ket>:<t>;.. | basic=<u,v>:<v>|none | extended=..``; block header
     comments ``# block <n> outcome=<digits>`` attach the outcome each
-    row group belongs to.  Outcomes (4 digits) and residual kets (2) take
-    digits 0..3 and pair sites 1..4; anything malformed raises ValueError
-    naming the line, so it is an input error, not a failed verification.
+    row group belongs to.  Outcomes (4 digits), residual kets (2) and
+    eigenword exponents (1 each) take digits 0..3 and pair sites 1..4;
+    anything malformed raises ValueError naming the line, so it is an
+    input error, not a failed verification.
     """
     rows: list[FixtureRow] = []
     block = 0
@@ -338,8 +339,9 @@ def parse_fixture_text(text: str) -> list[FixtureRow]:
             basic = _parse_eigenword(fields["basic"])
             extended = _parse_eigenword(fields["extended"])
         except (KeyError, ValueError) as exc:
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(
-                f"bad fixture line {line_no} ({exc}): {raw!r}"
+                f"bad fixture line {line_no} ({reason}): {raw!r}"
             ) from exc
         if block_outcome is None:
             raise ValueError(f"fixture line {line_no} precedes a block header")
@@ -418,6 +420,10 @@ def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
     )
 
 
+#: Allowlist kinds: the two checks a fixture row can fail.
+ALLOWLIST_KINDS = ("derivation", "block-pair")
+
+
 @dataclass(frozen=True)
 class AllowlistEntry:
     table: str
@@ -436,7 +442,8 @@ def parse_allowlist(text: str) -> list[AllowlistEntry]:
 
     Lines are ``table=<label> | row=<n> | kind=<derivation|block-pair>
     | tag=<TAG> | note=<text>``; the tags are documented in the file
-    header and name the open question each entry is tied to.
+    header and name the open question each entry is tied to.  Rows count
+    from 1.
     """
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -448,17 +455,23 @@ def parse_allowlist(text: str) -> list[AllowlistEntry]:
             key, _, value = part.strip().partition("=")
             fields[key.strip()] = value.strip()
         try:
-            entries.append(
-                AllowlistEntry(
-                    canonical_table_label(fields["table"]),
-                    int(fields["row"]),
-                    fields["kind"],
-                    fields["tag"],
-                    fields.get("note", ""),
-                )
+            entry = AllowlistEntry(
+                canonical_table_label(fields["table"]),
+                int(fields["row"]),
+                fields["kind"],
+                fields["tag"],
+                fields.get("note", ""),
             )
+            if entry.kind not in ALLOWLIST_KINDS:
+                raise ValueError(f"unknown kind {entry.kind!r}")
+            if entry.index < 1:
+                raise ValueError(f"row {entry.index} is below 1")
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad allowlist line {line_no}: {raw!r}") from exc
+            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(
+                f"bad allowlist line {line_no} ({reason}): {raw!r}"
+            ) from exc
+        entries.append(entry)
     return entries
 
 
@@ -489,8 +502,16 @@ def diff_fixture_rows(
     A row fails the diff if its derivation disagrees or its pair labels
     disagree with its block, unless a matching allowlist entry of the
     right kind exists.  Unused allowlist entries are reported too, so the
-    list cannot silently rot.
+    list cannot silently rot; an entry naming no fixture row is an input
+    error (ValueError).
     """
+    parsed = {(row.table, row.index) for row in rows}
+    for entry in allowlist:
+        if (entry.table, entry.index) not in parsed:
+            raise ValueError(
+                f"allowlist entry table {entry.table} row {entry.index} "
+                "names no fixture row"
+            )
     allowed = {entry.key: entry for entry in allowlist}
     used = set()
     report = DiffReport()

@@ -14,9 +14,9 @@ from typing import Any
 
 from .checks import Check
 from .gauss import phase_str
-from .lhv import Constraint, DavnReport, ParadoxReport
+from .lhv import Constraint, DavnReport, ParadoxReport, constraint_from_row
 from .pauli import BasisKet
-from .postselect import ConstraintRow, DiffReport, Eigenword
+from .postselect import ConstraintRow, DiffReport
 from .sampling import SampleSummary
 from .states import StateVector
 
@@ -63,31 +63,6 @@ def render_state(state: StateVector) -> str:
     return body + (f"/{root}" if root * root == n else f"/sqrt({n})")
 
 
-def render_row_word(sites: tuple[int, ...], eigenword: Eigenword) -> str:
-    (u, v), t = eigenword
-    factors = []
-    for site, exp in zip(sites, (u, v)):
-        if exp:
-            factors.append(f"X{site + 1}" + (f"^{exp}" if exp > 1 else ""))
-    return "*".join(factors) + f" = {phase_str(t)}"
-
-
-def row_word_json(
-    sites: tuple[int, ...], eigenword: Eigenword | None
-) -> dict[str, Any] | None:
-    if eigenword is None:
-        return None
-    (u, v), t = eigenword
-    exps = [0, 0, 0, 0]
-    exps[sites[0]], exps[sites[1]] = u, v
-    return {
-        "word": render_row_word(sites, eigenword).split(" = ")[0],
-        "exponents": exps,
-        "value": phase_str(t),
-        "value_exponent": t,
-    }
-
-
 def constraint_json(constraint: Constraint) -> dict[str, Any]:
     return {
         "word": constraint.word_str(),
@@ -104,14 +79,19 @@ def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
     out = []
     for row in rows:
         sites = row.residual.sites
+        basic, extended = (
+            constraint_json(constraint_from_row(sites, word)) if word else None
+            for word in (row.basic, row.extended)
+        )
         out.append(
             {
                 "pair": row.pair.describe(),
                 "residual": render_state(row.residual.state),
-                "basic": row_word_json(sites, row.basic),
-                "extended": row_word_json(sites, row.extended),
+                "basic": basic,
+                "extended": extended,
                 "eigenwords": [
-                    row_word_json(sites, word) for word in row.eigenwords
+                    constraint_json(constraint_from_row(sites, word))
+                    for word in row.eigenwords
                 ],
             }
         )
@@ -123,8 +103,8 @@ def _row_cells(row: ConstraintRow) -> tuple[str, str, str, str]:
     return (
         row.pair.describe(),
         render_state(row.residual.state),
-        render_row_word(sites, row.basic) if row.basic else "---",
-        render_row_word(sites, row.extended) if row.extended else "---",
+        str(constraint_from_row(sites, row.basic)) if row.basic else "---",
+        str(constraint_from_row(sites, row.extended)) if row.extended else "---",
     )
 
 

@@ -213,6 +213,9 @@ def test_fixtures_diff_flags_tampered_fixture(tmp_path, capsys):
         ("residual=00:0;", "residual=000:0;", 3),
         ("residual=00:0;", "residual=40:0;", 3),
         ("residual=00:0;", "residual=0:0;", 3),
+        ("basic=1,3:-i", "basic=7,9:-i", 3),
+        ("extended=2,2:-1", "extended=2,4:-1", 3),
+        ("pair=Z1=1,Z2=1", "pairs=Z1=1,Z2=1", 3),
     ],
 )
 def test_fixtures_diff_malformed_table_is_an_input_error(
@@ -239,6 +242,37 @@ def test_fixtures_diff_flags_unused_allowlist_entry(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 1
     assert "no longer fire:\n  table I row 1 kind derivation" in out
+
+
+def test_fixtures_diff_names_a_missing_field(tmp_path, capsys):
+    table = copy_fixtures(tmp_path) / "table_I.txt"
+    table.write_text(table.read_text().replace("pair=", "pairs=", 1))
+    code, _, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert "bad fixture line 3 (missing field 'pair')" in err
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("table=I | row=2 | kind=derivaton | tag=T | note=typo", "unknown kind"),
+        ("table=I | row=0 | kind=derivation | tag=T | note=zero", "below 1"),
+        ("table=I | row=-3 | kind=block-pair | tag=T | note=neg", "below 1"),
+        ("table=I | row=999 | kind=derivation | tag=T | note=past end",
+         "names no fixture row"),
+    ],
+)
+def test_fixtures_diff_malformed_allowlist_is_an_input_error(
+    tmp_path, capsys, entry, message
+):
+    allowlist = copy_fixtures(tmp_path) / "allowlist.txt"
+    allowlist.write_text(allowlist.read_text() + entry + "\n")
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
 def test_fixtures_diff_missing_dir(tmp_path, capsys):

@@ -8,8 +8,6 @@ from davn.gauss import (
     ONE,
     GaussInt,
     parse_phase,
-    phase_mul,
-    phase_pow,
     phase_str,
 )
 
@@ -75,19 +73,6 @@ def test_as_phase_rejects_every_non_unit(z):
 @given(gauss, st.integers(min_value=0, max_value=7))
 def test_times_phase_matches_multiplication(z, t):
     assert z.times_phase(t) == z * GaussInt.from_phase(t)
-
-
-def test_phase_group_tables():
-    for t1 in range(4):
-        for t2 in range(4):
-            product = GaussInt.from_phase(t1) * GaussInt.from_phase(t2)
-            assert product.as_phase() == phase_mul(t1, t2)
-    for t in range(4):
-        for u in range(4):
-            power = ONE
-            for _ in range(u):
-                power = power * GaussInt.from_phase(t)
-            assert power.as_phase() == phase_pow(t, u)
 
 
 def test_phase_strings_round_trip():

@@ -51,6 +51,48 @@ GOLDENS = (
      "f5f05bcbdde88f4a3e0f9a7555dcb304cf6548b40c19cb70e5c4020130af6e11"),
     (("verify-state", "--state", "psi4-embedded", "--format", "json"), 0,
      "ebacc0ec2d0179727b373de71c0ca705338beb718b12f72527359c6cbdc6f3ad"),
+    (("tables", "--table", "I", "--format", "text"), 0,
+     "dbf387ee9f3e0f713bb6161d047d7a7ce76308322c176a57d2ad2c90ea72503d"),
+    (("tables", "--table", "I", "--format", "md"), 0,
+     "3fc583437ca8edb9352f88dd72cfb45aada6fc5c8afbe5c808c925c6ae8b5c55"),
+    (("tables", "--table", "II", "--format", "text"), 0,
+     "2dbb43d9881b2e6d8f557348f1a6f014af3b1b0fdb9d4e5b0edc3e5e95716a65"),
+    (("tables", "--table", "II", "--format", "md"), 0,
+     "b8f08f85a93790f170d6c3f0b69fe89013764180ff965a8e290aaeeec09e872a"),
+    (("tables", "--table", "III-A", "--format", "text"), 0,
+     "a9f77ac1b7b6bf34864db70d505bef67e43bcf79f25dbd569e835e5d9a63782f"),
+    (("tables", "--table", "III-A", "--format", "md"), 0,
+     "b944c15a148258995c611c6f3be82a27c3f2578cf12e59cc1de31278bf3eeff6"),
+    (("tables", "--table", "III-B", "--format", "text"), 0,
+     "2f07058d652247afe00c5e93b306ce72d14ad2f9d18b6b0d4233e9aac6d1b910"),
+    (("tables", "--table", "III-B", "--format", "md"), 0,
+     "c361fd2f46eb35e664bfc32bb1bc9954976c7c509a026f4d4c5b061206a534f2"),
+    (("tables", "--table", "IV-A", "--format", "text"), 0,
+     "45e7bed699b136e8fd8ad63f906b9c07e0acdbb0355dd1a555e65d5ca387fbc4"),
+    (("tables", "--table", "IV-A", "--format", "md"), 0,
+     "9983190e745d81e83f8ad4bf3179395fc920bfe7ef86ac5efa22e7da3afa9a8d"),
+    (("tables", "--table", "IV-B", "--format", "text"), 0,
+     "4b24b83d55f790c03e2b2fc39c845f57b7ccf7c30646d94e6b570c6ba34fb7fd"),
+    (("tables", "--table", "IV-B", "--format", "md"), 0,
+     "08c40af86595f5e7760cf88ca31c40f856c3a75a95becb60f0e5b6df2eb7bebf"),
+    (("tables", "--table", "V-A", "--format", "text"), 0,
+     "46e7660964a8295ac02227e1086d84f4176b2c52326f74d2f83be39e7ce914ac"),
+    (("tables", "--table", "V-A", "--format", "md"), 0,
+     "70896accd302a43b86f02b0d0ee40053cc353bac3ac16a37ebeb16dbe6d945b5"),
+    (("tables", "--table", "V-B", "--format", "text"), 0,
+     "be1795fd2bb3e01e3ff9cb08b9f55ff27fffb2ee2924e269b0116ae83ad5c661"),
+    (("tables", "--table", "V-B", "--format", "md"), 0,
+     "ac09c1060586eca56c60afc63add345b1c018ca4699386c1edbd1c49c23592b1"),
+    (("tables", "--table", "VI-A", "--format", "text"), 0,
+     "6d7647fc81e7dd917f91127df72c3788f8ab85c3fb4abd11255cd6f6121ac980"),
+    (("tables", "--table", "VI-A", "--format", "md"), 0,
+     "e6f7e85c16930cc323b7c261bf40a52c43fc10dc19242cd3af1c4f9b6f87ce6b"),
+    (("tables", "--table", "VI-B", "--format", "text"), 0,
+     "73eaed71c4e4c6ff977ce0c2aac7bab8431782d25d32e9fd70686cd0651088e4"),
+    (("tables", "--table", "VI-B", "--format", "md"), 0,
+     "8b00703746157fe8761eb2eff85850964ffc276cd38f5bf24594b16f48654d41"),
+    (("paradox", "--outcome", "0,2,3,3", "--format", "text"), 0,
+     "1b8a816e49551aaa2beb4183bbc30604580d0df1e0dae028bf2a867ca4017eaa"),
 )
 
 

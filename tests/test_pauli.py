@@ -1,23 +1,12 @@
-"""Word algebra tests: actions on kets, products, and text round trips.
+"""Word tests: actions on kets, composed actions, and the text form.
 
-The oracle for products is composed application: w1*w2 must act on every
-basis ket exactly as applying w2 then w1.
+The oracle for composition is applying one word and then the other to
+every basis ket.
 """
-
-import random
-from itertools import product
 
 import pytest
 
-from davn.gauss import phase_mul
-from davn.pauli import (
-    PauliWord,
-    apply_word,
-    mul_words,
-    parse_word,
-    word_pow,
-    word_str,
-)
+from davn.pauli import PauliWord, apply_word, word_str
 
 X1 = PauliWord.from_exponents(1, x_exps={0: 1})
 Z1 = PauliWord.from_exponents(1, z_exps={0: 1})
@@ -27,17 +16,7 @@ def compose_on_ket(w1, w2, ket):
     """Oracle: apply w2 then w1, accumulating phases."""
     t2, mid = apply_word(w2, ket)
     t1, out = apply_word(w1, mid)
-    return phase_mul(t1, t2), out
-
-
-def all_words(n_sites, phases=(0,)):
-    exps = range(4)
-    for phase in phases:
-        for combo in product(exps, repeat=2 * n_sites):
-            sites = tuple(
-                (combo[2 * j], combo[2 * j + 1]) for j in range(n_sites)
-            )
-            yield PauliWord(phase, sites)
+    return (t1 + t2) % 4, out
 
 
 def test_x_cycles_digits():
@@ -58,8 +37,6 @@ def test_two_site_shift():
 def test_site_count_mismatch():
     with pytest.raises(ValueError):
         apply_word(X1, (0, 0))
-    with pytest.raises(ValueError):
-        mul_words(X1, PauliWord.identity(2))
 
 
 def test_zx_commutation_derived_exhaustively():
@@ -70,14 +47,6 @@ def test_zx_commutation_derived_exhaustively():
         t_xz, ket_xz = compose_on_ket(X1, Z1, (k,))
         assert ket_zx == ket_xz
         assert (t_zx - t_xz) % 4 == 1
-    # mul_words must agree: Z*X = i * XZ.
-    assert mul_words(Z1, X1) == PauliWord(1, ((1, 1),))
-
-
-def test_product_with_identity():
-    for word in (X1, Z1, PauliWord(3, ((2, 1),))):
-        assert mul_words(word, PauliWord.identity(1)) == word
-        assert mul_words(PauliWord.identity(1), word) == word
 
 
 def test_x2z2_squares_to_identity():
@@ -86,57 +55,6 @@ def test_x2z2_squares_to_identity():
     for k in range(4):
         t, ket = compose_on_ket(w, w, (k,))
         assert (t, ket) == (0, (k,))
-    assert mul_words(w, w) == PauliWord.identity(1)
-
-
-def test_fourth_powers_are_identity():
-    for word in all_words(1, phases=(0,)):
-        fourth = word_pow(word, 4)
-        assert fourth.sites == ((0, 0),)
-        for k in range(4):
-            t, ket = apply_word(fourth, (k,))
-            assert ket == (k,)
-            assert t == fourth.phase
-
-
-def test_mul_words_matches_composition_single_site_exhaustive():
-    words = list(all_words(1, phases=(0, 1, 2, 3)))
-    assert len(words) == 64
-    for w1 in words:
-        for w2 in words:
-            prod = mul_words(w1, w2)
-            for k in range(4):
-                assert apply_word(prod, (k,)) == compose_on_ket(w1, w2, (k,))
-
-
-def test_mul_words_matches_composition_two_site_sampled():
-    rng = random.Random(7)
-
-    def random_word():
-        return PauliWord(
-            rng.randrange(4),
-            tuple((rng.randrange(4), rng.randrange(4)) for _ in range(2)),
-        )
-
-    kets = list(product(range(4), repeat=2))
-    for _ in range(300):
-        w1, w2 = random_word(), random_word()
-        prod = mul_words(w1, w2)
-        for ket in kets:
-            assert apply_word(prod, ket) == compose_on_ket(w1, w2, ket)
-
-
-def test_mul_words_is_associative_sampled():
-    rng = random.Random(11)
-    for _ in range(200):
-        a, b, c = (
-            PauliWord(
-                rng.randrange(4),
-                tuple((rng.randrange(4), rng.randrange(4)) for _ in range(2)),
-            )
-            for _ in range(3)
-        )
-        assert mul_words(mul_words(a, b), c) == mul_words(a, mul_words(b, c))
 
 
 def test_word_str_examples():
@@ -145,29 +63,5 @@ def test_word_str_examples():
         word_str(PauliWord.from_exponents(4, z_exps={j: 1 for j in range(4)}))
         == "Z1*Z2*Z3*Z4"
     )
-    assert word_str(PauliWord.identity(2)) == "I"
+    assert word_str(PauliWord.from_exponents(2)) == "I"
     assert word_str(PauliWord(2, ((1, 0), (0, 0)))) == "i^2*X1"
-
-
-def test_parse_print_round_trip_exhaustive_single_site():
-    for word in all_words(1, phases=(0, 1, 2, 3)):
-        assert parse_word(word_str(word), 1) == word
-
-
-def test_parse_print_round_trip_sampled_four_site():
-    rng = random.Random(3)
-    for _ in range(200):
-        word = PauliWord(
-            rng.randrange(4),
-            tuple((rng.randrange(4), rng.randrange(4)) for _ in range(4)),
-        )
-        assert parse_word(word_str(word), 4) == word
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_word("X5", 4)
-    with pytest.raises(ValueError):
-        parse_word("Y1", 4)
-    with pytest.raises(ValueError):
-        parse_word("X1**2", 4)

@@ -54,7 +54,7 @@ def test_apply_preserves_norm():
 
 
 def test_identity_word_fixes_any_state():
-    image = apply_to_state(PauliWord.identity(2), RESIDUAL)
+    image = apply_to_state(PauliWord.from_exponents(2), RESIDUAL)
     assert image.equals_exactly(RESIDUAL)
 
 
