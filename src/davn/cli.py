@@ -143,11 +143,15 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
             raise ValueError(f"{resource.name}: {exc}") from exc
     if not rows:
         raise ValueError(f"no fixture rows found under {fixdir}")
+    resource = fixdir / "allowlist.txt"
     try:
-        allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text())
+        allowlist_text = resource.read_text()
     except (FileNotFoundError, OSError):
-        allowlist = []
-    report = diff_fixture_rows(state, rows, allowlist)
+        allowlist_text = ""
+    try:
+        report = diff_fixture_rows(state, rows, parse_allowlist(allowlist_text))
+    except ValueError as exc:
+        raise ValueError(f"{resource.name}: {exc}") from exc
     if args.format == "json":
         _emit(reports.diff_json(report), args.output)
     else:

@@ -271,7 +271,7 @@ def test_fixtures_diff_malformed_allowlist_is_an_input_error(
     assert code == 2
     assert out == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith("error: allowlist.txt: ")
     assert message in lines[0]
 
 

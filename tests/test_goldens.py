@@ -93,6 +93,16 @@ GOLDENS = (
      "8b00703746157fe8761eb2eff85850964ffc276cd38f5bf24594b16f48654d41"),
     (("paradox", "--outcome", "0,2,3,3", "--format", "text"), 0,
      "1b8a816e49551aaa2beb4183bbc30604580d0df1e0dae028bf2a867ca4017eaa"),
+    (("sample", "--runs", "1000000", "--seed", "42", "--format", "json"), 0,
+     "ce1b29ad7b91aa28aa86c8fcedfcb980358044ecf8e5516de563226797d9b360"),
+    (("sample", "--runs", "56000", "--seed", "42", "--format", "text"), 0,
+     "a7befaa2e5e803a81c83325e256b715950f6f6e39e36d520a2cd5fe6d7e67969"),
+    (("sample", "--state", "psi4-qubit", "--runs", "7000", "--seed", "4",
+      "--format", "json"), 0,
+     "8fb4038ed434516c911b91d1f4b8df31b0364a0e5bff97cbdccca203c7ded7de"),
+    (("sample", "--state", "psi4-embedded", "--runs", "7000", "--seed", "4",
+      "--format", "json"), 0,
+     "287df9e6bd88fcf87246d839ee4ba3345c622182fc9b7b4b739597ed0e0b93ec"),
 )
 
 

@@ -1,9 +1,17 @@
 """Seeded sampling: determinism, support coverage, exact bookkeeping."""
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from davn import sampling
+from davn.checks import STATE_NAMES, build_state
 from davn.factory import build_psi4_qubit, build_psi_1234
 from davn.gauss import GaussInt
 from davn.sampling import GENERATOR_ID, sample_outcomes
@@ -61,3 +69,66 @@ def test_qubit_state_sampling():
     summary = sample_outcomes(build_psi4_qubit(), 700, 4)
     assert set(summary.counts) == set(build_psi4_qubit().support())
     assert summary.total() == 700
+
+
+def reference_counts(state, runs, seed):
+    """The pinned generator, one ``randrange`` draw at a time."""
+    outcomes = state.support()
+    boundaries = list(accumulate(state.amplitude(k).norm_sq() for k in outcomes))
+    rng = random.Random(seed)
+    counts = dict.fromkeys(outcomes, 0)
+    for _ in range(runs):
+        counts[outcomes[bisect_right(boundaries, rng.randrange(state.norm_sq))]] += 1
+    return counts
+
+
+@st.composite
+def nonzero_states(draw):
+    """Two-site states; a bound of 3 keeps most norms below 256, 11 most above."""
+    kets = draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        min_size=1, max_size=16, unique=True,
+    ))
+    bound = draw(st.sampled_from((3, 11)))
+    parts = st.integers(-bound, bound)
+    amps = {ket: GaussInt(draw(parts), draw(parts)) for ket in kets}
+    amps[kets[0]] = GaussInt(draw(st.integers(1, bound)), draw(parts))
+    return StateVector(2, amps)
+
+
+HALF_REJECTED = StateVector(2, {(0, 1): GaussInt(10, 5), (3, 2): GaussInt(2, 0)})
+assert HALF_REJECTED.norm_sq == 129
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nonzero_states(),
+    st.integers(1, 3000),
+    st.integers(),
+    st.integers(1, 8) | st.just(sampling._BLOCK),
+)
+@example(HALF_REJECTED, 2999, 7, 1)
+@example(HALF_REJECTED, 3000, -5, 3)
+@example(HALF_REJECTED, 1000, 2**70, sampling._BLOCK)
+@example(StateVector(1, {(2,): GaussInt(1, 0)}), 17, 0, 2)
+@example(StateVector(1, {(0,): GaussInt(15, 5)}), 50, 1, 4)
+@example(StateVector(1, {(0,): GaussInt(16, 0)}), 50, 1, 4)
+def test_counts_equal_the_per_draw_reference(state, runs, seed, block):
+    with mock.patch.object(sampling, "_BLOCK", block):
+        summary = sample_outcomes(state, runs, seed)
+    assert summary.counts == reference_counts(state, runs, seed)
+    assert list(summary.counts) == state.support()
+
+
+@pytest.mark.parametrize("name", STATE_NAMES)
+def test_builtin_states_match_the_per_draw_reference(name):
+    state = build_state(name)
+    assert state.norm_sq < 256
+    for seed in (0, 42):
+        summary = sample_outcomes(state, 20000, seed)
+        assert summary.counts == reference_counts(state, 20000, seed)
+
+
+def test_zero_norm_state_is_an_error():
+    with pytest.raises(ValueError):
+        sample_outcomes(StateVector(1, {}), 10, 1)
