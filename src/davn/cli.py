@@ -136,7 +136,7 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
     for label in TABLE_LABELS:
         resource = fixdir / f"table_{label}.txt"
         try:
-            rows += parse_fixture_text(resource.read_text())
+            rows += parse_fixture_text(resource.read_text(), label)
         except (FileNotFoundError, OSError) as exc:
             raise ValueError(f"missing fixture table {label}: {exc}") from exc
         except ValueError as exc:

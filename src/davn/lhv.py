@@ -41,11 +41,25 @@ Assignment = tuple[int, int, int, int]
 #: Mask with one bit per assignment, all set.
 ALL_ASSIGNMENTS = (1 << len(ASSIGNMENTS)) - 1
 
-#: _SITE_VALUE[j][x]: mask of the assignments with v_j == x.
-_SITE_VALUE = [
-    [sum(1 << k for k, a in enumerate(ASSIGNMENTS) if a[j] == x) for x in range(4)]
-    for j in range(4)
-]
+
+def _term_masks(site: int) -> tuple[tuple[int, ...], ...]:
+    """masks[e][r]: the assignments with e * v_site == r (mod 4).
+
+    Built as unions of the value masks v_site == x, which are disjoint,
+    so sum is union.
+    """
+    values = [
+        sum(1 << k for k, a in enumerate(ASSIGNMENTS) if a[site] == x)
+        for x in range(4)
+    ]
+    return tuple(
+        tuple(sum(values[x] for x in range(4) if e * x % 4 == r) for r in range(4))
+        for e in range(4)
+    )
+
+
+#: _TERM_MASKS[j][e][r]: mask of the assignments with e * v_j == r (mod 4).
+_TERM_MASKS = tuple(_term_masks(site) for site in range(4))
 
 
 @dataclass(frozen=True)
@@ -67,16 +81,18 @@ class Constraint:
         """Bit k set iff ASSIGNMENTS[k] satisfies the constraint.
 
         by_sum[s] holds the assignments whose sum of e_j * v_j over the
-        sites so far is s mod 4 (disjoint masks, so sum is union).
+        sites so far is s mod 4; a site's term r moves by_sum[s - r] there
+        (a negative index wraps mod 4).
         """
-        by_sum = [ALL_ASSIGNMENTS, 0, 0, 0]
+        by_sum = (ALL_ASSIGNMENTS, 0, 0, 0)
         for site, e in enumerate(self.exps):
             if e:
-                values = _SITE_VALUE[site]
-                by_sum = [
-                    sum(by_sum[(s - e * x) % 4] & values[x] for x in range(4))
+                term = _TERM_MASKS[site][e]
+                by_sum = tuple(
+                    by_sum[s] & term[0] | by_sum[s - 1] & term[1]
+                    | by_sum[s - 2] & term[2] | by_sum[s - 3] & term[3]
                     for s in range(4)
-                ]
+                )
         return by_sum[self.target]
 
     def word_str(self) -> str:

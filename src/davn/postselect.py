@@ -20,20 +20,18 @@ with a versioned allowlist for known discrepancies in the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .gauss import GaussInt, parse_phase, phase_str
-from .pauli import BasisKet, PauliWord
-from .states import StateVector, eigenvalue_of
+from .pauli import BasisKet
+from .states import StateVector, phase_between
 
 #: An eigen-relation of a two-site residual: ((u, v), eigenvalue exponent).
 Eigenword = tuple[tuple[int, int], int]
 
-#: Candidate eigenwords X_k**u X_l**v by exponents, in row-major scan
-#: order, built once.
-CANDIDATE_WORDS = tuple(
-    ((u, v), PauliWord.from_exponents(2, x_exps={0: u, 1: v}))
-    for u in range(1, 4) for v in range(1, 4)
-)
+#: Candidate eigenwords X_k**u X_l**v as exponent pairs (u, v), in
+#: row-major scan order.
+CANDIDATE_WORDS = tuple((u, v) for u in range(1, 4) for v in range(1, 4))
 
 
 @dataclass(frozen=True)
@@ -116,16 +114,43 @@ def derive_constraints(
     Returns (all eigenwords in scan order, basic, extended).  The basic
     constraint is the first eigenword found; the extended one is its
     even-exponent form, which is itself an eigen-relation (squaring an
-    eigen-relation squares the eigenvalue).
+    eigen-relation squares the eigenvalue).  The scan is a pure function
+    of the amplitudes, so each distinct residual is scanned once per
+    process.
     """
     if residual.n_sites != 2:
         raise ValueError("constraints are derived from two-site residuals")
-    found = []
-    for exps, word in CANDIDATE_WORDS:
-        t = eigenvalue_of(word, residual)
-        if t is not None:
-            found.append((exps, t))
-    eigenwords = tuple(found)
+    if residual.is_zero():
+        raise ValueError("zero state has no eigenvalues")
+    if residual.level != 4:
+        raise ValueError("Pauli words act on 4-level states only")
+    return _scan(frozenset(residual.amplitudes.items()))
+
+
+def _shift_eigenvalue(amplitudes: dict, u: int, v: int) -> int | None:
+    """c with X_k**u X_l**v |s> = i**c |s>, or None.
+
+    The word sends |a,b> to |a+u, b+v> with no phase, so the relation
+    holds exactly when the shifted kets are the support and
+    amp[k] == i**c * amp[k + (u, v)] with one common c.
+    """
+    image = {
+        ((a + u) % 4, (b + v) % 4): amp for (a, b), amp in amplitudes.items()
+    }
+    return phase_between(image, amplitudes)
+
+
+@lru_cache(maxsize=1024)
+def _scan(
+    items: frozenset[tuple[BasisKet, GaussInt]],
+) -> tuple[tuple[Eigenword, ...], Eigenword | None, Eigenword | None]:
+    """derive_constraints on a validated nonzero two-ququart residual."""
+    amplitudes = dict(items)
+    eigenwords = tuple(
+        ((u, v), t)
+        for u, v in CANDIDATE_WORDS
+        if (t := _shift_eigenvalue(amplitudes, u, v)) is not None
+    )
     if not eigenwords:
         return eigenwords, None, None
     basic = eigenwords[0]
@@ -292,16 +317,17 @@ def _parse_site(label: str) -> int:
     return _parse_digits(label[1:], 1, "1234")[0] - 1
 
 
-def parse_fixture_text(text: str) -> list[FixtureRow]:
-    """Parse one fixture file.
+def parse_fixture_text(text: str, label: str | None = None) -> list[FixtureRow]:
+    """Parse one fixture file, of table ``label`` when one is given.
 
     Data lines are ``table=.. | pair=Z<i>=<v>,Z<j>=<v> | residual=
     <ket>:<t>;.. | basic=<u,v>:<v>|none | extended=..``; block header
     comments ``# block <n> outcome=<digits>`` attach the outcome each
-    row group belongs to.  Outcomes (4 digits), residual kets (2) and
-    eigenword exponents (1 each) take digits 0..3 and pair sites 1..4;
-    anything malformed raises ValueError naming the line, so it is an
-    input error, not a failed verification.
+    row group belongs to.  Outcomes (4 digits), residual kets (2),
+    residual phase exponents and eigenword exponents (1 each) take
+    digits 0..3 and pair sites 1..4; a row of another table than
+    ``label``, or anything malformed, raises ValueError naming the line,
+    so it is an input error, not a failed verification.
     """
     rows: list[FixtureRow] = []
     block = 0
@@ -323,6 +349,8 @@ def parse_fixture_text(text: str) -> list[FixtureRow]:
                 key, _, value = part.strip().partition("=")
                 fields[key] = value
             table = canonical_table_label(fields["table"])
+            if label is not None and table != label:
+                raise ValueError(f"row of table {table} in a table {label} file")
             left, right = fields["pair"].split(",")
             site_i, value_i = left.split("=")
             site_j, value_j = right.split("=")
@@ -335,7 +363,7 @@ def parse_fixture_text(text: str) -> list[FixtureRow]:
             residual = {}
             for term in fields["residual"].split(";"):
                 digits, t = term.split(":")
-                residual[_parse_digits(digits, 2)] = int(t) % 4
+                residual[_parse_digits(digits, 2)] = _parse_digits(t, 1)[0]
             basic = _parse_eigenword(fields["basic"])
             extended = _parse_eigenword(fields["extended"])
         except (KeyError, ValueError) as exc:
@@ -502,17 +530,19 @@ def diff_fixture_rows(
     A row fails the diff if its derivation disagrees or its pair labels
     disagree with its block, unless a matching allowlist entry of the
     right kind exists.  Unused allowlist entries are reported too, so the
-    list cannot silently rot; an entry naming no fixture row is an input
-    error (ValueError).
+    list cannot silently rot; an entry naming no fixture row, or one
+    repeating another's table, row and kind, is an input error
+    (ValueError).
     """
     parsed = {(row.table, row.index) for row in rows}
+    allowed: dict[tuple[str, int, str], AllowlistEntry] = {}
     for entry in allowlist:
+        name = f"allowlist entry table {entry.table} row {entry.index}"
         if (entry.table, entry.index) not in parsed:
-            raise ValueError(
-                f"allowlist entry table {entry.table} row {entry.index} "
-                "names no fixture row"
-            )
-    allowed = {entry.key: entry for entry in allowlist}
+            raise ValueError(f"{name} names no fixture row")
+        if entry.key in allowed:
+            raise ValueError(f"{name} kind {entry.kind} is repeated")
+        allowed[entry.key] = entry
     used = set()
     report = DiffReport()
     for row in rows:

@@ -81,7 +81,7 @@ class StateVector:
         """t with self == i**t * other amplitude-by-amplitude, else None."""
         if self.level != other.level or self.n_sites != other.n_sites:
             return None
-        return _phase_between(self.amplitudes, other.amplitudes)
+        return phase_between(self.amplitudes, other.amplitudes)
 
     def dump(self) -> str:
         """Line-oriented text form: header then ``<digits> <phase t>``.
@@ -137,7 +137,7 @@ def apply_to_state(word: PauliWord, state: StateVector) -> StateVector:
     return StateVector(state.n_sites, out, level=state.level)
 
 
-def _phase_between(a: dict, b: dict) -> int | None:
+def phase_between(a: dict, b: dict) -> int | None:
     """c with a[k] == i**c * b[k] on one common support, or None.
 
     Amplitudes are nonzero, so the first ket fixes c; no copies are built.
@@ -172,7 +172,7 @@ def eigenvalue_of(word: PauliWord, state: StateVector) -> int | None:
         if shifted not in amplitudes:
             return None
         image[shifted] = amp.times_phase(t)
-    return _phase_between(image, amplitudes)
+    return phase_between(image, amplitudes)
 
 
 def x_eigenstate(m: int) -> StateVector:

@@ -213,6 +213,8 @@ def test_fixtures_diff_flags_tampered_fixture(tmp_path, capsys):
         ("residual=00:0;", "residual=000:0;", 3),
         ("residual=00:0;", "residual=40:0;", 3),
         ("residual=00:0;", "residual=0:0;", 3),
+        ("residual=00:0;", "residual=00:4;", 3),
+        ("residual=00:0;", "residual=00:-1;", 3),
         ("basic=1,3:-i", "basic=7,9:-i", 3),
         ("extended=2,2:-1", "extended=2,4:-1", 3),
         ("pair=Z1=1,Z2=1", "pairs=Z1=1,Z2=1", 3),
@@ -231,6 +233,21 @@ def test_fixtures_diff_malformed_table_is_an_input_error(
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: table_I.txt: bad fixture line")
     assert f"line {line} (" in lines[0]
+
+
+def test_fixtures_diff_rejects_a_row_of_another_table(tmp_path, capsys):
+    # Row 1 of table I reads the same as row 1 of table II, so the row
+    # would otherwise pass as II/1, an allowlist key of the real table II.
+    table = copy_fixtures(tmp_path) / "table_I.txt"
+    table.write_text(table.read_text().replace("table=I |", "table=II |", 1))
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: table_I.txt: bad fixture line 3 (row of table II in a table I"
+        " file): 'table=II | pair=Z1=1,Z2=1 | residual=00:0;13:1;22:2;31:3"
+        " | basic=1,3:-i | extended=2,2:-1'\n"
+    )
 
 
 def test_fixtures_diff_flags_unused_allowlist_entry(tmp_path, capsys):
@@ -260,6 +277,8 @@ def test_fixtures_diff_names_a_missing_field(tmp_path, capsys):
         ("table=I | row=-3 | kind=block-pair | tag=T | note=neg", "below 1"),
         ("table=I | row=999 | kind=derivation | tag=T | note=past end",
          "names no fixture row"),
+        ("table=II | row=28 | kind=derivation | tag=T | note=repeat",
+         "table II row 28 kind derivation is repeated"),
     ],
 )
 def test_fixtures_diff_malformed_allowlist_is_an_input_error(

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from davn.factory import build_psi_1234, joint_z_probability, z_support
 from davn.gauss import GaussInt
 from davn.postselect import (
+    CANDIDATE_WORDS,
     TABLE_BLOCKS,
     TABLE_LABELS,
     FixtureRow,
@@ -109,6 +112,94 @@ def test_derive_constraints_even_basic():
 def test_derive_constraints_deterministic():
     residual = unit_state({(0, 0): 0, (1, 3): 1, (2, 2): 2, (3, 1): 3})
     assert derive_constraints(residual) == derive_constraints(residual)
+
+
+def test_derive_constraints_rejects_what_has_no_eigenwords():
+    with pytest.raises(ValueError, match="two-site"):
+        derive_constraints(StateVector(3, {(0, 0, 0): GaussInt(1, 0)}))
+    with pytest.raises(ValueError, match="zero state"):
+        derive_constraints(StateVector(2, {}))
+    with pytest.raises(ValueError, match="4-level"):
+        derive_constraints(StateVector(2, {(0, 1): GaussInt(1, 0)}, level=2))
+
+
+def reference_eigenwords(state):
+    """Eigenwords of the nine candidates by the general eigen test."""
+    found = []
+    for u, v in CANDIDATE_WORDS:
+        word = PauliWord.from_exponents(2, x_exps={0: u, 1: v})
+        t = eigenvalue_of(word, state)
+        if t is not None:
+            found.append(((u, v), t))
+    return tuple(found)
+
+
+nonzero_gauss = st.builds(
+    GaussInt, st.integers(-3, 3), st.integers(-3, 3)
+).filter(bool)
+
+
+@st.composite
+def residuals_on_one_support(draw):
+    """Two residuals with one support and independently drawn amplitudes.
+
+    The support is a union of orbits of one candidate shift; along each
+    orbit amp[k + (u, v)] = i**-c * amp[k], from a Gaussian-integer seed
+    amplitude, so eigenwords occur often.  One amplitude may then be
+    replaced outright, which usually breaks the relation.
+    """
+    u, v = draw(st.sampled_from(CANDIDATE_WORDS))
+    kets = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    starts = draw(st.lists(kets, min_size=1, max_size=3))
+    orbits = []
+    for a, b in starts:
+        orbit = []
+        while (a, b) not in orbit:
+            orbit.append((a, b))
+            a, b = (a + u) % 4, (b + v) % 4
+        orbits.append(orbit)
+    states = []
+    for _ in range(2):
+        c = draw(st.integers(0, 3))
+        amplitudes = {}
+        for orbit in orbits:
+            amp = draw(nonzero_gauss)
+            for ket in orbit:
+                amplitudes.setdefault(ket, amp)
+                amp = amp.times_phase(-c)
+        if draw(st.booleans()):
+            ket = draw(st.sampled_from(sorted(amplitudes)))
+            amplitudes[ket] = draw(nonzero_gauss)
+        states.append(StateVector(2, amplitudes))
+    return states
+
+
+@given(residuals_on_one_support())
+@example([
+    unit_state({(0, 0): 0, (1, 3): 1, (2, 2): 2, (3, 1): 3}),
+    unit_state({(0, 0): 0, (1, 3): 3, (2, 2): 2, (3, 1): 1}),
+])
+def test_derive_constraints_matches_eigenvalue_of(states):
+    # Both states share a support, so a scan remembered by support alone
+    # would answer the second with the first one's eigenwords.
+    for state in states:
+        expected = reference_eigenwords(state)
+        if not expected:
+            assert derive_constraints(state) == ((), None, None)
+            continue
+        basic = expected[0]
+        (u, v), t = basic
+        if u % 2 == 0 and v % 2 == 0:
+            extended = basic
+        else:
+            extended = ((2 * u % 4, 2 * v % 4), 2 * t % 4)
+        if extended not in expected:
+            # An odd power times X**2 squares to a one-site word, which
+            # the scan leaves out, so the derivation stops there.
+            with pytest.raises(AssertionError, match="did not verify"):
+                derive_constraints(state)
+            continue
+        assert derive_constraints(state) == (expected, basic, extended)
 
 
 def test_every_derived_constraint_verifies_quantum_mechanically():
