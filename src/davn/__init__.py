@@ -33,7 +33,7 @@ from .postselect import (
     postselect_pair,
     table_for_outcome,
 )
-from .states import StateVector, apply_to_state, eigenvalue_of, x_eigenstate
+from .states import StateVector, apply_to_state, eigenvalue_of
 
 __version__ = "0.1.0"
 
@@ -64,6 +64,5 @@ __all__ = [
     "verify_davn",
     "verify_paradox",
     "word_str",
-    "x_eigenstate",
     "z_support",
 ]

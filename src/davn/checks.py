@@ -8,7 +8,6 @@ diagonals, the digit-sum rule, and the support census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -38,11 +37,13 @@ def build_state(name: str) -> StateVector:
     raise ValueError(f"unknown state {name!r}; expected one of {STATE_NAMES}")
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    passed: bool
-    detail: str
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
 def _density_checks(state: StateVector, expected_site1: tuple[Fraction, ...]) -> list[Check]:

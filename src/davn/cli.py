@@ -145,10 +145,9 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
         raise ValueError(f"no fixture rows found under {fixdir}")
     resource = fixdir / "allowlist.txt"
     try:
-        allowlist_text = resource.read_text()
-    except (FileNotFoundError, OSError):
-        allowlist_text = ""
-    try:
+        # A missing allowlist excuses nothing; an undecodable one is an
+        # input error that names the file.
+        allowlist_text = resource.read_text() if resource.is_file() else ""
         report = diff_fixture_rows(state, rows, parse_allowlist(allowlist_text))
     except ValueError as exc:
         raise ValueError(f"{resource.name}: {exc}") from exc

@@ -12,7 +12,6 @@ Probabilities are exact `Fraction` values |amplitude|**2 / norm_sq.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -105,7 +104,6 @@ def embed_qubit_state(state: StateVector, target_digit: int) -> StateVector:
     )
 
 
-@dataclass(frozen=True)
 class DensityMatrix:
     """Exact single-site density matrix: numerators over a common denominator.
 
@@ -113,9 +111,17 @@ class DensityMatrix:
     numerator, so Hermiticity and trace are checked by integer equality.
     """
 
-    dim: int
-    denominator: int
-    numerators: tuple[tuple[GaussInt, ...], ...]
+    __slots__ = ("dim", "denominator", "numerators")
+
+    def __init__(
+        self,
+        dim: int,
+        denominator: int,
+        numerators: tuple[tuple[GaussInt, ...], ...],
+    ) -> None:
+        self.dim = dim
+        self.denominator = denominator
+        self.numerators = numerators
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(
@@ -163,7 +169,6 @@ def reduced_density(state: StateVector, site: int) -> DensityMatrix:
     return DensityMatrix(d, state.norm_sq, tuple(tuple(r) for r in nums))
 
 
-@dataclass(frozen=True)
 class NonstabilizerVerdict:
     """Per-site deviation of the reduced density matrices from I/d.
 
@@ -171,8 +176,15 @@ class NonstabilizerVerdict:
     certifies that the state is not a stabilizer state.
     """
 
-    densities: tuple[DensityMatrix, ...]
-    deviating_sites: tuple[int, ...]
+    __slots__ = ("densities", "deviating_sites")
+
+    def __init__(
+        self,
+        densities: tuple[DensityMatrix, ...],
+        deviating_sites: tuple[int, ...],
+    ) -> None:
+        self.densities = densities
+        self.deviating_sites = deviating_sites
 
     @property
     def is_nonstabilizer(self) -> bool:
@@ -191,11 +203,13 @@ def nonstabilizer_test(state: StateVector) -> NonstabilizerVerdict:
     return NonstabilizerVerdict(densities, deviating)
 
 
-@dataclass(frozen=True)
 class KetAudit:
-    ket: BasisKet
-    digit_sum: int
-    phase: int
+    __slots__ = ("ket", "digit_sum", "phase")
+
+    def __init__(self, ket: BasisKet, digit_sum: int, phase: int) -> None:
+        self.ket = ket
+        self.digit_sum = digit_sum
+        self.phase = phase
 
     @property
     def fixed(self) -> bool:
@@ -206,7 +220,6 @@ class KetAudit:
         return self.fixed == (self.digit_sum == 0)
 
 
-@dataclass(frozen=True)
 class StabilizerAudit:
     """Result of applying the all-sites Z word, per support ket.
 
@@ -215,8 +228,11 @@ class StabilizerAudit:
     `digit_rule_holds` records that equivalence both ways per ket.
     """
 
-    stabilized: bool
-    kets: tuple[KetAudit, ...]
+    __slots__ = ("stabilized", "kets")
+
+    def __init__(self, stabilized: bool, kets: tuple[KetAudit, ...]) -> None:
+        self.stabilized = stabilized
+        self.kets = kets
 
     @property
     def digit_rule_holds(self) -> bool:

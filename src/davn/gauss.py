@@ -13,8 +13,6 @@ plain ints reduced mod 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 #: Rendering of the four unit phases i**t for t = 0..3.
 PHASE_STRINGS = ("1", "i", "-1", "-i")
 
@@ -36,16 +34,31 @@ def parse_phase(text: str) -> int:
         raise ValueError(f"not a fourth root of unity: {text!r}") from None
 
 
-@dataclass(frozen=True)
 class GaussInt:
-    """A Gaussian integer re + im*i.
+    """A Gaussian integer re + im*i, immutable by convention.
 
     Python integers are arbitrary precision, so ring operations cannot
     overflow; amplitudes in this package stay single-digit anyway.
+    Values compare and hash by (re, im): states compare amplitude dicts,
+    and the eigenword scan memo is keyed on frozensets of amplitudes.
     """
 
-    re: int
-    im: int
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int) -> None:
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussInt:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussInt(re={self.re}, im={self.im})"
 
     def __add__(self, other: GaussInt) -> GaussInt:
         return GaussInt(self.re + other.re, self.im + other.im)

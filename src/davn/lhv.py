@@ -18,9 +18,8 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import combinations, product
 from operator import and_
 
@@ -62,38 +61,53 @@ def _term_masks(site: int) -> tuple[tuple[int, ...], ...]:
 _TERM_MASKS = tuple(_term_masks(site) for site in range(4))
 
 
-@dataclass(frozen=True)
 class Constraint:
-    """Product of X powers across sites equals a fourth root of unity."""
+    """Product of X powers across sites equals a fourth root of unity.
 
-    exps: tuple[int, int, int, int]
-    target: int
+    Constraints compare and hash by (exps, target), so verify_paradox
+    can drop repeats with ``dict.fromkeys``.
+    """
 
-    def __post_init__(self) -> None:
-        if not any(self.exps):
+    __slots__ = ("exps", "target", "_truth_mask")
+
+    def __init__(self, exps: tuple[int, int, int, int], target: int) -> None:
+        if not any(exps):
             raise ValueError("constraint must involve at least one site")
+        self.exps = exps
+        self.target = target
+        self._truth_mask = None
 
-    def holds(self, values: Assignment) -> bool:
-        return sum(e * v for e, v in zip(self.exps, values)) % 4 == self.target
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Constraint:
+            return NotImplemented
+        return self.exps == other.exps and self.target == other.target
 
-    @cached_property
+    def __hash__(self) -> int:
+        return hash((self.exps, self.target))
+
+    def __repr__(self) -> str:
+        return f"Constraint(exps={self.exps}, target={self.target})"
+
+    @property
     def truth_mask(self) -> int:
         """Bit k set iff ASSIGNMENTS[k] satisfies the constraint.
 
-        by_sum[s] holds the assignments whose sum of e_j * v_j over the
-        sites so far is s mod 4; a site's term r moves by_sum[s - r] there
-        (a negative index wraps mod 4).
+        Built on first read.  by_sum[s] holds the assignments whose sum
+        of e_j * v_j over the sites so far is s mod 4; a site's term r
+        moves by_sum[s - r] there (a negative index wraps mod 4).
         """
-        by_sum = (ALL_ASSIGNMENTS, 0, 0, 0)
-        for site, e in enumerate(self.exps):
-            if e:
-                term = _TERM_MASKS[site][e]
-                by_sum = tuple(
-                    by_sum[s] & term[0] | by_sum[s - 1] & term[1]
-                    | by_sum[s - 2] & term[2] | by_sum[s - 3] & term[3]
-                    for s in range(4)
-                )
-        return by_sum[self.target]
+        if self._truth_mask is None:
+            by_sum = (ALL_ASSIGNMENTS, 0, 0, 0)
+            for site, e in enumerate(self.exps):
+                if e:
+                    term = _TERM_MASKS[site][e]
+                    by_sum = tuple(
+                        by_sum[s] & term[0] | by_sum[s - 1] & term[1]
+                        | by_sum[s - 2] & term[2] | by_sum[s - 3] & term[3]
+                        for s in range(4)
+                    )
+            self._truth_mask = by_sum[self.target]
+        return self._truth_mask
 
     def word_str(self) -> str:
         word = PauliWord.from_exponents(
@@ -158,19 +172,36 @@ def classify_type(outcome: BasisKet) -> str:
     raise ValueError(f"outcome {outcome} is not one of the 56 supported tuples")
 
 
-@dataclass(frozen=True)
 class ParadoxReport:
     """Refutation record for one supported measurement outcome."""
 
-    outcome: BasisKet
-    type_label: str | None
-    probability: Fraction
-    rows: tuple[ConstraintRow, ...]
-    constraints_basic: tuple[Constraint, ...]
-    constraints_extended: tuple[Constraint, ...]
-    witness: Assignment | None
-    minimal_core: tuple[Constraint, ...] | None
-    extended_only_unsatisfiable: bool
+    __slots__ = (
+        "outcome", "type_label", "probability", "rows", "constraints_basic",
+        "constraints_extended", "witness", "minimal_core",
+        "extended_only_unsatisfiable",
+    )
+
+    def __init__(
+        self,
+        outcome: BasisKet,
+        type_label: str | None,
+        probability: Fraction,
+        rows: tuple[ConstraintRow, ...],
+        constraints_basic: tuple[Constraint, ...],
+        constraints_extended: tuple[Constraint, ...],
+        witness: Assignment | None,
+        minimal_core: tuple[Constraint, ...] | None,
+        extended_only_unsatisfiable: bool,
+    ) -> None:
+        self.outcome = outcome
+        self.type_label = type_label
+        self.probability = probability
+        self.rows = rows
+        self.constraints_basic = constraints_basic
+        self.constraints_extended = constraints_extended
+        self.witness = witness
+        self.minimal_core = minimal_core
+        self.extended_only_unsatisfiable = extended_only_unsatisfiable
 
     @property
     def satisfiable(self) -> bool:
@@ -223,7 +254,6 @@ def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
 _ROMAN_ORDER = ("I", "II", "III", "IV", "V", "VI")
 
 
-@dataclass(frozen=True)
 class DavnReport:
     """Aggregate over every supported outcome of a state.
 
@@ -233,11 +263,24 @@ class DavnReport:
     outcome.
     """
 
-    reports: tuple[ParadoxReport, ...]
-    support_size: int
-    probability_sum: Fraction
-    verdict: str
-    failing_outcomes: tuple[BasisKet, ...]
+    __slots__ = (
+        "reports", "support_size", "probability_sum", "verdict",
+        "failing_outcomes",
+    )
+
+    def __init__(
+        self,
+        reports: tuple[ParadoxReport, ...],
+        support_size: int,
+        probability_sum: Fraction,
+        verdict: str,
+        failing_outcomes: tuple[BasisKet, ...],
+    ) -> None:
+        self.reports = reports
+        self.support_size = support_size
+        self.probability_sum = probability_sum
+        self.verdict = verdict
+        self.failing_outcomes = failing_outcomes
 
     @property
     def type_counts(self) -> dict[str, int]:

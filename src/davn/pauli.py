@@ -15,23 +15,24 @@ Words have a text form used by the CLI and reports, e.g. ``X3*X4^3``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 BasisKet = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class PauliWord:
-    """i**phase * prod over sites of X**x_exp * Z**z_exp."""
+    """i**phase * prod over sites of X**x_exp * Z**z_exp.
 
-    phase: int
-    sites: tuple[tuple[int, int], ...]
+    ``sites`` holds one (x_exp, z_exp) pair per site; every exponent is
+    reduced mod 4 on construction.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", self.phase % 4)
-        object.__setattr__(
-            self, "sites", tuple((a % 4, b % 4) for a, b in self.sites)
-        )
+    __slots__ = ("phase", "sites")
+
+    def __init__(self, phase: int, sites: tuple[tuple[int, int], ...]) -> None:
+        self.phase = phase % 4
+        self.sites = tuple((a % 4, b % 4) for a, b in sites)
+
+    def __repr__(self) -> str:
+        return f"PauliWord(phase={self.phase}, sites={self.sites})"
 
     @property
     def n_sites(self) -> int:

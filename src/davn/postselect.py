@@ -11,15 +11,16 @@ value constraints of the argument:
   odd-degree basic, the basic itself when it is already even),
 * ``---``            - no eigenword exists for that residual.
 
-Single-site words (u or v = 0) are excluded: they never fix these
-entangled residuals.  The module also houses the fixture machinery that
-diffs a derived table against a transcribed reference table row by row,
-with a versioned allowlist for known discrepancies in the reference.
+Single-site words (u or v = 0) are not candidates: they never fix the
+residuals of the built-in states.  Only an extended constraint can be
+one, as the square of an odd basic word such as X_k X_l**2.  The module
+also houses the fixture machinery that diffs a derived table against a
+transcribed reference table row by row, with a versioned allowlist for
+known discrepancies in the reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .gauss import GaussInt, parse_phase, phase_str
@@ -34,18 +35,25 @@ Eigenword = tuple[tuple[int, int], int]
 CANDIDATE_WORDS = tuple((u, v) for u in range(1, 4) for v in range(1, 4))
 
 
-@dataclass(frozen=True)
 class PairSelection:
     """Z outcomes on two distinct sites (0-based), as phase exponents."""
 
-    site_i: int
-    site_j: int
-    m_i: int
-    m_j: int
+    __slots__ = ("site_i", "site_j", "m_i", "m_j")
 
-    def __post_init__(self) -> None:
-        if self.site_i == self.site_j:
+    def __init__(self, site_i: int, site_j: int, m_i: int, m_j: int) -> None:
+        if site_i == site_j:
             raise ValueError("pair selection needs two distinct sites")
+        self.site_i = site_i
+        self.site_j = site_j
+        self.m_i = m_i
+        self.m_j = m_j
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PairSelection:
+            return NotImplemented
+        return (self.site_i, self.site_j, self.m_i, self.m_j) == (
+            other.site_i, other.site_j, other.m_i, other.m_j
+        )
 
     def describe(self) -> str:
         return (
@@ -54,23 +62,34 @@ class PairSelection:
         )
 
 
-@dataclass(frozen=True)
 class ResidualState:
     """State of the remaining sites after a pair selection."""
 
-    sites: tuple[int, ...]
-    state: StateVector
+    __slots__ = ("sites", "state")
+
+    def __init__(self, sites: tuple[int, ...], state: StateVector) -> None:
+        self.sites = sites
+        self.state = state
 
 
-@dataclass(frozen=True)
 class ConstraintRow:
     """One table row: a pair selection and what it forces on the rest."""
 
-    pair: PairSelection
-    residual: ResidualState
-    eigenwords: tuple[Eigenword, ...]
-    basic: Eigenword | None
-    extended: Eigenword | None
+    __slots__ = ("pair", "residual", "eigenwords", "basic", "extended")
+
+    def __init__(
+        self,
+        pair: PairSelection,
+        residual: ResidualState,
+        eigenwords: tuple[Eigenword, ...],
+        basic: Eigenword | None,
+        extended: Eigenword | None,
+    ) -> None:
+        self.pair = pair
+        self.residual = residual
+        self.eigenwords = eigenwords
+        self.basic = basic
+        self.extended = extended
 
 
 def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
@@ -99,11 +118,6 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
             f"selection {pair.describe()} has probability zero"
         )
     return ResidualState(tuple(keep), residual)
-
-
-def _square(word: Eigenword) -> Eigenword:
-    (u, v), t = word
-    return ((2 * u % 4, 2 * v % 4), 2 * t % 4)
 
 
 def derive_constraints(
@@ -155,12 +169,17 @@ def _scan(
         return eigenwords, None, None
     basic = eigenwords[0]
     (u, v), _ = basic
-    extended = basic if u % 2 == 0 and v % 2 == 0 else _square(basic)
-    if extended not in eigenwords:
+    if u % 2 == 0 and v % 2 == 0:
+        return eigenwords, basic, basic
+    # The square of an odd word may act on one site only (u or v even),
+    # so it is tested on its own rather than looked up among the nine.
+    u, v = 2 * u % 4, 2 * v % 4
+    t = _shift_eigenvalue(amplitudes, u, v)
+    if t is None:
         raise AssertionError(
             f"square of eigenword {basic} did not verify; scan is broken"
         )
-    return eigenwords, basic, extended
+    return eigenwords, basic, ((u, v), t)
 
 
 SITE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -252,7 +271,6 @@ def canonical_table_label(label: str) -> str:
 # Fixture rows and diffing.
 
 
-@dataclass(frozen=True)
 class FixtureRow:
     """One transcribed reference-table row.
 
@@ -261,14 +279,30 @@ class FixtureRow:
     from the block header comment preceding the row.
     """
 
-    table: str
-    index: int
-    block: int
-    block_outcome: BasisKet
-    pair: PairSelection
-    residual: dict[BasisKet, int]
-    basic: Eigenword | None
-    extended: Eigenword | None
+    __slots__ = (
+        "table", "index", "block", "block_outcome", "pair", "residual",
+        "basic", "extended",
+    )
+
+    def __init__(
+        self,
+        table: str,
+        index: int,
+        block: int,
+        block_outcome: BasisKet,
+        pair: PairSelection,
+        residual: dict[BasisKet, int],
+        basic: Eigenword | None,
+        extended: Eigenword | None,
+    ) -> None:
+        self.table = table
+        self.index = index
+        self.block = block
+        self.block_outcome = block_outcome
+        self.pair = pair
+        self.residual = residual
+        self.basic = basic
+        self.extended = extended
 
     def residual_state(self) -> StateVector:
         return StateVector(
@@ -383,7 +417,6 @@ def parse_fixture_text(text: str, label: str | None = None) -> list[FixtureRow]:
     return rows
 
 
-@dataclass(frozen=True)
 class RowVerdict:
     """Comparison of a fixture row against the derived row.
 
@@ -395,13 +428,28 @@ class RowVerdict:
     the row's printed pair outcomes agree with its block's outcome.
     """
 
-    row: FixtureRow
-    residual_ok: bool
-    residual_phase: int | None
-    basic_ok: bool
-    extended_ok: bool
-    block_ok: bool
-    reasons: tuple[str, ...]
+    __slots__ = (
+        "row", "residual_ok", "residual_phase", "basic_ok", "extended_ok",
+        "block_ok", "reasons",
+    )
+
+    def __init__(
+        self,
+        row: FixtureRow,
+        residual_ok: bool,
+        residual_phase: int | None,
+        basic_ok: bool,
+        extended_ok: bool,
+        block_ok: bool,
+        reasons: tuple[str, ...],
+    ) -> None:
+        self.row = row
+        self.residual_ok = residual_ok
+        self.residual_phase = residual_phase
+        self.basic_ok = basic_ok
+        self.extended_ok = extended_ok
+        self.block_ok = block_ok
+        self.reasons = reasons
 
     @property
     def derivation_ok(self) -> bool:
@@ -452,13 +500,17 @@ def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
 ALLOWLIST_KINDS = ("derivation", "block-pair")
 
 
-@dataclass(frozen=True)
 class AllowlistEntry:
-    table: str
-    index: int
-    kind: str
-    tag: str
-    note: str
+    __slots__ = ("table", "index", "kind", "tag", "note")
+
+    def __init__(
+        self, table: str, index: int, kind: str, tag: str, note: str
+    ) -> None:
+        self.table = table
+        self.index = index
+        self.kind = kind
+        self.tag = tag
+        self.note = note
 
     @property
     def key(self) -> tuple[str, int, str]:
@@ -503,17 +555,23 @@ def parse_allowlist(text: str) -> list[AllowlistEntry]:
     return entries
 
 
-@dataclass
 class DiffReport:
-    """Outcome of diffing every fixture table against the derivation."""
+    """Outcome of diffing every fixture table against the derivation.
 
-    total_rows: int = 0
-    matched_rows: int = 0
-    allowlisted: list[tuple[RowVerdict, AllowlistEntry]] = field(
-        default_factory=list
+    diff_fixture_rows fills it in row by row.
+    """
+
+    __slots__ = (
+        "total_rows", "matched_rows", "allowlisted", "failures",
+        "unused_allowlist",
     )
-    failures: list[RowVerdict] = field(default_factory=list)
-    unused_allowlist: list[AllowlistEntry] = field(default_factory=list)
+
+    def __init__(self) -> None:
+        self.total_rows = 0
+        self.matched_rows = 0
+        self.allowlisted: list[tuple[RowVerdict, AllowlistEntry]] = []
+        self.failures: list[RowVerdict] = []
+        self.unused_allowlist: list[AllowlistEntry] = []
 
     @property
     def ok(self) -> bool:

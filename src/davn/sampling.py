@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .pauli import BasisKet
@@ -39,15 +38,39 @@ GENERATOR_ID = "mt19937-randrange-cdf/1"
 _BLOCK = 1 << 20
 
 
-@dataclass(frozen=True)
 class SampleSummary:
-    """Counts of sampled outcomes plus the reproduction parameters."""
+    """Counts of sampled outcomes plus the reproduction parameters.
 
-    seed: int
-    runs: int
-    generator: str
-    counts: dict[BasisKet, int]
-    max_abs_deviation: Fraction
+    Summaries compare equal when every field does, so two runs can be
+    checked for reproducibility.
+    """
+
+    __slots__ = ("seed", "runs", "generator", "counts", "max_abs_deviation")
+
+    def __init__(
+        self,
+        seed: int,
+        runs: int,
+        generator: str,
+        counts: dict[BasisKet, int],
+        max_abs_deviation: Fraction,
+    ) -> None:
+        self.seed = seed
+        self.runs = runs
+        self.generator = generator
+        self.counts = counts
+        self.max_abs_deviation = max_abs_deviation
+
+    def _fields(self) -> tuple:
+        return (
+            self.seed, self.runs, self.generator, self.counts,
+            self.max_abs_deviation,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SampleSummary:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def total(self) -> int:
         return sum(self.counts.values())

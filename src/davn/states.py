@@ -63,13 +63,6 @@ class StateVector:
         """Kets with nonzero amplitude, in lexicographic order."""
         return sorted(self.amplitudes)
 
-    def scaled_by_phase(self, t: int) -> StateVector:
-        return StateVector(
-            self.n_sites,
-            {ket: amp.times_phase(t) for ket, amp in self.amplitudes.items()},
-            level=self.level,
-        )
-
     def equals_exactly(self, other: StateVector) -> bool:
         return (
             self.level == other.level
@@ -82,48 +75,6 @@ class StateVector:
         if self.level != other.level or self.n_sites != other.n_sites:
             return None
         return phase_between(self.amplitudes, other.amplitudes)
-
-    def dump(self) -> str:
-        """Line-oriented text form: header then ``<digits> <phase t>``.
-
-        Only states whose amplitudes are all fourth roots of unity can be
-        dumped; that covers every state constructed in this package.
-        """
-        lines = [f"norm_sq={self.norm_sq}"]
-        for ket in self.support():
-            t = self.amplitudes[ket].as_phase()
-            if t is None:
-                raise ValueError(
-                    f"amplitude of {ket} is not a unit phase; cannot dump"
-                )
-            lines.append("".join(map(str, ket)) + f" {t}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def load(cls, text: str, level: int = 4) -> StateVector:
-        """Inverse of :meth:`dump`; the header norm is re-verified.
-
-        The format stores digits and phases only, so the caller supplies
-        the level (pass level=2 to reload a qubit-state dump).
-        """
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines or not lines[0].startswith("norm_sq="):
-            raise ValueError("state dump must start with a norm_sq= header")
-        declared = int(lines[0].split("=", 1)[1])
-        amplitudes: dict[BasisKet, GaussInt] = {}
-        n_sites = None
-        for line in lines[1:]:
-            digits, t = line.split()
-            ket = tuple(int(c) for c in digits)
-            if n_sites is None:
-                n_sites = len(ket)
-            amplitudes[ket] = GaussInt.from_phase(int(t))
-        state = cls(n_sites or 0, amplitudes, level=level)
-        if state.norm_sq != declared:
-            raise ValueError(
-                f"declared norm_sq={declared} but amplitudes give {state.norm_sq}"
-            )
-        return state
 
 
 def apply_to_state(word: PauliWord, state: StateVector) -> StateVector:
@@ -173,15 +124,3 @@ def eigenvalue_of(word: PauliWord, state: StateVector) -> int | None:
             return None
         image[shifted] = amp.times_phase(t)
     return phase_between(image, amplitudes)
-
-
-def x_eigenstate(m: int) -> StateVector:
-    """Single-site eigenstate of X with eigenvalue i**m (unnormalised).
-
-    The amplitude at |k> is i**(-m*k): shifting k -> k+1 then multiplies
-    every amplitude by i**m, which is exactly the eigen-relation
-    eigenvalue_of(X, x_eigenstate(m)) == m.
-    """
-    return StateVector(
-        1, {(k,): GaussInt.from_phase(-m * k) for k in range(4)}
-    )

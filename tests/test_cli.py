@@ -1,10 +1,17 @@
 """CLI behaviour: exit codes, formats, determinism, file output."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from davn.cli import main
 
@@ -180,8 +187,6 @@ def test_fixtures_diff_passes_on_packaged_tables(capsys):
 
 
 def copy_fixtures(tmp_path):
-    from importlib import resources
-
     src = resources.files("davn") / "fixtures"
     for name in [p.name for p in src.iterdir() if p.name.endswith(".txt")]:
         (tmp_path / name).write_text((src / name).read_text())
@@ -294,6 +299,26 @@ def test_fixtures_diff_malformed_allowlist_is_an_input_error(
     assert message in lines[0]
 
 
+@pytest.mark.parametrize("name", ["allowlist.txt", "table_I.txt"])
+def test_fixtures_diff_undecodable_file_is_named(tmp_path, capsys, name):
+    with open(copy_fixtures(tmp_path) / name, "ab") as handle:
+        handle.write(b"\xff\n")
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: ")
+    assert "can't decode" in lines[0]
+
+
+def test_fixtures_diff_without_allowlist_excuses_nothing(tmp_path, capsys):
+    (copy_fixtures(tmp_path) / "allowlist.txt").unlink()
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 1
+    assert err == ""
+    assert "FAILURES: 6" in out
+
+
 def test_fixtures_diff_missing_dir(tmp_path, capsys):
     code, _, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path / "nope"))
     assert code == 2
@@ -323,3 +348,84 @@ def test_json_reports_are_byte_identical_across_processes():
     second = subprocess.run(command, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+#: The packaged fixture files by name, read once for the mutation fuzz.
+PACKAGED = {
+    p.name: p.read_text()
+    for p in (resources.files("davn") / "fixtures").iterdir()
+    if p.name.endswith(".txt")
+}
+
+MUTATIONS = (
+    "drop line", "duplicate line", "drop field", "duplicate field",
+    "alter field", "alter character",
+)
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """The packaged files with one line of one file mutated once."""
+    name = draw(st.sampled_from(sorted(PACKAGED)))
+    lines = PACKAGED[name].splitlines()
+    index = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+    line = lines[index]
+    kind = draw(st.sampled_from(MUTATIONS))
+    fields = line.split(" | ")
+    field = draw(st.integers(0, len(fields) - 1))
+    text = st.text(st.sampled_from("0123479-=|:;,# iXZIV\n"), max_size=6)
+    if kind == "drop line":
+        new = []
+    elif kind == "duplicate line":
+        new = [line, line]
+    elif kind == "drop field":
+        new = [" | ".join(fields[:field] + fields[field + 1 :])]
+    elif kind == "duplicate field":
+        new = [" | ".join(fields[: field + 1] + fields[field:])]
+    elif kind == "alter field":
+        key, _, _ = fields[field].partition("=")
+        fields[field] = f"{key}={draw(text)}"
+        new = [" | ".join(fields)]
+    else:
+        at = draw(st.integers(0, len(line) - 1))
+        new = [line[:at] + draw(text) + line[at + 1 :]]
+    files = dict(PACKAGED)
+    files[name] = "\n".join(lines[:index] + new + lines[index + 1 :]) + "\n"
+    return name, files
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_fixtures())
+def test_fixtures_diff_exit_code_contract_under_mutation(case):
+    # Exit 0, 1 or 2 and no traceback whatever one edit does to one file;
+    # an input error is one stderr line naming the edited file or table.
+    name, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, text in files.items():
+            (Path(tmp) / file_name).write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["fixtures-diff", "--dir", tmp, "--format", "json"])
+    if code != 2:
+        assert code in (0, 1)
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+        return
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    table = name.removeprefix("table_").removesuffix(".txt")
+    assert name in lines[0] or f"table {table} " in lines[0]
+
+
+def test_import_pulls_in_neither_dataclasses_nor_inspect():
+    # Every command pays for what `import davn.cli` imports; dataclasses
+    # (with inspect, ast, dis and tokenize) cost more than a refutation.
+    code = (
+        "import sys, davn.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -79,3 +79,12 @@ def test_phase_strings_round_trip():
     for t in range(4):
         assert parse_phase(phase_str(t)) == t
     assert parse_phase("+i") == 1
+
+
+def test_equal_values_hash_equal():
+    # The eigenword scan memo is keyed on frozensets of amplitudes.
+    a, b = GaussInt(2, -1), GaussInt(2, -1)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, GaussInt(-1, 2)}) == 2
+    assert GaussInt(1, 0) != (1, 0)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from davn import lhv
 from davn.factory import build_psi_1234
 from davn.lhv import (
     ASSIGNMENTS,
@@ -19,6 +20,7 @@ from davn.lhv import (
 )
 from davn.states import StateVector
 from davn.gauss import GaussInt
+from reference import holds
 
 PSI = build_psi_1234()
 
@@ -72,8 +74,37 @@ def test_type_one_parity_hand_argument_agrees_with_scan():
 
 
 def test_constraint_requires_a_site():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one site"):
         c((0, 0, 0, 0), 1)
+
+
+def test_equal_constraints_hash_equal():
+    a, b = c((0, 2, 0, 2), 0), c((0, 2, 0, 2), 0)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert a != c((0, 2, 0, 2), 2) and a != c((2, 0, 2, 0), 0)
+    assert list(dict.fromkeys([a, c((1, 0, 0, 0), 1), b])) == [a, c((1, 0, 0, 0), 1)]
+
+
+def test_verify_paradox_drops_repeated_constraints(monkeypatch):
+    # Outcome 0022 has even basic words, whose extended form is the basic
+    # itself, so the merged set must hold each of them once.
+    seen = []
+    core = lhv.minimal_unsat_core
+    monkeypatch.setattr(
+        lhv, "minimal_unsat_core", lambda cs: seen.append(cs) or core(cs)
+    )
+    report = verify_paradox(PSI, (0, 0, 2, 2))
+    everything = report.constraints_basic + report.constraints_extended
+    (merged,) = seen
+    assert len(set(merged)) == len(merged) < len(everything)
+    assert set(merged) == set(everything)
+
+
+def test_truth_mask_is_built_once():
+    # A 256-bit int is a new object each time it is computed.
+    constraint = c((1, 2, 0, 3), 1)
+    assert constraint.truth_mask is constraint.truth_mask
 
 
 exps_strategy = st.lists(
@@ -90,11 +121,11 @@ def test_constraint_evaluation_is_linear(e1, e2, t1, t2):
     for values in random.Random(0).sample(ASSIGNMENTS, 40):
         lhs1 = sum(e * v for e, v in zip(e1, values)) % 4
         lhs2 = sum(e * v for e, v in zip(e2, values)) % 4
-        assert c1.holds(values) == (lhs1 == t1)
-        assert c2.holds(values) == (lhs2 == t2)
+        assert holds(c1, values) == (lhs1 == t1)
+        assert holds(c2, values) == (lhs2 == t2)
         if any(merged_exps):
             merged = c(merged_exps, (t1 + t2) % 4)
-            assert merged.holds(values) == ((lhs1 + lhs2) % 4 == (t1 + t2) % 4)
+            assert holds(merged, values) == ((lhs1 + lhs2) % 4 == (t1 + t2) % 4)
 
 
 def test_word_rendering():
@@ -220,13 +251,13 @@ def test_davn_not_awarded_to_product_state():
 
 
 # ---------------------------------------------------------------------------
-# Reference equivalence: the mask-based scan against a plain Constraint.holds
+# Reference equivalence: the mask-based scan against a plain reference.holds
 # loop over ASSIGNMENTS, kept here as the specification.
 
 
 def reference_satisfiable(constraints):
     for values in ASSIGNMENTS:
-        if all(k.holds(values) for k in constraints):
+        if all(holds(k, values) for k in constraints):
             return values
     return None
 
@@ -264,7 +295,7 @@ def test_truth_mask_matches_holds_for_every_constraint():
             constraint = c(exps, target)
             expected = sum(
                 1 << k for k, values in enumerate(ASSIGNMENTS)
-                if constraint.holds(values)
+                if holds(constraint, values)
             )
             assert constraint.truth_mask == expected
 

@@ -65,3 +65,9 @@ def test_word_str_examples():
     )
     assert word_str(PauliWord.from_exponents(2)) == "I"
     assert word_str(PauliWord(2, ((1, 0), (0, 0)))) == "i^2*X1"
+
+
+def test_exponents_are_reduced_on_construction():
+    word = PauliWord(5, ((4, 7), (-1, 2)))
+    assert word.phase == 1
+    assert word.sites == ((0, 3), (3, 2))

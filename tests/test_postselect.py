@@ -12,6 +12,7 @@ from davn.postselect import (
     CANDIDATE_WORDS,
     TABLE_BLOCKS,
     TABLE_LABELS,
+    DiffReport,
     FixtureRow,
     PairSelection,
     canonical_table_label,
@@ -48,6 +49,20 @@ def test_postselect_two_ket_residual():
     assert residual.sites == (0, 1)
     expected = unit_state({(0, 2): 1, (2, 0): 3})
     assert residual.state.phase_relative_to(expected) is not None
+
+
+def test_pair_selection_needs_two_sites():
+    with pytest.raises(ValueError, match="two distinct sites"):
+        PairSelection(2, 2, 0, 1)
+
+
+def test_diff_reports_do_not_share_lists():
+    first, second = DiffReport(), DiffReport()
+    first.failures.append("row")
+    first.allowlisted.append("entry")
+    first.unused_allowlist.append("entry")
+    assert second.failures == second.allowlisted == second.unused_allowlist == []
+    assert (second.total_rows, second.matched_rows) == (0, 0)
 
 
 def test_postselect_empty_projection_names_pair():
@@ -174,11 +189,17 @@ def residuals_on_one_support(draw):
     return states
 
 
+#: i(|00> + |12> + |20> + |32>): its basic word X_k X_l**2 squares to
+#: the one-site word X_k**2, which is not one of the nine candidates.
+ONE_SITE_SQUARE = unit_state({(0, 0): 1, (1, 2): 1, (2, 0): 1, (3, 2): 1})
+
+
 @given(residuals_on_one_support())
 @example([
     unit_state({(0, 0): 0, (1, 3): 1, (2, 2): 2, (3, 1): 3}),
     unit_state({(0, 0): 0, (1, 3): 3, (2, 2): 2, (3, 1): 1}),
 ])
+@example([ONE_SITE_SQUARE, ONE_SITE_SQUARE])
 def test_derive_constraints_matches_eigenvalue_of(states):
     # Both states share a support, so a scan remembered by support alone
     # would answer the second with the first one's eigenwords.
@@ -192,13 +213,10 @@ def test_derive_constraints_matches_eigenvalue_of(states):
         if u % 2 == 0 and v % 2 == 0:
             extended = basic
         else:
-            extended = ((2 * u % 4, 2 * v % 4), 2 * t % 4)
-        if extended not in expected:
-            # An odd power times X**2 squares to a one-site word, which
-            # the scan leaves out, so the derivation stops there.
-            with pytest.raises(AssertionError, match="did not verify"):
-                derive_constraints(state)
-            continue
+            # The square may act on one site; the general test decides it.
+            square = PauliWord.from_exponents(2, x_exps={0: 2 * u, 1: 2 * v})
+            extended = ((2 * u % 4, 2 * v % 4), eigenvalue_of(square, state))
+            assert extended[1] == 2 * t % 4
         assert derive_constraints(state) == (expected, basic, extended)
 
 
