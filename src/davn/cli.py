@@ -45,8 +45,11 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _parse_outcome(text: str, n_sites: int) -> BasisKet:
-    parts = text.split(",")
-    if len(parts) != n_sites or not all(p.strip().isdigit() for p in parts):
+    parts = [p.strip() for p in text.split(",")]
+    # isdigit alone admits non-ASCII digits (Arabic-Indic, superscripts).
+    if len(parts) != n_sites or not all(
+        p.isascii() and p.isdigit() for p in parts
+    ):
         raise ValueError(
             f"outcome must be {n_sites} comma-separated digits, e.g. 0,2,3,3"
         )
@@ -114,6 +117,9 @@ def cmd_davn(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     from .sampling import sample_outcomes
 
+    if args.seed < 0:
+        # random.Random seeds with abs(seed): -7 would draw as 7.
+        raise ValueError("seed must be a non-negative integer")
     state = build_state(args.state)
     summary = sample_outcomes(state, args.runs, args.seed)
     if args.format == "json":

@@ -19,7 +19,7 @@ byte-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, product
 from operator import and_
 
@@ -119,10 +119,16 @@ class Constraint:
         return f"{self.word_str()} = {phase_str(self.target)}"
 
 
+@cache
 def constraint_from_row(
     sites: tuple[int, ...], eigenword: Eigenword
 ) -> Constraint:
-    """Lift a two-site eigenword onto the four-site constraint form."""
+    """Lift a two-site eigenword onto the four-site constraint form.
+
+    Each distinct (sites, eigenword) gives one shared Constraint, so its
+    truth mask is built once.  Rows name two of four sites and exponents
+    and an eigenvalue mod 4, a finite set that bounds the cache.
+    """
     (u, v), t = eigenword
     exps = [0, 0, 0, 0]
     exps[sites[0]] = u

@@ -98,26 +98,39 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
     The residual keeps the amplitudes of all matching kets re-indexed to
     the remaining sites in ascending order; the global phase is whatever
     the state carries (comparisons downstream are phase-insensitive).
-    Raises if the selection has probability zero.
+    Raises if a site is out of range or the selection has probability
+    zero.  The first selection on a site pair sweeps the kets once and
+    files them with the state by the pair's outcomes; each residual is
+    built on its first selection and shared by every later one.
     """
-    for site in (pair.site_i, pair.site_j):
+    sites = (pair.site_i, pair.site_j)
+    for site in sites:
         if not 0 <= site < state.n_sites:
             raise ValueError(f"site {site + 1} out of range")
-    keep = [
-        site
-        for site in range(state.n_sites)
-        if site not in (pair.site_i, pair.site_j)
-    ]
-    amplitudes = {}
-    for ket, amp in state.amplitudes.items():
-        if ket[pair.site_i] == pair.m_i and ket[pair.site_j] == pair.m_j:
-            amplitudes[tuple(ket[s] for s in keep)] = amp
-    residual = StateVector(len(keep), amplitudes, level=state.level)
-    if residual.is_zero():
-        raise ValueError(
-            f"selection {pair.describe()} has probability zero"
+    index = state._selections.get(sites)
+    if index is None:
+        kets_by_outcome: dict[tuple[int, int], dict[BasisKet, GaussInt]] = {}
+        for ket, amp in state.amplitudes.items():
+            outcome = (ket[pair.site_i], ket[pair.site_j])
+            kets_by_outcome.setdefault(outcome, {})[ket] = amp
+        index = state._selections[sites] = (kets_by_outcome, {})
+    kets_by_outcome, residuals = index
+    outcome = (pair.m_i, pair.m_j)
+    residual = residuals.get(outcome)
+    if residual is None:
+        if outcome not in kets_by_outcome:
+            raise ValueError(
+                f"selection {pair.describe()} has probability zero"
+            )
+        keep = tuple(s for s in range(state.n_sites) if s not in sites)
+        amplitudes = {
+            tuple(ket[s] for s in keep): amp
+            for ket, amp in kets_by_outcome[outcome].items()
+        }
+        residual = residuals[outcome] = ResidualState(
+            keep, StateVector(len(keep), amplitudes, level=state.level)
         )
-    return ResidualState(tuple(keep), residual)
+    return residual
 
 
 def derive_constraints(
@@ -316,25 +329,6 @@ def _parse_eigenword(text: str) -> Eigenword | None:
     exps, value = text.split(":")
     u, v = (_parse_digits(p, 1)[0] for p in exps.split(","))
     return ((u, v), parse_phase(value))
-
-
-def _render_eigenword(word: Eigenword | None) -> str:
-    if word is None:
-        return "none"
-    (u, v), t = word
-    return f"{u},{v}:{phase_str(t)}"
-
-
-def render_fixture_row(row: FixtureRow) -> str:
-    residual = ";".join(
-        "".join(map(str, ket)) + f":{t}" for ket, t in sorted(row.residual.items())
-    )
-    return (
-        f"table={row.table} | pair={row.pair.describe()}"
-        f" | residual={residual}"
-        f" | basic={_render_eigenword(row.basic)}"
-        f" | extended={_render_eigenword(row.extended)}"
-    )
 
 
 def _parse_digits(text: str, length: int, digits: str = "0123") -> BasisKet:

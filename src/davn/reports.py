@@ -9,20 +9,62 @@ the non-sampling commands.  The schemas are documented in the README.
 from __future__ import annotations
 
 import json
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import isqrt
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .checks import Check
 from .gauss import phase_str
-from .lhv import Constraint, DavnReport, ParadoxReport, constraint_from_row
-from .pauli import BasisKet
-from .postselect import ConstraintRow, DiffReport
-from .sampling import SampleSummary
-from .states import StateVector
+from .lhv import constraint_from_row
+
+if TYPE_CHECKING:
+    from .checks import Check
+    from .lhv import Constraint, DavnReport, ParadoxReport
+    from .pauli import BasisKet
+    from .postselect import ConstraintRow, DiffReport
+    from .sampling import SampleSummary
+    from .states import StateVector
 
 
 def to_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte.
+
+    Each value is rendered once per nesting depth: fragments are
+    memoized on the value's id and depth for this call, while the payload
+    keeps every value alive, so a subtree shared across the payload (a
+    constraint cited by many outcomes) is encoded once.  Scalars go
+    through ``json.dumps``; keys must be strings.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(value: Any, depth: int) -> str:
+        key = (id(value), depth)
+        text = memo.get(key)
+        if text is None:
+            if isinstance(value, dict):
+                text = _block("{}", depth, [
+                    encode_basestring_ascii(k) + ": " + render(v, depth + 1)
+                    for k, v in value.items()
+                ])
+            elif isinstance(value, (list, tuple)):
+                text = _block("[]", depth, [render(v, depth + 1) for v in value])
+            else:
+                text = json.dumps(value)
+            memo[key] = text
+        return text
+
+    return render(payload, 0) + "\n"
+
+
+def _block(brackets: str, depth: int, items: list[str]) -> str:
+    """A JSON object or array of rendered items, laid out as indent=2."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return (
+        brackets[0] + inner + ("," + inner).join(items)
+        + "\n" + "  " * depth + brackets[1]
+    )
 
 
 def outcome_digits(outcome: BasisKet) -> str:
@@ -63,7 +105,9 @@ def render_state(state: StateVector) -> str:
     return body + (f"/{root}" if root * root == n else f"/sqrt({n})")
 
 
+@cache
 def constraint_json(constraint: Constraint) -> dict[str, Any]:
+    """One shared dict per distinct constraint; callers must not mutate it."""
     return {
         "word": constraint.word_str(),
         "exponents": list(constraint.exps),

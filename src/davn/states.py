@@ -6,7 +6,9 @@ divided: the physical state is the vector divided by sqrt(norm_sq), and
 every consumer works with the integer data directly.
 
 States are immutable after construction and all operations here are pure,
-so values can be shared freely between threads.
+so values can be shared freely between threads.  The one slot filled
+later, ``_selections``, is postselect's index of the pair selections;
+it is a function of the amplitudes, so filling it twice is harmless.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .pauli import BasisKet, PauliWord, apply_word
 class StateVector:
     """Unnormalised state: ket -> amplitude, with squared norm cached."""
 
-    __slots__ = ("level", "n_sites", "amplitudes", "norm_sq")
+    __slots__ = ("level", "n_sites", "amplitudes", "norm_sq", "_selections")
 
     def __init__(
         self,
@@ -41,6 +43,7 @@ class StateVector:
         self.n_sites = n_sites
         self.amplitudes = cleaned
         self.norm_sq = norm_sq
+        self._selections: dict = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):

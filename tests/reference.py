@@ -4,7 +4,9 @@ No command needs these, so they live with the tests: each is the
 obvious, slow statement of a fact the package computes another way.
 """
 
+from davn.gauss import phase_str
 from davn.lhv import Constraint
+from davn.postselect import FixtureRow, PairSelection, ResidualState
 from davn.states import StateVector
 
 
@@ -22,4 +24,46 @@ def holds(constraint: Constraint, values: tuple[int, ...]) -> bool:
     return (
         sum(e * v for e, v in zip(constraint.exps, values)) % 4
         == constraint.target
+    )
+
+
+def postselect_pair_sweep(state: StateVector, pair: PairSelection) -> ResidualState:
+    """postselect_pair by one sweep of the kets per selection."""
+    for site in (pair.site_i, pair.site_j):
+        if not 0 <= site < state.n_sites:
+            raise ValueError(f"site {site + 1} out of range")
+    keep = [
+        site
+        for site in range(state.n_sites)
+        if site not in (pair.site_i, pair.site_j)
+    ]
+    amplitudes = {}
+    for ket, amp in state.amplitudes.items():
+        if ket[pair.site_i] == pair.m_i and ket[pair.site_j] == pair.m_j:
+            amplitudes[tuple(ket[s] for s in keep)] = amp
+    residual = StateVector(len(keep), amplitudes, level=state.level)
+    if residual.is_zero():
+        raise ValueError(
+            f"selection {pair.describe()} has probability zero"
+        )
+    return ResidualState(tuple(keep), residual)
+
+
+def render_fixture_row(row: FixtureRow) -> str:
+    """A fixture data line that parse_fixture_text reads back as ``row``."""
+
+    def eigenword(word):
+        if word is None:
+            return "none"
+        (u, v), t = word
+        return f"{u},{v}:{phase_str(t)}"
+
+    residual = ";".join(
+        "".join(map(str, ket)) + f":{t}" for ket, t in sorted(row.residual.items())
+    )
+    return (
+        f"table={row.table} | pair={row.pair.describe()}"
+        f" | residual={residual}"
+        f" | basic={eigenword(row.basic)}"
+        f" | extended={eigenword(row.extended)}"
     )

@@ -126,9 +126,18 @@ def test_paradox_outside_support(capsys):
 
 
 def test_paradox_malformed_outcome(capsys):
-    code, _, err = run_cli(capsys, "paradox", "--outcome", "0,0,0")
-    assert code == 2
-    assert "comma-separated" in err
+    # Arabic-Indic digits and a superscript two pass str.isdigit.
+    for outcome in ("0,0,0", "\u0660,\u0662,\u0663,\u0663", "\u00b2,0,0,0"):
+        code, _, err = run_cli(capsys, "paradox", "--outcome", outcome)
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and "comma-separated digits" in lines[0]
+
+
+def test_paradox_outcome_allows_spaces_around_digits(capsys):
+    code, out, _ = run_cli(capsys, "paradox", "--outcome", " 0, 2 ,3,3 ")
+    assert code == 0
+    assert out.startswith("outcome 0233 ")
 
 
 def test_davn_command(capsys):
@@ -177,6 +186,15 @@ def test_sample_rejects_zero_runs(capsys):
     code, _, err = run_cli(capsys, "sample", "--runs", "0", "--seed", "1")
     assert code == 2
     assert "positive" in err
+
+
+def test_sample_rejects_a_negative_seed(capsys):
+    # random.Random(-7) draws as random.Random(7), yet the report would
+    # record -7.
+    code, out, err = run_cli(capsys, "sample", "--runs", "1000", "--seed", "-7")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: seed must be a non-negative integer"]
 
 
 def test_fixtures_diff_passes_on_packaged_tables(capsys):
@@ -421,9 +439,10 @@ def test_fixtures_diff_exit_code_contract_under_mutation(case):
 def test_import_pulls_in_neither_dataclasses_nor_inspect():
     # Every command pays for what `import davn.cli` imports; dataclasses
     # (with inspect, ast, dis and tokenize) cost more than a refutation.
+    # Only `sample` needs davn.sampling, and imports it itself.
     code = (
-        "import sys, davn.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "import sys, davn.cli; print(sorted("
+        "{'dataclasses', 'inspect', 'davn.sampling'} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -13,6 +13,7 @@ from davn.lhv import (
     ASSIGNMENTS,
     Constraint,
     classify_type,
+    constraint_from_row,
     minimal_unsat_core,
     satisfiable,
     verify_davn,
@@ -105,6 +106,23 @@ def test_truth_mask_is_built_once():
     # A 256-bit int is a new object each time it is computed.
     constraint = c((1, 2, 0, 3), 1)
     assert constraint.truth_mask is constraint.truth_mask
+
+
+def test_constraint_from_row_shares_one_constraint_per_word():
+    # Built from fresh tuples each time, as each table row does.
+    first = constraint_from_row(tuple([1, 3]), ((1, 2), 3))
+    assert first is constraint_from_row((1, 3), ((1, 2), 3))
+    assert first.exps == (0, 1, 0, 2) and first.target == 3
+    assert constraint_from_row((1, 3), ((1, 2), 1)) is not first
+    assert constraint_from_row((0, 3), ((1, 2), 3)) is not first
+
+
+def test_paradox_reports_share_their_constraints():
+    # Outcomes 0000 and 2222 cite the same six basic constraints, so each
+    # truth mask is built once for both.
+    a, b = verify_paradox(PSI, (0, 0, 0, 0)), verify_paradox(PSI, (2, 2, 2, 2))
+    assert len(a.constraints_basic) == 6
+    assert all(x is y for x, y in zip(a.constraints_basic, b.constraints_basic))
 
 
 exps_strategy = st.lists(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from davn.checks import STATE_NAMES, build_state
 from davn.factory import build_psi_1234, joint_z_probability, z_support
 from davn.gauss import GaussInt
 from davn.postselect import (
@@ -21,12 +22,12 @@ from davn.postselect import (
     parse_allowlist,
     parse_fixture_text,
     postselect_pair,
-    render_fixture_row,
     table_for_outcome,
     verify_reference_row,
 )
 from davn.states import StateVector, eigenvalue_of
 from davn.pauli import PauliWord
+from reference import postselect_pair_sweep, render_fixture_row, scaled_by_phase
 
 PSI = build_psi_1234()
 
@@ -82,6 +83,60 @@ def test_every_pair_selection_of_psi_is_nonempty():
                 assert not residual.state.is_zero()
                 weight += residual.state.norm_sq
         assert weight == PSI.norm_sq
+
+
+nonzero_gauss = st.builds(
+    GaussInt, st.integers(-3, 3), st.integers(-3, 3)
+).filter(bool)
+
+
+def assert_selections_match_the_sweep(state):
+    """Every selection, out-of-range sites included, against the sweep."""
+    sites = range(state.n_sites + 1)
+    for i in sites:
+        for j in sites:
+            if i == j:
+                continue
+            for a in range(4):
+                for b in range(4):
+                    pair = PairSelection(i, j, a, b)
+                    try:
+                        expected = postselect_pair_sweep(state, pair)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError) as raised:
+                            postselect_pair(state, pair)
+                        assert str(raised.value) == str(exc)
+                        continue
+                    residual = postselect_pair(state, pair)
+                    assert residual.sites == expected.sites
+                    assert residual.state == expected.state
+                    assert list(residual.state.amplitudes) == list(
+                        expected.state.amplitudes
+                    )
+                    assert postselect_pair(state, pair) is residual
+
+
+@pytest.mark.parametrize("name", STATE_NAMES)
+def test_postselect_pair_matches_the_sweep_on_builtin_states(name):
+    assert_selections_match_the_sweep(build_state(name))
+
+
+four_site_kets = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@given(st.dictionaries(four_site_kets, nonzero_gauss, min_size=1, max_size=24))
+def test_postselect_pair_matches_the_sweep_on_random_states(amplitudes):
+    assert_selections_match_the_sweep(StateVector(4, amplitudes))
+
+
+def test_states_of_one_shape_keep_their_own_selections():
+    # Same kets, other amplitudes: an index shared by shape would hand the
+    # second state the first one's residuals.
+    turned = scaled_by_phase(PSI, 1)
+    pair = PairSelection(0, 1, 0, 0)
+    mine, theirs = postselect_pair(PSI, pair), postselect_pair(turned, pair)
+    assert mine.state.phase_relative_to(theirs.state) == 3
+    assert theirs.state == postselect_pair_sweep(turned, pair).state
 
 
 def test_residual_norm_matches_projected_weight():
@@ -147,11 +202,6 @@ def reference_eigenwords(state):
         if t is not None:
             found.append(((u, v), t))
     return tuple(found)
-
-
-nonzero_gauss = st.builds(
-    GaussInt, st.integers(-3, 3), st.integers(-3, 3)
-).filter(bool)
 
 
 @st.composite
