@@ -117,9 +117,6 @@ def cmd_davn(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     from .sampling import sample_outcomes
 
-    if args.seed < 0:
-        # random.Random seeds with abs(seed): -7 would draw as 7.
-        raise ValueError("seed must be a non-negative integer")
     state = build_state(args.state)
     summary = sample_outcomes(state, args.runs, args.seed)
     if args.format == "json":

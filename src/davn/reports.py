@@ -18,6 +18,8 @@ from .gauss import phase_str
 from .lhv import constraint_from_row
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .checks import Check
     from .lhv import Constraint, DavnReport, ParadoxReport
     from .pauli import BasisKet
@@ -365,12 +367,22 @@ def sample_json(state_name: str, summary: SampleSummary) -> str:
     )
 
 
+def two_decimals(x: Fraction) -> str:
+    """A non-negative ``x`` rounded half-even to two decimals, exactly.
+
+    ``format(float(x), ".2f")`` rounds the nearest double instead, so it
+    gives 2.67 for 107/40 = 2.675.
+    """
+    whole, hundredths = divmod(round(x * 100), 100)
+    return f"{whole}.{hundredths:02d}"
+
+
 def render_sample_text(state_name: str, summary: SampleSummary) -> str:
     lines = [
         f"state: {state_name}   runs: {summary.runs}   seed: {summary.seed}",
         f"generator: {summary.generator}",
         f"max deviation from expectation: {summary.max_abs_deviation} "
-        f"(= {float(summary.max_abs_deviation):.2f})",
+        f"(= {two_decimals(summary.max_abs_deviation)})",
         "counts:",
     ]
     for ket, count in sorted(summary.counts.items()):

@@ -20,6 +20,18 @@ same counts, because CPython's generator guarantees three facts.
 So a top byte ``t`` is the draw ``t >> (8 - k)``, rejected when that is
 ``norm_sq`` or more.  The per-draw ``randrange`` loop is kept for larger
 norms and is the reference the tests compare the tally against.
+
+One ``bytes.translate`` maps each top byte to its outcome index, or to
+the number of outcomes ``n`` when the draw is rejected; that index is
+never tallied.  The indices are then counted by bit planes rather than
+by one pass per outcome.  Plane ``b`` is a Python int whose bit ``i`` is
+bit ``b`` of the ``i``-th index, built from the eight interleaved slices
+``[m::8]`` of the index bytes, and a walk down the binary trie of index
+prefixes, top bit first, splits each prefix's set of draws with one
+``&`` per plane.  Prefixes that no index below ``n`` starts with are
+dropped, and ``int.bit_count`` of each leaf is one outcome's count.  A
+block of draws costs about ``log2(n)`` passes over its bytes and ``n``
+popcounts of ints an eighth of its size, instead of ``n`` passes.
 """
 
 from __future__ import annotations
@@ -81,7 +93,11 @@ def sample_outcomes(state: StateVector, runs: int, seed: int) -> SampleSummary:
 
     Identical (state, runs, seed) triples give identical summaries.
     Counts cover the whole support, including outcomes never drawn.
+    ``seed`` must be a non-negative int: ``random.Random`` seeds with the
+    absolute value, so -7 would draw as 7 yet be recorded as -7.
     """
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if runs <= 0:
         raise ValueError("runs must be a positive integer")
     if state.norm_sq <= 0:
@@ -119,15 +135,51 @@ def _tally_top_bytes(
     the counts equal those of the per-draw loop.
     """
     shift = 8 - norm_sq.bit_length()
-    outcome_of = bytes(bisect_right(boundaries, t >> shift) for t in range(256))
-    rejected = bytes(t for t in range(256) if t >> shift >= norm_sq)
+    # A rejected draw lands past the last boundary: index len(boundaries).
+    index_of = bytes(bisect_right(boundaries, t >> shift) for t in range(256))
     tally = [0] * len(boundaries)
     while runs > 0:
         # At most one draw per output, so a block never overshoots ``runs``.
         words = min(_BLOCK, runs)
         top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        drawn = top.translate(outcome_of, rejected)
-        runs -= len(drawn)
-        for index in range(len(tally)):
-            tally[index] += drawn.count(index)
+        counts = _count_indices(top.translate(index_of), len(tally))
+        for index, count in enumerate(counts):
+            tally[index] += count
+            runs -= count
     return tally
+
+
+def _count_indices(data: bytes, n: int) -> list[int]:
+    """``[data.count(i) for i in range(n)]``, for bytes of at most ``n``.
+
+    The byte ``n`` (at most 255) is a rejected draw and is not counted.
+    """
+    if n == 1:  # every byte is the index 0 or a rejected 1
+        return [len(data) - data.count(1)]
+    bits = n.bit_length()
+    # Lane m is bytes m, m + 8, ... of data as an int, shifted left by m:
+    # bit b of data[i] sits at bit i + b, and masks[m + b] picks it out.
+    low = int.from_bytes(b"\1" * (len(data) + 7 >> 3), "little")
+    masks = [low << j for j in range(bits + 7)]
+    lanes = [int.from_bytes(data[m::8], "little") << m for m in range(8)]
+    planes = []  # bit i of planes[b] is bit b of data[i]
+    for b in range(bits):
+        plane = 0
+        for m, lane in enumerate(lanes):
+            plane |= lane & masks[m + b]
+        planes.append(plane >> b)
+    counts = []
+
+    def split(draws: int, b: int, prefix: int) -> None:
+        # ``draws`` marks the bytes whose bits above b spell ``prefix``.
+        if b < 0:
+            counts.append(draws.bit_count())
+            return
+        one = draws & planes[b]
+        split(draws ^ one, b - 1, 2 * prefix)
+        if (2 * prefix + 1) << b < n:
+            split(one, b - 1, 2 * prefix + 1)
+
+    # Depth first, so only a few ints of len(data) bits are alive at once.
+    split((1 << len(data)) - 1, bits - 1, 0)
+    return counts

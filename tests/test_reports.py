@@ -1,12 +1,13 @@
 """The JSON writer and the shared constraint fragments of reports."""
 
 import json
+from fractions import Fraction
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from davn.lhv import Constraint
-from davn.reports import constraint_json, to_json
+from davn.reports import constraint_json, to_json, two_decimals
 
 scalars = (
     st.none()
@@ -55,3 +56,25 @@ def test_constraint_json_is_shared_per_constraint():
         "word": "X1*X4^3", "exponents": [1, 0, 0, 3],
         "value": "-1", "value_exponent": 2,
     }
+
+
+def test_two_decimals_rounds_the_exact_value():
+    # 2.675 is 2.67499999999999982236431605997495353221893310546875 as a
+    # double, so the float rendering rounds it down.
+    assert format(float(Fraction(107, 40)), ".2f") == "2.67"
+    assert two_decimals(Fraction(107, 40)) == "2.68"
+    assert two_decimals(Fraction(1, 200)) == "0.00"
+    assert two_decimals(Fraction(3, 200)) == "0.02"
+    assert two_decimals(Fraction(0)) == "0.00"
+    assert two_decimals(Fraction(12345, 1)) == "12345.00"
+
+
+@given(st.integers(0, 5_600_000), st.sampled_from([1, 2, 4, 7, 8, 14, 28, 56]))
+@example(7, 8)
+@example(1, 8)
+def test_two_decimals_agrees_with_the_float_rendering_of_sample_deviations(a, d):
+    # Deviations of the built-in states have denominators dividing 56 or 7:
+    # a tie (2k + 1)/200 with such a denominator is m/8, held exactly by a
+    # double, so both renderings agree there.
+    x = Fraction(a, d)
+    assert two_decimals(x) == format(float(x), ".2f")

@@ -25,6 +25,14 @@ def test_zero_runs_is_an_error():
         sample_outcomes(PSI, 0, 1)
 
 
+@pytest.mark.parametrize("seed", [-7, -1, 7.0, "7", None])
+def test_seed_must_be_a_non_negative_int(seed):
+    # random.Random(-7) draws as random.Random(7), yet the summary would
+    # record -7.  The seed is checked before the runs.
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        sample_outcomes(PSI, 0, seed)
+
+
 def test_single_run():
     summary = sample_outcomes(PSI, 1, 123)
     assert summary.total() == 1
@@ -96,23 +104,43 @@ def nonzero_states(draw):
     return StateVector(2, amps)
 
 
+def one_site_state(*amplitudes):
+    return StateVector(1, {(k,): GaussInt(*a) for k, a in enumerate(amplitudes)})
+
+
 HALF_REJECTED = StateVector(2, {(0, 1): GaussInt(10, 5), (3, 2): GaussInt(2, 0)})
 assert HALF_REJECTED.norm_sq == 129
+# Seed 2's first three outputs have top bytes 244, 220 and 242, all 129
+# or more, so a first block of 3 accepts no draw.
+assert all(t >= 129 for t in random.Random(2).getrandbits(96).to_bytes(12, "little")[3::4])
+# Cumulative weights 1, 10, 50: no outcome boundary is a power of two.
+UNEVEN = one_site_state((1, 0), (3, 0), (6, 2))
+# Norm 255 = 250 + 5: 8-bit draws with shift 0, one value rejected.
+NORM_255 = one_site_state((15, 5), (2, 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     nonzero_states(),
     st.integers(1, 3000),
-    st.integers(),
+    st.integers(min_value=0),
     st.integers(1, 8) | st.just(sampling._BLOCK),
 )
 @example(HALF_REJECTED, 2999, 7, 1)
-@example(HALF_REJECTED, 3000, -5, 3)
+@example(HALF_REJECTED, 3000, 5, 3)
 @example(HALF_REJECTED, 1000, 2**70, sampling._BLOCK)
+@example(HALF_REJECTED, 40, 2, 3)
 @example(StateVector(1, {(2,): GaussInt(1, 0)}), 17, 0, 2)
+@example(StateVector(1, {(2,): GaussInt(1, 0)}), 301, 3, 7)
 @example(StateVector(1, {(0,): GaussInt(15, 5)}), 50, 1, 4)
 @example(StateVector(1, {(0,): GaussInt(16, 0)}), 50, 1, 4)
+@example(one_site_state((1, 0), (0, 1)), 203, 6, 5)
+@example(one_site_state((1, 1)), 99, 8, 7)
+@example(one_site_state((8, 0), (0, 8)), 301, 9, 3)
+@example(one_site_state((8, 8)), 77, 10, 5)
+@example(NORM_255, 1003, 11, 7)
+@example(UNEVEN, 999, 12, 5)
+@example(UNEVEN, 5000, 13, sampling._BLOCK)
 def test_counts_equal_the_per_draw_reference(state, runs, seed, block):
     with mock.patch.object(sampling, "_BLOCK", block):
         summary = sample_outcomes(state, runs, seed)
@@ -132,3 +160,13 @@ def test_builtin_states_match_the_per_draw_reference(name):
 def test_zero_norm_state_is_an_error():
     with pytest.raises(ValueError):
         sample_outcomes(StateVector(1, {}), 10, 1)
+
+
+def test_index_counts_equal_bytes_count():
+    # Every index count up to the largest (norm_sq 255), at every length
+    # up to five lanes of 8, on random bytes and on all-rejected ones.
+    rng = random.Random(0)
+    for n in range(1, 256):
+        for length in range(41):
+            for data in (bytes(rng.randint(0, n) for _ in range(length)), bytes([n]) * length):
+                assert sampling._count_indices(data, n) == [data.count(i) for i in range(n)]
