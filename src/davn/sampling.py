@@ -94,9 +94,10 @@ def sample_outcomes(state: StateVector, runs: int, seed: int) -> SampleSummary:
     Identical (state, runs, seed) triples give identical summaries.
     Counts cover the whole support, including outcomes never drawn.
     ``seed`` must be a non-negative int: ``random.Random`` seeds with the
-    absolute value, so -7 would draw as 7 yet be recorded as -7.
+    absolute value, so -7 would draw as 7 yet be recorded as -7, and
+    ``True`` would draw as 1 yet be written as ``true``.
     """
-    if not isinstance(seed, int) or seed < 0:
+    if type(seed) is not int or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if runs <= 0:
         raise ValueError("runs must be a positive integer")
@@ -154,8 +155,6 @@ def _count_indices(data: bytes, n: int) -> list[int]:
 
     The byte ``n`` (at most 255) is a rejected draw and is not counted.
     """
-    if n == 1:  # every byte is the index 0 or a rejected 1
-        return [len(data) - data.count(1)]
     bits = n.bit_length()
     # Lane m is bytes m, m + 8, ... of data as an int, shifted left by m:
     # bit b of data[i] sits at bit i + b, and masks[m + b] picks it out.

@@ -25,10 +25,11 @@ def test_zero_runs_is_an_error():
         sample_outcomes(PSI, 0, 1)
 
 
-@pytest.mark.parametrize("seed", [-7, -1, 7.0, "7", None])
+@pytest.mark.parametrize("seed", [-7, -1, 7.0, "7", None, True, False])
 def test_seed_must_be_a_non_negative_int(seed):
     # random.Random(-7) draws as random.Random(7), yet the summary would
-    # record -7.  The seed is checked before the runs.
+    # record -7; True draws as 1 yet would be written as true.  The seed
+    # is checked before the runs.
     with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
         sample_outcomes(PSI, 0, seed)
 
