@@ -33,7 +33,7 @@ from .postselect import (
     postselect_pair,
     table_for_outcome,
 )
-from .states import StateVector, apply_to_state, eigenvalue_of
+from .states import StateVector, eigenvalue_of
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,6 @@ __all__ = [
     "PauliWord",
     "StateVector",
     "__version__",
-    "apply_to_state",
     "apply_word",
     "build_psi4_qubit",
     "build_psi_1234",

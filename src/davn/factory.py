@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .gauss import ZERO, GaussInt, parse_phase
 from .pauli import BasisKet, PauliWord, apply_word
-from .states import StateVector, apply_to_state
+from .states import StateVector, eigenvalue_of
 
 # The 56 components, written as <digits>:<amplitude>.  One row per
 # component family: the two +1 kets, then six families each headed by a
@@ -203,40 +203,20 @@ def nonstabilizer_test(state: StateVector) -> NonstabilizerVerdict:
     return NonstabilizerVerdict(densities, deviating)
 
 
-class KetAudit:
-    __slots__ = ("ket", "digit_sum", "phase")
-
-    def __init__(self, ket: BasisKet, digit_sum: int, phase: int) -> None:
-        self.ket = ket
-        self.digit_sum = digit_sum
-        self.phase = phase
-
-    @property
-    def fixed(self) -> bool:
-        return self.phase == 0
-
-    @property
-    def digit_rule_holds(self) -> bool:
-        return self.fixed == (self.digit_sum == 0)
-
-
 class StabilizerAudit:
-    """Result of applying the all-sites Z word, per support ket.
+    """Result of applying the all-sites Z word.
 
     The word multiplies |k1..kn> by the phase of the digit sum, so it
     fixes the state exactly when every support ket has digit sum 0 mod d.
-    `digit_rule_holds` records that equivalence both ways per ket.
+    `digit_rule_holds` records that each support ket is fixed exactly
+    when its digit sum is 0 mod d, both ways.
     """
 
-    __slots__ = ("stabilized", "kets")
+    __slots__ = ("stabilized", "digit_rule_holds")
 
-    def __init__(self, stabilized: bool, kets: tuple[KetAudit, ...]) -> None:
+    def __init__(self, stabilized: bool, digit_rule_holds: bool) -> None:
         self.stabilized = stabilized
-        self.kets = kets
-
-    @property
-    def digit_rule_holds(self) -> bool:
-        return all(entry.digit_rule_holds for entry in self.kets)
+        self.digit_rule_holds = digit_rule_holds
 
 
 def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
@@ -244,22 +224,23 @@ def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
 
     For 4-level states the word is applied through the Pauli machinery;
     for 2-level states Z is diag(1, -1) and the phase is 2*sum mod 4 in
-    fourth-root units.
+    fourth-root units.  Raises on a zero state, as eigenvalue_of does.
     """
-    n = state.n_sites
-    entries = []
+    kets = state.amplitudes
     if state.level == 4:
+        n = state.n_sites
         zword = PauliWord.from_exponents(n, z_exps={j: 1 for j in range(n)})
-        image = apply_to_state(zword, state)
-        stabilized = image.equals_exactly(state)
-        for ket in state.support():
-            phase, _ = apply_word(zword, ket)
-            entries.append(KetAudit(ket, sum(ket) % 4, phase))
+        stabilized = eigenvalue_of(zword, state) == 0
+        digit_rule_holds = all(
+            (apply_word(zword, ket)[0] == 0) == (sum(ket) % 4 == 0)
+            for ket in kets
+        )
     else:
-        stabilized = all(sum(ket) % 2 == 0 for ket in state.amplitudes)
-        for ket in state.support():
-            entries.append(KetAudit(ket, sum(ket) % 2, (2 * sum(ket)) % 4))
-    return StabilizerAudit(stabilized, tuple(entries))
+        stabilized = all(sum(ket) % 2 == 0 for ket in kets)
+        digit_rule_holds = all(
+            (2 * sum(ket) % 4 == 0) == (sum(ket) % 2 == 0) for ket in kets
+        )
+    return StabilizerAudit(stabilized, digit_rule_holds)
 
 
 def joint_z_probability(state: StateVector, outcome: BasisKet) -> Fraction:

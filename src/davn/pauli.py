@@ -44,7 +44,6 @@ class PauliWord:
         n_sites: int,
         x_exps: dict[int, int] | None = None,
         z_exps: dict[int, int] | None = None,
-        phase: int = 0,
     ) -> PauliWord:
         """Build a word from 0-based site -> exponent maps."""
         xs = [0] * n_sites
@@ -53,7 +52,7 @@ class PauliWord:
             xs[site] = exp
         for site, exp in (z_exps or {}).items():
             zs[site] = exp
-        return cls(phase, tuple(zip(xs, zs)))
+        return cls(0, tuple(zip(xs, zs)))
 
 
 def apply_word(word: PauliWord, ket: BasisKet) -> tuple[int, BasisKet]:

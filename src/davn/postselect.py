@@ -21,6 +21,7 @@ known discrepancies in the reference.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 from .gauss import GaussInt, parse_phase, phase_str
@@ -198,6 +199,16 @@ def _scan(
 SITE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+def _constraint_row(state: StateVector, pair: PairSelection) -> ConstraintRow:
+    """Select the pair and derive its constraints: one table row.
+
+    Raises ValueError, as postselect_pair does, for a selection of
+    probability zero.
+    """
+    residual = postselect_pair(state, pair)
+    return ConstraintRow(pair, residual, *derive_constraints(residual.state))
+
+
 def table_for_outcome(
     state: StateVector, outcome: BasisKet
 ) -> tuple[ConstraintRow, ...]:
@@ -206,13 +217,10 @@ def table_for_outcome(
         raise ValueError(
             f"outcome {outcome} has probability zero; no table for it"
         )
-    rows = []
-    for i, j in SITE_PAIRS:
-        pair = PairSelection(i, j, outcome[i], outcome[j])
-        residual = postselect_pair(state, pair)
-        eigenwords, basic, extended = derive_constraints(residual.state)
-        rows.append(ConstraintRow(pair, residual, eigenwords, basic, extended))
-    return tuple(rows)
+    return tuple(
+        _constraint_row(state, PairSelection(i, j, outcome[i], outcome[j]))
+        for i, j in SITE_PAIRS
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +289,41 @@ def canonical_table_label(label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Fixture rows and diffing.
+# Fixture files.
+#
+# Table files and the allowlist share one line grammar: fields
+# ``key=value`` separated by ``|``, with key and value stripped.  The
+# value grammar is the (pattern, shape) pairs below; ``re`` compiles each
+# pattern on its first use and caches it, so a command that reads no
+# fixture compiles none.
+
+_PHASE = r"\s*([+-]?[1i])\s*"
+_OUTCOME = ("[0-3]{4}", "4 digits 0..3")
+_PAIR = (f"Z([1-4])={_PHASE},Z([1-4])={_PHASE}", "Z<i>=<phase>,Z<j>=<phase>")
+_RESIDUAL = ("[0-3]{2}:[0-3](?:;[0-3]{2}:[0-3])*", "<ket>:<t>;.. of digits 0..3")
+_EIGENWORD = (f"([0-3]),([0-3]):{_PHASE}|none", "u,v:<phase> or none")
+
+
+def _fields(line: str) -> dict[str, str]:
+    """A data line's fields; a repeated key keeps its last value."""
+    fields = {}
+    for part in line.split("|"):
+        key, _, value = part.partition("=")
+        fields[key.strip()] = value.strip()
+    return fields
+
+
+def _match(grammar: tuple[str, str], text: str) -> re.Match:
+    pattern, shape = grammar
+    match = re.fullmatch(pattern, text)
+    if match is None:
+        raise ValueError(f"{text!r} is not {shape}")
+    return match
+
+
+def _bad_line(kind: str, line_no: int, raw: str, exc: Exception) -> ValueError:
+    reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"bad {kind} line {line_no} ({reason}): {raw!r}")
 
 
 class FixtureRow:
@@ -289,64 +331,43 @@ class FixtureRow:
 
     ``index`` is the 1-based data-row position within its table file and
     is the row identifier used by the allowlist.  ``block_outcome`` comes
-    from the block header comment preceding the row.
+    from the block header comment preceding the row.  ``residual`` maps
+    the residual's kets to their unit amplitudes.
     """
 
     __slots__ = (
-        "table", "index", "block", "block_outcome", "pair", "residual",
-        "basic", "extended",
+        "table", "index", "block_outcome", "pair", "residual", "basic",
+        "extended",
     )
 
     def __init__(
         self,
         table: str,
         index: int,
-        block: int,
         block_outcome: BasisKet,
         pair: PairSelection,
-        residual: dict[BasisKet, int],
+        residual: dict[BasisKet, GaussInt],
         basic: Eigenword | None,
         extended: Eigenword | None,
     ) -> None:
         self.table = table
         self.index = index
-        self.block = block
         self.block_outcome = block_outcome
         self.pair = pair
         self.residual = residual
         self.basic = basic
         self.extended = extended
 
-    def residual_state(self) -> StateVector:
-        return StateVector(
-            2, {k: GaussInt.from_phase(t) for k, t in self.residual.items()}
-        )
 
-
-def _parse_eigenword(text: str) -> Eigenword | None:
-    if text == "none":
+def _eigenword(text: str) -> Eigenword | None:
+    u, v, value = _match(_EIGENWORD, text).groups()
+    if u is None:
         return None
-    exps, value = text.split(":")
-    u, v = (_parse_digits(p, 1)[0] for p in exps.split(","))
-    return ((u, v), parse_phase(value))
+    return ((int(u), int(v)), parse_phase(value))
 
 
-def _parse_digits(text: str, length: int, digits: str = "0123") -> BasisKet:
-    """Exactly ``length`` characters, each one of ``digits``."""
-    if len(text) != length or text.strip(digits):
-        raise ValueError(f"{text!r} is not {length} of the digits {digits}")
-    return tuple(int(c) for c in text)
-
-
-def _parse_site(label: str) -> int:
-    """0-based site of a ``Z1``..``Z4`` label."""
-    if label[:1] != "Z":
-        raise ValueError(f"{label!r} is not a Z site label")
-    return _parse_digits(label[1:], 1, "1234")[0] - 1
-
-
-def parse_fixture_text(text: str, label: str | None = None) -> list[FixtureRow]:
-    """Parse one fixture file, of table ``label`` when one is given.
+def parse_fixture_text(text: str, label: str) -> list[FixtureRow]:
+    """Parse the fixture file of table ``label``.
 
     Data lines are ``table=.. | pair=Z<i>=<v>,Z<j>=<v> | residual=
     <ket>:<t>;.. | basic=<u,v>:<v>|none | extended=..``; block header
@@ -358,9 +379,7 @@ def parse_fixture_text(text: str, label: str | None = None) -> list[FixtureRow]:
     so it is an input error, not a failed verification.
     """
     rows: list[FixtureRow] = []
-    block = 0
     block_outcome: BasisKet | None = None
-    index = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -368,44 +387,32 @@ def parse_fixture_text(text: str, label: str | None = None) -> list[FixtureRow]:
         try:
             if line.startswith("#"):
                 if "outcome=" in line:
-                    block += 1
                     digits = line.split("outcome=", 1)[1].split() or [""]
-                    block_outcome = _parse_digits(digits[0], 4)
+                    block_outcome = tuple(map(int, _match(_OUTCOME, digits[0])[0]))
                 continue
-            fields = {}
-            for part in line.split("|"):
-                key, _, value = part.strip().partition("=")
-                fields[key] = value
+            fields = _fields(line)
             table = canonical_table_label(fields["table"])
-            if label is not None and table != label:
+            if table != label:
                 raise ValueError(f"row of table {table} in a table {label} file")
-            left, right = fields["pair"].split(",")
-            site_i, value_i = left.split("=")
-            site_j, value_j = right.split("=")
+            i, m_i, j, m_j = _match(_PAIR, fields["pair"]).groups()
             pair = PairSelection(
-                _parse_site(site_i),
-                _parse_site(site_j),
-                parse_phase(value_i),
-                parse_phase(value_j),
+                int(i) - 1, int(j) - 1, parse_phase(m_i), parse_phase(m_j)
             )
-            residual = {}
-            for term in fields["residual"].split(";"):
-                digits, t = term.split(":")
-                residual[_parse_digits(digits, 2)] = _parse_digits(t, 1)[0]
-            basic = _parse_eigenword(fields["basic"])
-            extended = _parse_eigenword(fields["extended"])
+            terms = _match(_RESIDUAL, fields["residual"])[0].split(";")
+            residual = {
+                (int(a), int(b)): GaussInt.from_phase(int(t))
+                for a, b, _, t in terms
+            }
+            basic = _eigenword(fields["basic"])
+            extended = _eigenword(fields["extended"])
+            if block_outcome is None:
+                raise ValueError("row precedes a block header")
         except (KeyError, ValueError) as exc:
-            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(
-                f"bad fixture line {line_no} ({reason}): {raw!r}"
-            ) from exc
-        if block_outcome is None:
-            raise ValueError(f"fixture line {line_no} precedes a block header")
-        index += 1
+            raise _bad_line("fixture", line_no, raw, exc) from exc
         rows.append(
             FixtureRow(
-                table, index, block, block_outcome, pair, residual,
-                basic, extended,
+                table, len(rows) + 1, block_outcome, pair, residual, basic,
+                extended,
             )
         )
     return rows
@@ -423,15 +430,13 @@ class RowVerdict:
     """
 
     __slots__ = (
-        "row", "residual_ok", "residual_phase", "basic_ok", "extended_ok",
-        "block_ok", "reasons",
+        "row", "residual_ok", "basic_ok", "extended_ok", "block_ok", "reasons",
     )
 
     def __init__(
         self,
         row: FixtureRow,
         residual_ok: bool,
-        residual_phase: int | None,
         basic_ok: bool,
         extended_ok: bool,
         block_ok: bool,
@@ -439,7 +444,6 @@ class RowVerdict:
     ) -> None:
         self.row = row
         self.residual_ok = residual_ok
-        self.residual_phase = residual_phase
         self.basic_ok = basic_ok
         self.extended_ok = extended_ok
         self.block_ok = block_ok
@@ -462,31 +466,31 @@ def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
             f"{''.join(map(str, row.block_outcome))}"
         )
     try:
-        residual = postselect_pair(state, row.pair)
+        derived = _constraint_row(state, row.pair)
     except ValueError:
         return RowVerdict(
-            row, False, None, False, False, block_ok,
+            row, False, False, False, block_ok,
             (*reasons, "selection has empty projection"),
         )
-    eigenwords, _, extended = derive_constraints(residual.state)
-    phase = row.residual_state().phase_relative_to(residual.state)
-    residual_ok = phase is not None
+    residual_ok = (
+        phase_between(row.residual, derived.residual.state.amplitudes)
+        is not None
+    )
     if not residual_ok:
         reasons.append("residual differs beyond a global phase")
     if row.basic is None:
-        basic_ok = not eigenwords
+        basic_ok = not derived.eigenwords
         if not basic_ok:
             reasons.append("reference row lists no constraint but eigenwords exist")
     else:
-        basic_ok = row.basic in eigenwords
+        basic_ok = row.basic in derived.eigenwords
         if not basic_ok:
             reasons.append("basic eigenvalue differs or word is not an eigenword")
-    extended_ok = row.extended == extended
+    extended_ok = row.extended == derived.extended
     if not extended_ok:
         reasons.append("extended constraint differs")
     return RowVerdict(
-        row, residual_ok, phase, basic_ok, extended_ok, block_ok,
-        tuple(reasons),
+        row, residual_ok, basic_ok, extended_ok, block_ok, tuple(reasons)
     )
 
 
@@ -524,10 +528,7 @@ def parse_allowlist(text: str) -> list[AllowlistEntry]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = {}
-        for part in line.split("|"):
-            key, _, value = part.strip().partition("=")
-            fields[key.strip()] = value.strip()
+        fields = _fields(line)
         try:
             entry = AllowlistEntry(
                 canonical_table_label(fields["table"]),
@@ -541,10 +542,7 @@ def parse_allowlist(text: str) -> list[AllowlistEntry]:
             if entry.index < 1:
                 raise ValueError(f"row {entry.index} is below 1")
         except (KeyError, ValueError) as exc:
-            reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(
-                f"bad allowlist line {line_no} ({reason}): {raw!r}"
-            ) from exc
+            raise _bad_line("allowlist", line_no, raw, exc) from exc
         entries.append(entry)
     return entries
 

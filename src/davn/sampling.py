@@ -95,11 +95,13 @@ def sample_outcomes(state: StateVector, runs: int, seed: int) -> SampleSummary:
     Counts cover the whole support, including outcomes never drawn.
     ``seed`` must be a non-negative int: ``random.Random`` seeds with the
     absolute value, so -7 would draw as 7 yet be recorded as -7, and
-    ``True`` would draw as 1 yet be written as ``true``.
+    ``True`` would draw as 1 yet be written as ``true``.  ``runs`` must
+    be a positive int for the same reason: ``True`` would draw once yet
+    be written as ``true``, and a float cannot count draws.
     """
     if type(seed) is not int or seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    if runs <= 0:
+    if type(runs) is not int or runs <= 0:
         raise ValueError("runs must be a positive integer")
     if state.norm_sq <= 0:
         raise ValueError("cannot sample a state of zero norm")

@@ -73,23 +73,6 @@ class StateVector:
             and self.amplitudes == other.amplitudes
         )
 
-    def phase_relative_to(self, other: StateVector) -> int | None:
-        """t with self == i**t * other amplitude-by-amplitude, else None."""
-        if self.level != other.level or self.n_sites != other.n_sites:
-            return None
-        return phase_between(self.amplitudes, other.amplitudes)
-
-
-def apply_to_state(word: PauliWord, state: StateVector) -> StateVector:
-    """Linear extension of the word action; preserves norm_sq exactly."""
-    if state.level != 4:
-        raise ValueError("Pauli words act on 4-level states only")
-    out: dict[BasisKet, GaussInt] = {}
-    for ket, amp in state.amplitudes.items():
-        t, image = apply_word(word, ket)
-        out[image] = out.get(image, ZERO) + amp.times_phase(t)
-    return StateVector(state.n_sites, out, level=state.level)
-
 
 def phase_between(a: dict, b: dict) -> int | None:
     """c with a[k] == i**c * b[k] on one common support, or None.

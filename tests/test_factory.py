@@ -24,7 +24,8 @@ from davn.factory import (
 )
 from davn.gauss import GaussInt
 from davn.pauli import PauliWord
-from davn.states import StateVector, apply_to_state
+from davn.states import StateVector
+from reference import apply_to_state
 
 # Second transcription: families keyed by (phase, members).
 SECOND_TRANSCRIPTION = {
@@ -90,6 +91,14 @@ def test_digit_rule_on_single_kets():
     audit = check_global_stabilizer(moved)
     assert not audit.stabilized
     assert audit.digit_rule_holds  # the rule itself still holds per ket
+
+
+def test_digit_rule_tells_digit_sum_two_from_zero():
+    # Digit sum 2 is even but not 0 mod 4: Z1*Z2*Z3*Z4 gives the phase -1.
+    moved = StateVector(4, {(0, 0, 1, 1): GaussInt(1, 0)})
+    audit = check_global_stabilizer(moved)
+    assert not audit.stabilized
+    assert audit.digit_rule_holds
 
 
 def test_reduced_density_site1_exact():

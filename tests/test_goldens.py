@@ -9,6 +9,7 @@ and say so in the change log.
 """
 
 import hashlib
+from importlib import resources
 
 import pytest
 
@@ -103,7 +104,22 @@ GOLDENS = (
     (("sample", "--state", "psi4-embedded", "--runs", "7000", "--seed", "4",
       "--format", "json"), 0,
      "287df9e6bd88fcf87246d839ee4ba3345c622182fc9b7b4b739597ed0e0b93ec"),
+    (("fixtures-diff", "--format", "text"), 0,
+     "946b0f41a2eedcccf62b939af7b30c73123675c6843e46a3f7385feda73c7843"),
+    (("verify-state", "--state", "psi1234", "--format", "text"), 0,
+     "06e4f0b5185586f9bcf853dee4a96536a3c5c0f0e6550eba152b6f6b877e1a7d"),
+    (("verify-state", "--state", "psi4-qubit", "--format", "text"), 0,
+     "5b028c691b78c4edadf19b5d059c992ce43c3cf50b9b1db77f9a4f99dcb29960"),
+    (("verify-state", "--state", "psi4-embedded", "--format", "text"), 0,
+     "27134004f4bdcc808f82d610a8b57dd6643825f4a4ff4a548bc2d93e919ea7e4"),
 )
+
+#: fixtures-diff on the packaged tables with the basic constraint of
+#: table I row 1 flipped from -i to i (exit 1), by output format.
+TAMPERED = {
+    "json": "c4a9811d59208121e108f58845be4bfe562ca2bf892ba0c56ab5cc3172da8b37",
+    "text": "9400c0e90b43b066b42f42338f5eac8726ce8074b31076775d55d0ab644de119",
+}
 
 
 @pytest.mark.parametrize(
@@ -113,3 +129,17 @@ def test_report_bytes_and_exit_code_are_pinned(capsys, argv, code, digest):
     assert main(list(argv)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", sorted(TAMPERED))
+def test_tampered_fixture_diff_bytes_are_pinned(tmp_path, capsys, fmt):
+    # Pins the failure reasons of a derivation mismatch byte for byte.
+    fixtures = resources.files("davn") / "fixtures"
+    for name in [p.name for p in fixtures.iterdir() if p.name.endswith(".txt")]:
+        text = (fixtures / name).read_text()
+        if name == "table_I.txt":
+            text = text.replace("basic=1,3:-i", "basic=1,3:i", 1)
+        (tmp_path / name).write_text(text)
+    assert main(["fixtures-diff", "--dir", str(tmp_path), "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TAMPERED[fmt]

@@ -1,0 +1,87 @@
+"""Tripwire: no float or complex arithmetic enters the package.
+
+Every amplitude, eigenvalue and probability is an int, a GaussInt or a
+Fraction, and every check is exact equality.  This walks the syntax tree
+of each module and fails on anything that would bring floating point in:
+a float or complex literal, a call to ``float`` or ``complex``, an import
+of ``cmath``, or a name from ``math`` other than ``isqrt``.  True
+division is not flagged: the package's ``/`` operators are ``Path`` joins.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import davn
+
+MODULES = sorted(Path(davn.__file__).parent.glob("*.py"))
+MATH_ALLOWED = {"isqrt"}
+
+
+def float_uses(tree: ast.AST) -> list[str]:
+    found = []
+    math_aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "cmath":
+                    found.append("import cmath")
+                elif alias.name == "math":
+                    math_aliases.add(alias.asname or "math")
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if node.module == "cmath":
+                found.append("from cmath import")
+            elif node.module == "math" and names - MATH_ALLOWED:
+                found.append(f"from math import {sorted(names - MATH_ALLOWED)}")
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(f"line {line}: literal {node.value!r}")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("float", "complex")
+        ):
+            found.append(f"line {line}: call to {node.func.id}")
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in math_aliases
+            and node.attr not in MATH_ALLOWED
+        ):
+            found.append(f"line {line}: math.{node.attr}")
+    return found
+
+
+def test_every_module_is_walked():
+    assert {"gauss.py", "postselect.py", "reports.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_float_enters_the_package(path):
+    assert float_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x = 0.5",
+        "x = 2j",
+        "x = float(y)",
+        "x = complex(1, 2)",
+        "import cmath",
+        "from cmath import sqrt",
+        "from math import isqrt, sqrt",
+        "import math\nx = math.pi",
+        "import math as m\nx = m.sqrt(2)",
+    ],
+)
+def test_the_walk_flags_each_float_entry(source):
+    assert float_uses(ast.parse(source)) != []
+
+
+def test_the_walk_allows_exact_arithmetic():
+    source = "from math import isqrt\nimport math\nx = isqrt(7) + math.isqrt(9) // 2\n"
+    assert float_uses(ast.parse(source)) == []

@@ -27,7 +27,12 @@ from davn.postselect import (
 )
 from davn.states import StateVector, eigenvalue_of
 from davn.pauli import PauliWord
-from reference import postselect_pair_sweep, render_fixture_row, scaled_by_phase
+from reference import (
+    phase_relative_to,
+    postselect_pair_sweep,
+    render_fixture_row,
+    scaled_by_phase,
+)
 
 PSI = build_psi_1234()
 
@@ -42,14 +47,14 @@ def test_postselect_first_pair():
     residual = postselect_pair(PSI, PairSelection(0, 1, 0, 0))
     assert residual.sites == (2, 3)
     expected = unit_state({(0, 0): 0, (1, 3): 1, (2, 2): 2, (3, 1): 3})
-    assert residual.state.phase_relative_to(expected) is not None
+    assert phase_relative_to(residual.state, expected) is not None
 
 
 def test_postselect_two_ket_residual():
     residual = postselect_pair(PSI, PairSelection(2, 3, 3, 3))
     assert residual.sites == (0, 1)
     expected = unit_state({(0, 2): 1, (2, 0): 3})
-    assert residual.state.phase_relative_to(expected) is not None
+    assert phase_relative_to(residual.state, expected) is not None
 
 
 def test_pair_selection_needs_two_sites():
@@ -135,7 +140,7 @@ def test_states_of_one_shape_keep_their_own_selections():
     turned = scaled_by_phase(PSI, 1)
     pair = PairSelection(0, 1, 0, 0)
     mine, theirs = postselect_pair(PSI, pair), postselect_pair(turned, pair)
-    assert mine.state.phase_relative_to(theirs.state) == 3
+    assert phase_relative_to(mine.state, theirs.state) == 3
     assert theirs.state == postselect_pair_sweep(turned, pair).state
 
 
@@ -326,22 +331,40 @@ def fixture_rows():
     rows = []
     fixdir = resources.files("davn") / "fixtures"
     for label in TABLE_LABELS:
-        rows += parse_fixture_text((fixdir / f"table_{label}.txt").read_text())
+        rows += parse_fixture_text(
+            (fixdir / f"table_{label}.txt").read_text(), label
+        )
     return rows, fixdir
 
 
 def test_fixture_round_trip():
     rows, _ = fixture_rows()
     assert len(rows) == 336
-    for row in rows[:40]:
+    for row in rows:
         line = render_fixture_row(row)
         reparsed = parse_fixture_text(
-            f"# block 1 outcome={''.join(map(str, row.block_outcome))}\n{line}"
+            f"# block 1 outcome={''.join(map(str, row.block_outcome))}\n{line}",
+            row.table,
         )[0]
         assert reparsed.pair == row.pair
         assert reparsed.residual == row.residual
         assert reparsed.basic == row.basic
         assert reparsed.extended == row.extended
+
+
+def test_table_fields_may_have_spaces_around_the_equals_sign():
+    # Table files read their fields by the allowlist's rule: key and value
+    # are stripped.
+    rows, _ = fixture_rows()
+    spaced = parse_fixture_text(
+        "# block 1 outcome=0000\n"
+        "table = I | pair = Z1=1,Z2=1 | residual = 00:0;13:1;22:2;31:3"
+        " | basic = 1,3:-i | extended = 2,2:-1",
+        "I",
+    )[0]
+    assert spaced.pair == rows[0].pair
+    assert spaced.residual == rows[0].residual
+    assert (spaced.basic, spaced.extended) == (rows[0].basic, rows[0].extended)
 
 
 def test_verify_reference_row_matches_on_good_row():
@@ -357,7 +380,7 @@ def test_verify_reference_row_flags_flipped_target():
     assert row.basic is not None
     (word, t) = row.basic
     tampered = FixtureRow(
-        row.table, row.index, row.block, row.block_outcome, row.pair,
+        row.table, row.index, row.block_outcome, row.pair,
         row.residual, (word, (t + 2) % 4), row.extended,
     )
     verdict = verify_reference_row(PSI, tampered)
@@ -370,9 +393,9 @@ def test_verify_reference_row_flags_wrong_residual():
     row = rows[0]
     tampered_residual = dict(row.residual)
     ket = next(iter(tampered_residual))
-    tampered_residual[ket] = (tampered_residual[ket] + 2) % 4
+    tampered_residual[ket] = -tampered_residual[ket]
     tampered = FixtureRow(
-        row.table, row.index, row.block, row.block_outcome, row.pair,
+        row.table, row.index, row.block_outcome, row.pair,
         tampered_residual, row.basic, row.extended,
     )
     verdict = verify_reference_row(PSI, tampered)

@@ -34,6 +34,14 @@ def test_seed_must_be_a_non_negative_int(seed):
         sample_outcomes(PSI, 0, seed)
 
 
+@pytest.mark.parametrize("runs", [2.5, 1e3, "7", None, True, False, 0, -1])
+def test_runs_must_be_a_positive_int(runs):
+    # A float reached getrandbits and raised TypeError there; True drew
+    # once yet would be written as "runs": true.
+    with pytest.raises(ValueError, match="^runs must be a positive integer$"):
+        sample_outcomes(PSI, runs, 7)
+
+
 def test_single_run():
     summary = sample_outcomes(PSI, 1, 123)
     assert summary.total() == 1
