@@ -26,14 +26,13 @@ from .lhv import (
     verify_davn,
     verify_paradox,
 )
-from .pauli import PauliWord, apply_word, word_str
 from .postselect import (
     PairSelection,
     derive_constraints,
     postselect_pair,
     table_for_outcome,
 )
-from .states import StateVector, eigenvalue_of
+from .states import StateVector
 
 __version__ = "0.1.0"
 
@@ -41,17 +40,14 @@ __all__ = [
     "Constraint",
     "GaussInt",
     "PairSelection",
-    "PauliWord",
     "StateVector",
     "__version__",
-    "apply_word",
     "build_psi4_qubit",
     "build_psi_1234",
     "check_global_stabilizer",
     "classify_type",
     "commutation_phase_audit",
     "derive_constraints",
-    "eigenvalue_of",
     "embed_qubit_state",
     "joint_z_probability",
     "minimal_unsat_core",
@@ -62,6 +58,5 @@ __all__ = [
     "table_for_outcome",
     "verify_davn",
     "verify_paradox",
-    "word_str",
     "z_support",
 ]

@@ -20,9 +20,9 @@ from .factory import (
     joint_z_probability,
     nonstabilizer_test,
     z_support,
+    z_word_fixes,
 )
-from .pauli import PauliWord
-from .states import StateVector, eigenvalue_of
+from .states import StateVector
 
 STATE_NAMES = ("psi1234", "psi4-qubit", "psi4-embedded")
 
@@ -164,7 +164,6 @@ def checks_psi4_qubit(state: StateVector) -> list[Check]:
 
 
 def checks_psi4_embedded(state: StateVector) -> list[Check]:
-    zz_word = PauliWord.from_exponents(4, z_exps={j: 2 for j in range(4)})
     audits = {d: commutation_phase_audit(d) for d in (2, 4, 6)}
     checks = [
         Check(
@@ -174,7 +173,7 @@ def checks_psi4_embedded(state: StateVector) -> list[Check]:
         ),
         Check(
             "squared Z word fixes the state",
-            eigenvalue_of(zz_word, state) == 0,
+            z_word_fixes(state, 2),
             "Z1^2*Z2^2*Z3^2*Z4^2 plays the role the plain Z word plays "
             "for the 56-component state",
         ),

@@ -24,7 +24,6 @@ from pathlib import Path
 from . import reports
 from .checks import STATE_NAMES, build_state, run_state_checks
 from .lhv import verify_davn, verify_paradox
-from .pauli import BasisKet
 from .postselect import (
     TABLE_ALIASES,
     TABLE_BLOCKS,
@@ -35,6 +34,7 @@ from .postselect import (
     parse_fixture_text,
     table_for_outcome,
 )
+from .states import BasisKet
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -16,8 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .gauss import ZERO, GaussInt, parse_phase
-from .pauli import BasisKet, PauliWord, apply_word
-from .states import StateVector, eigenvalue_of
+from .states import BasisKet, StateVector
 
 # The 56 components, written as <digits>:<amplitude>.  One row per
 # component family: the two +1 kets, then six families each headed by a
@@ -219,28 +218,34 @@ class StabilizerAudit:
         self.digit_rule_holds = digit_rule_holds
 
 
+def z_word_fixes(state: StateVector, power: int) -> bool:
+    """Does Z1**p Z2**p ... Zn**p fix the state exactly?
+
+    Z**p sends |k> to i**(p*k) |k>, so the word multiplies each ket by the
+    phase of p times its digit sum and fixes the state exactly when that
+    is 0 mod 4 on every support ket.  Raises on a zero state, where the
+    relation is vacuous.
+    """
+    if state.is_zero():
+        raise ValueError("zero state has no eigenvalues")
+    return all(power * sum(ket) % 4 == 0 for ket in state.amplitudes)
+
+
 def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
     """Does Z1 Z2 ... Zn fix the state exactly?
 
-    For 4-level states the word is applied through the Pauli machinery;
-    for 2-level states Z is diag(1, -1) and the phase is 2*sum mod 4 in
-    fourth-root units.  Raises on a zero state, as eigenvalue_of does.
+    In fourth-root units Z is i**(p*k) with p = 4 // d: Z itself for
+    d = 4 and the qubit diag(1, -1) for d = 2.  Raises on a zero state
+    and on any other level.
     """
-    kets = state.amplitudes
-    if state.level == 4:
-        n = state.n_sites
-        zword = PauliWord.from_exponents(n, z_exps={j: 1 for j in range(n)})
-        stabilized = eigenvalue_of(zword, state) == 0
-        digit_rule_holds = all(
-            (apply_word(zword, ket)[0] == 0) == (sum(ket) % 4 == 0)
-            for ket in kets
-        )
-    else:
-        stabilized = all(sum(ket) % 2 == 0 for ket in kets)
-        digit_rule_holds = all(
-            (2 * sum(ket) % 4 == 0) == (sum(ket) % 2 == 0) for ket in kets
-        )
-    return StabilizerAudit(stabilized, digit_rule_holds)
+    d = state.level
+    if d not in (2, 4):
+        raise ValueError(f"Z words are defined for levels 2 and 4, not {d}")
+    p = 4 // d
+    digit_rule_holds = all(
+        (p * sum(ket) % 4 == 0) == (sum(ket) % d == 0) for ket in state.amplitudes
+    )
+    return StabilizerAudit(z_word_fixes(state, p), digit_rule_holds)
 
 
 def joint_z_probability(state: StateVector, outcome: BasisKet) -> Fraction:

@@ -25,10 +25,8 @@ from operator import and_
 
 from .factory import joint_z_probability, z_support
 from .gauss import phase_str
-from .pauli import BasisKet, PauliWord
-from .pauli import word_str as pauli_word_str
 from .postselect import ConstraintRow, Eigenword, TABLE_BLOCKS, table_for_outcome
-from .states import StateVector
+from .states import BasisKet, StateVector
 
 #: All hidden-variable assignments (v1, v2, v3, v4), lexicographic.
 ASSIGNMENTS: tuple[tuple[int, int, int, int], ...] = tuple(
@@ -64,15 +62,23 @@ _TERM_MASKS = tuple(_term_masks(site) for site in range(4))
 class Constraint:
     """Product of X powers across sites equals a fourth root of unity.
 
-    Constraints compare and hash by (exps, target), so verify_paradox
-    can drop repeats with ``dict.fromkeys``.
+    ``exps`` holds one X exponent per site and ``target`` the phase
+    exponent, all in 0..3; nothing reduces them mod 4, so construction
+    rejects anything else.  Constraints compare and hash by (exps,
+    target), so verify_paradox can drop repeats with ``dict.fromkeys``.
     """
 
     __slots__ = ("exps", "target", "_truth_mask")
 
     def __init__(self, exps: tuple[int, int, int, int], target: int) -> None:
+        if type(exps) is not tuple or len(exps) != 4 or not all(
+            type(e) is int and 0 <= e <= 3 for e in exps
+        ):
+            raise ValueError(f"exps {exps!r} is not a tuple of four ints in 0..3")
         if not any(exps):
             raise ValueError("constraint must involve at least one site")
+        if type(target) is not int or not 0 <= target <= 3:
+            raise ValueError(f"target {target!r} is not an int in 0..3")
         self.exps = exps
         self.target = target
         self._truth_mask = None
@@ -110,10 +116,12 @@ class Constraint:
         return self._truth_mask
 
     def word_str(self) -> str:
-        word = PauliWord.from_exponents(
-            4, x_exps={j: e for j, e in enumerate(self.exps) if e}
+        """The X word in text form, e.g. ``X3*X4^3`` (sites 1-based)."""
+        return "*".join(
+            f"X{j + 1}" + (f"^{e}" if e > 1 else "")
+            for j, e in enumerate(self.exps)
+            if e
         )
-        return pauli_word_str(word)
 
     def __str__(self) -> str:
         return f"{self.word_str()} = {phase_str(self.target)}"

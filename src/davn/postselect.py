@@ -25,8 +25,7 @@ import re
 from functools import lru_cache
 
 from .gauss import GaussInt, parse_phase, phase_str
-from .pauli import BasisKet
-from .states import StateVector, phase_between
+from .states import BasisKet, StateVector, phase_between
 
 #: An eigen-relation of a two-site residual: ((u, v), eigenvalue exponent).
 Eigenword = tuple[tuple[int, int], int]
@@ -302,6 +301,7 @@ _OUTCOME = ("[0-3]{4}", "4 digits 0..3")
 _PAIR = (f"Z([1-4])={_PHASE},Z([1-4])={_PHASE}", "Z<i>=<phase>,Z<j>=<phase>")
 _RESIDUAL = ("[0-3]{2}:[0-3](?:;[0-3]{2}:[0-3])*", "<ket>:<t>;.. of digits 0..3")
 _EIGENWORD = (f"([0-3]),([0-3]):{_PHASE}|none", "u,v:<phase> or none")
+_ROW = ("-?[0-9]+", "a row number in ASCII digits")
 
 
 def _fields(line: str) -> dict[str, str]:
@@ -532,7 +532,7 @@ def parse_allowlist(text: str) -> list[AllowlistEntry]:
         try:
             entry = AllowlistEntry(
                 canonical_table_label(fields["table"]),
-                int(fields["row"]),
+                int(_match(_ROW, fields["row"])[0]),
                 fields["kind"],
                 fields["tag"],
                 fields.get("note", ""),

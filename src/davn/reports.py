@@ -22,10 +22,9 @@ if TYPE_CHECKING:
 
     from .checks import Check
     from .lhv import Constraint, DavnReport, ParadoxReport
-    from .pauli import BasisKet
     from .postselect import ConstraintRow, DiffReport
     from .sampling import SampleSummary
-    from .states import StateVector
+    from .states import BasisKet, StateVector
 
 
 def to_json(payload: dict[str, Any]) -> str:

@@ -40,8 +40,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from .pauli import BasisKet
-from .states import StateVector
+from .states import BasisKet, StateVector
 
 GENERATOR_ID = "mt19937-randrange-cdf/1"
 

@@ -14,7 +14,9 @@ it is a function of the amplitudes, so filling it twice is harmless.
 from __future__ import annotations
 
 from .gauss import ZERO, GaussInt
-from .pauli import BasisKet, PauliWord, apply_word
+
+#: A basis ket: one digit in 0..level-1 per site.
+BasisKet = tuple[int, ...]
 
 
 class StateVector:
@@ -88,25 +90,3 @@ def phase_between(a: dict, b: dict) -> int | None:
     if c is None or any(b[k].times_phase(c) != amp for k, amp in a.items()):
         return None
     return c
-
-
-def eigenvalue_of(word: PauliWord, state: StateVector) -> int | None:
-    """Phase exponent c with word|s> = i**c |s>, or None.
-
-    Decided from amplitudes: the word sends k to i**t |k'>, so the relation
-    holds exactly when every k' is in the support and amp[k] * i**t ==
-    i**c * amp[k'] with one common c, a fourth-root eigenvalue.  Raises on
-    a zero state, where the relation is vacuous.
-    """
-    if state.is_zero():
-        raise ValueError("zero state has no eigenvalues")
-    if state.level != 4:
-        raise ValueError("Pauli words act on 4-level states only")
-    amplitudes = state.amplitudes
-    image = {}
-    for ket, amp in amplitudes.items():
-        t, shifted = apply_word(word, ket)
-        if shifted not in amplitudes:
-            return None
-        image[shifted] = amp.times_phase(t)
-    return phase_between(image, amplitudes)

@@ -31,7 +31,6 @@ from davn.lhv import (
     verify_davn,
     verify_paradox,
 )
-from davn.pauli import PauliWord
 from davn.postselect import (
     TABLE_LABELS,
     diff_fixture_rows,
@@ -39,7 +38,7 @@ from davn.postselect import (
     parse_fixture_text,
 )
 from davn.sampling import sample_outcomes
-from reference import apply_to_state
+from reference import PauliWord, apply_to_state
 
 PSI = build_psi_1234()
 

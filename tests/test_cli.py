@@ -310,6 +310,12 @@ def test_fixtures_diff_names_a_missing_field(tmp_path, capsys):
         ("table=I | row=2 | kind=derivaton | tag=T | note=typo", "unknown kind"),
         ("table=I | row=0 | kind=derivation | tag=T | note=zero", "below 1"),
         ("table=I | row=-3 | kind=block-pair | tag=T | note=neg", "below 1"),
+        ("table=I | row=2_8 | kind=derivation | tag=T | note=underscore",
+         "'2_8' is not a row number"),
+        ("table=I | row=+28 | kind=derivation | tag=T | note=sign",
+         "'+28' is not a row number"),
+        ("table=I | row=\u0662\u0668 | kind=derivation | tag=T | note=arabic",
+         "is not a row number"),
         ("table=I | row=999 | kind=derivation | tag=T | note=past end",
          "names no fixture row"),
         ("table=II | row=28 | kind=derivation | tag=T | note=repeat",

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from davn.factory import (
     PSI_1234_TERMS,
@@ -21,11 +23,11 @@ from davn.factory import (
     nonstabilizer_test,
     reduced_density,
     z_support,
+    z_word_fixes,
 )
 from davn.gauss import GaussInt
-from davn.pauli import PauliWord
 from davn.states import StateVector
-from reference import apply_to_state
+from reference import PauliWord, apply_to_state, eigenvalue_of
 
 # Second transcription: families keyed by (phase, members).
 SECOND_TRANSCRIPTION = {
@@ -99,6 +101,48 @@ def test_digit_rule_tells_digit_sum_two_from_zero():
     audit = check_global_stabilizer(moved)
     assert not audit.stabilized
     assert audit.digit_rule_holds
+
+
+@st.composite
+def unit_states(draw, level):
+    """Nonzero unit-amplitude states; half of them on digit sums 0 mod 4."""
+    n_sites = draw(st.integers(1, 4))
+    kets = list(product(range(level), repeat=n_sites))
+    if draw(st.booleans()):
+        kets = [ket for ket in kets if sum(ket) % 4 == 0]
+    phases = draw(
+        st.dictionaries(st.sampled_from(kets), st.integers(0, 3), min_size=1)
+    )
+    return StateVector(
+        n_sites,
+        {ket: GaussInt.from_phase(t) for ket, t in phases.items()},
+        level=level,
+    )
+
+
+@given(unit_states(4), st.integers(0, 3))
+def test_z_word_fixes_matches_reference_eigenvalue(state, power):
+    n = state.n_sites
+    word = PauliWord.from_exponents(n, z_exps={j: power for j in range(n)})
+    assert z_word_fixes(state, power) == (eigenvalue_of(word, state) == 0)
+
+
+@given(unit_states(2))
+def test_qubit_stabilizer_is_even_down_spins(state):
+    audit = check_global_stabilizer(state)
+    assert audit.stabilized == all(sum(ket) % 2 == 0 for ket in state.amplitudes)
+    assert audit.digit_rule_holds
+
+
+def test_stabilizer_audit_rejects_other_levels_and_zero_states():
+    # Digit sum 3 is 0 mod 3, but no Z word is defined at level 3.
+    with pytest.raises(ValueError, match="levels 2 and 4"):
+        check_global_stabilizer(StateVector(4, {(1, 2, 0, 0): GaussInt(1, 0)}, 3))
+    for level in (2, 4):
+        with pytest.raises(ValueError, match="zero state"):
+            check_global_stabilizer(StateVector(4, {}, level))
+    with pytest.raises(ValueError, match="zero state"):
+        z_word_fixes(StateVector(4, {}), 2)
 
 
 def test_reduced_density_site1_exact():

@@ -20,8 +20,8 @@ from davn.lhv import (
     verify_paradox,
 )
 from davn.states import StateVector
-from davn.gauss import GaussInt
-from reference import holds
+from davn.gauss import GaussInt, phase_str
+from reference import PauliWord, holds, word_str
 
 PSI = build_psi_1234()
 
@@ -100,6 +100,38 @@ def test_verify_paradox_drops_repeated_constraints(monkeypatch):
     (merged,) = seen
     assert len(set(merged)) == len(merged) < len(everything)
     assert set(merged) == set(everything)
+
+
+@pytest.mark.parametrize(
+    "exps,target,message",
+    [
+        ((1, 0, 0, 0), 4, "target 4"),
+        ((4, 0, 0, 0), 0, "four ints in 0..3"),
+        ((5, 0, 0, 0), 0, "four ints in 0..3"),
+        ((-1, 0, 0, 0), 0, "four ints in 0..3"),
+        ((1, 0, 0), 1, "four ints in 0..3"),
+        ((1, 0, 0, 0, 0), 1, "four ints in 0..3"),
+        ([1, 0, 0, 0], 1, "four ints in 0..3"),
+        ((True, 0, 0, 0), 1, "four ints in 0..3"),
+        ((1, 0, 0, 0), -1, "target -1"),
+        ((1, 0, 0, 0), True, "target True"),
+        ((0, 0, 0, 0), 0, "at least one site"),
+    ],
+)
+def test_constraint_rejects_unreduced_or_misshapen_input(exps, target, message):
+    with pytest.raises(ValueError, match=message):
+        Constraint(exps, target)
+
+
+def test_constraint_text_matches_reference_word_for_every_constraint():
+    for exps in ASSIGNMENTS[1:]:
+        word = PauliWord.from_exponents(
+            4, x_exps={j: e for j, e in enumerate(exps) if e}
+        )
+        for target in range(4):
+            assert str(c(exps, target)) == (
+                f"{word_str(word)} = {phase_str(target)}"
+            )
 
 
 def test_truth_mask_is_built_once():

@@ -6,7 +6,7 @@ every basis ket.
 
 import pytest
 
-from davn.pauli import PauliWord, apply_word, word_str
+from reference import PauliWord, apply_word, word_str
 
 X1 = PauliWord.from_exponents(1, x_exps={0: 1})
 Z1 = PauliWord.from_exponents(1, z_exps={0: 1})

@@ -25,9 +25,10 @@ from davn.postselect import (
     table_for_outcome,
     verify_reference_row,
 )
-from davn.states import StateVector, eigenvalue_of
-from davn.pauli import PauliWord
+from davn.states import StateVector
 from reference import (
+    PauliWord,
+    eigenvalue_of,
     phase_relative_to,
     postselect_pair_sweep,
     render_fixture_row,

@@ -7,9 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from davn.gauss import GaussInt
-from davn.pauli import PauliWord, apply_word
-from davn.states import StateVector, eigenvalue_of
-from reference import apply_to_state, phase_relative_to, scaled_by_phase
+from davn.states import StateVector
+from reference import (
+    PauliWord,
+    apply_to_state,
+    apply_word,
+    eigenvalue_of,
+    phase_relative_to,
+    scaled_by_phase,
+)
 
 X = PauliWord.from_exponents(1, x_exps={0: 1})
 
