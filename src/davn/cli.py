@@ -23,17 +23,15 @@ from pathlib import Path
 
 from . import reports
 from .checks import STATE_NAMES, build_state, run_state_checks
-from .lhv import verify_davn, verify_paradox
-from .postselect import (
+from .factory import (
     TABLE_ALIASES,
     TABLE_BLOCKS,
     TABLE_LABELS,
     canonical_table_label,
-    diff_fixture_rows,
-    parse_allowlist,
-    parse_fixture_text,
-    table_for_outcome,
 )
+from .fixtures import diff_fixture_rows, parse_allowlist, parse_fixture_text
+from .lhv import verify_davn, verify_paradox
+from .postselect import table_for_outcome
 from .states import BasisKet
 
 

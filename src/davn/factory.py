@@ -5,7 +5,9 @@ digits sum to 0 mod 4, so the product of the four Z operators fixes it
 (`check_global_stabilizer`), while its single-site reduced density
 matrices are not maximally mixed (`nonstabilizer_test`) - the combination
 that makes it interesting.  A four-qubit seed state and its digit-map
-embedding into ququarts are provided for comparison.
+embedding into ququarts are provided for comparison.  The paper's ten
+condition tables group the same 56 components by family, so their
+outcome lists are read off the component text too.
 
 Probabilities are exact `Fraction` values |amplitude|**2 / norm_sq.
 """
@@ -44,6 +46,49 @@ def _parse_components(text: str) -> dict[BasisKet, int]:
 
 
 PSI_1234_TERMS: dict[BasisKet, int] = _parse_components(_PSI_1234_COMPONENTS)
+
+#: The ten condition tables, in document order.  Tables beyond the first
+#: two come in A/B twins, one per phase of a family's +-i components.
+TABLE_LABELS = (
+    "I", "II", "III-A", "III-B", "IV-A", "IV-B", "V-A", "V-B", "VI-A", "VI-B",
+)
+
+
+def _table_blocks(text: str) -> dict[str, tuple[BasisKet, ...]]:
+    """The outcomes of each condition table, in table order.
+
+    Table I is the first component line.  Each later line is one family:
+    its head (the -1 ket) belongs to table II and its eight +-i partners,
+    in order, to III-A .. VI-B, so those nine tables are the columns of
+    the six family lines.  A line of the wrong length is a transcription
+    error and raises AssertionError, as the checksum does.
+    """
+    lines = [tuple(_parse_components(line)) for line in text.strip().splitlines()]
+    shape = [len(line) for line in lines]
+    if shape != [2, 9, 9, 9, 9, 9, 9]:
+        raise AssertionError(
+            f"component lines hold {shape} terms, expected 2 then six of 9"
+        )
+    first, *families = lines
+    return dict(zip(TABLE_LABELS, (first, *zip(*families))))
+
+
+#: Outcome kets of each table, one block per outcome.
+TABLE_BLOCKS = _table_blocks(_PSI_1234_COMPONENTS)
+
+#: Positional roman names I..X for the ten tables, in document order.
+TABLE_ALIASES = {
+    "III": "III-A", "IV": "III-B", "V": "IV-A", "VI": "IV-B",
+    "VII": "V-A", "VIII": "V-B", "IX": "VI-A", "X": "VI-B",
+}
+
+
+def canonical_table_label(label: str) -> str:
+    name = label.strip().upper()
+    name = TABLE_ALIASES.get(name, name)
+    if name not in TABLE_BLOCKS:
+        raise ValueError(f"unknown table label: {label!r}")
+    return name
 
 
 def _check_transcription(terms: dict[BasisKet, int]) -> None:

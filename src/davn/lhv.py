@@ -23,9 +23,9 @@ from functools import cache, reduce
 from itertools import combinations, product
 from operator import and_
 
-from .factory import joint_z_probability, z_support
+from .factory import TABLE_BLOCKS, TABLE_LABELS, joint_z_probability, z_support
 from .gauss import phase_str
-from .postselect import ConstraintRow, Eigenword, TABLE_BLOCKS, table_for_outcome
+from .postselect import ConstraintRow, Eigenword, table_for_outcome
 from .states import BasisKet, StateVector
 
 #: All hidden-variable assignments (v1, v2, v3, v4), lexicographic.
@@ -174,10 +174,11 @@ def minimal_unsat_core(constraints: list[Constraint]) -> list[Constraint]:
 def classify_type(outcome: BasisKet) -> str:
     """Family label of a supported outcome: I, II or III..VI with -A/-B.
 
-    Families follow the reference-table block lists: I covers the two
-    constant outcomes, II the placements of two 2s, and the A/B twins of
-    III..VI split each remaining family by the phase orientation of the
-    originating component.
+    Families follow the table blocks: I covers the two constant
+    outcomes, II the placements of two 2s, and the A/B twins of III..VI
+    split each remaining family by the phase of the originating
+    component.  Each table holds one phase: A is +i for III, IV and V
+    but -i for VI.
     """
     key = tuple(outcome)
     for label, blocks in TABLE_BLOCKS.items():
@@ -265,9 +266,6 @@ def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
     )
 
 
-_ROMAN_ORDER = ("I", "II", "III", "IV", "V", "VI")
-
-
 class DavnReport:
     """Aggregate over every supported outcome of a state.
 
@@ -298,14 +296,18 @@ class DavnReport:
 
     @property
     def type_counts(self) -> dict[str, int]:
-        """Outcome counts per family I..VI (subfamilies merged)."""
+        """Outcome counts per family I..VI (subfamilies merged).
+
+        Families come in table order, then "unclassified".
+        """
         counts: dict[str, int] = {}
         for report in self.reports:
             label = report.type_label or "unclassified"
             roman = label.split("-")[0]
             counts[roman] = counts.get(roman, 0) + 1
-        order = [r for r in _ROMAN_ORDER if r in counts]
-        order += [k for k in sorted(counts) if k not in _ROMAN_ORDER]
+        families = dict.fromkeys(name.split("-")[0] for name in TABLE_LABELS)
+        order = [r for r in families if r in counts]
+        order += [k for k in sorted(counts) if k not in families]
         return {k: counts[k] for k in order}
 
 

@@ -22,7 +22,8 @@ if TYPE_CHECKING:
 
     from .checks import Check
     from .lhv import Constraint, DavnReport, ParadoxReport
-    from .postselect import ConstraintRow, DiffReport
+    from .fixtures import DiffReport
+    from .postselect import ConstraintRow
     from .sampling import SampleSummary
     from .states import BasisKet, StateVector
 

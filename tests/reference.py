@@ -6,9 +6,10 @@ obvious, slow statement of a fact the package computes another way.
 
 from __future__ import annotations
 
+from davn.fixtures import FixtureRow
 from davn.gauss import ZERO, phase_str
 from davn.lhv import Constraint
-from davn.postselect import FixtureRow, PairSelection, ResidualState
+from davn.postselect import PairSelection, ResidualState
 from davn.states import BasisKet, StateVector, phase_between
 
 # ---------------------------------------------------------------------------

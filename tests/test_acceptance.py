@@ -14,6 +14,7 @@ from importlib import resources
 from itertools import combinations, product
 
 from davn.factory import (
+    TABLE_LABELS,
     build_psi4_qubit,
     build_psi_1234,
     check_global_stabilizer,
@@ -24,18 +25,13 @@ from davn.factory import (
     reduced_density,
     z_support,
 )
+from davn.fixtures import diff_fixture_rows, parse_allowlist, parse_fixture_text
 from davn.lhv import (
     Constraint,
     minimal_unsat_core,
     satisfiable,
     verify_davn,
     verify_paradox,
-)
-from davn.postselect import (
-    TABLE_LABELS,
-    diff_fixture_rows,
-    parse_allowlist,
-    parse_fixture_text,
 )
 from davn.sampling import sample_outcomes
 from reference import PauliWord, apply_to_state

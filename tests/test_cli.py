@@ -238,6 +238,7 @@ def test_fixtures_diff_flags_tampered_fixture(tmp_path, capsys):
         ("residual=00:0;", "residual=0:0;", 3),
         ("residual=00:0;", "residual=00:4;", 3),
         ("residual=00:0;", "residual=00:-1;", 3),
+        ("residual=00:0;", "residual=00:0;00:2;", 3),
         ("basic=1,3:-i", "basic=7,9:-i", 3),
         ("basic=1,3:-i", "basic=4,3:-i", 3),
         ("extended=2,2:-1", "extended=2,4:-1", 3),

@@ -282,3 +282,19 @@ def test_transcription_checksum_trips_on_corruption():
     del broken[(0, 0, 2, 2)]
     with pytest.raises(AssertionError):
         factory._check_transcription(broken)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        (" 3122:+i\n", "\n"),  # a family line one term short
+        (" 3032:+i", "\n3032:+i"),  # a family line split in two
+    ],
+)
+def test_table_blocks_trip_on_a_misshapen_component_line(old, new):
+    from davn import factory
+
+    text = factory._PSI_1234_COMPONENTS
+    assert old in text
+    with pytest.raises(AssertionError):
+        factory._table_blocks(text.replace(old, new, 1))

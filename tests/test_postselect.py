@@ -1,29 +1,37 @@
 """Post-selection, constraint derivation, and the fixture machinery."""
 
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from davn.checks import STATE_NAMES, build_state
-from davn.factory import build_psi_1234, joint_z_probability, z_support
-from davn.gauss import GaussInt
-from davn.postselect import (
-    CANDIDATE_WORDS,
+from davn.factory import (
     TABLE_BLOCKS,
     TABLE_LABELS,
+    build_psi_1234,
+    canonical_table_label,
+    joint_z_probability,
+    z_support,
+)
+from davn.fixtures import (
     DiffReport,
     FixtureRow,
-    PairSelection,
-    canonical_table_label,
-    derive_constraints,
     diff_fixture_rows,
     parse_allowlist,
     parse_fixture_text,
+    verify_reference_row,
+)
+from davn.gauss import GaussInt
+from davn.postselect import (
+    CANDIDATE_WORDS,
+    PairSelection,
+    derive_constraints,
     postselect_pair,
     table_for_outcome,
-    verify_reference_row,
 )
 from davn.states import StateVector
 from reference import (
@@ -326,9 +334,17 @@ def test_table_labels_and_aliases():
     assert set(seen) == set(z_support(PSI))
 
 
-def fixture_rows():
-    from importlib import resources
+def test_fixture_block_headers_follow_the_table_blocks():
+    # The blocks are read off the component text; the fixture files are a
+    # second transcription of the same tables, tied to it by their headers.
+    fixdir = resources.files("davn") / "fixtures"
+    for label in TABLE_LABELS:
+        text = (fixdir / f"table_{label}.txt").read_text()
+        outcomes = re.findall(r"^# block \d+ outcome=([0-3]{4})$", text, re.M)
+        assert [tuple(map(int, o)) for o in outcomes] == list(TABLE_BLOCKS[label])
 
+
+def fixture_rows():
     rows = []
     fixdir = resources.files("davn") / "fixtures"
     for label in TABLE_LABELS:
@@ -435,7 +451,7 @@ def test_fixture_completeness_of_reference_constraints():
 
 
 def test_unused_allowlist_entry_fails_the_diff():
-    from davn.postselect import AllowlistEntry
+    from davn.fixtures import AllowlistEntry
 
     rows, fixdir = fixture_rows()
     allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text())
