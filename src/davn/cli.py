@@ -29,7 +29,12 @@ from .factory import (
     TABLE_LABELS,
     canonical_table_label,
 )
-from .fixtures import diff_fixture_rows, parse_allowlist, parse_fixture_text
+from .fixtures import (
+    check_table_shape,
+    diff_fixture_rows,
+    parse_allowlist,
+    parse_fixture_text,
+)
 from .lhv import verify_davn, verify_paradox
 from .postselect import table_for_outcome
 from .states import BasisKet
@@ -137,20 +142,23 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
     for label in TABLE_LABELS:
         resource = fixdir / f"table_{label}.txt"
         try:
-            rows += parse_fixture_text(resource.read_text(), label)
-        except (FileNotFoundError, OSError) as exc:
+            table = parse_fixture_text(resource.read_text(), label)
+            check_table_shape(table, label)
+        except FileNotFoundError as exc:
             raise ValueError(f"missing fixture table {label}: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise ValueError(f"{resource.name}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"no fixture rows found under {fixdir}")
+        rows += table
     resource = fixdir / "allowlist.txt"
     try:
-        # A missing allowlist excuses nothing; an undecodable one is an
-        # input error that names the file.
-        allowlist_text = resource.read_text() if resource.is_file() else ""
+        # A missing allowlist excuses nothing; an unreadable or
+        # undecodable one is an input error that names the file.
+        try:
+            allowlist_text = resource.read_text()
+        except FileNotFoundError:
+            allowlist_text = ""
         report = diff_fixture_rows(state, rows, parse_allowlist(allowlist_text))
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{resource.name}: {exc}") from exc
     if args.format == "json":
         _emit(reports.diff_json(report), args.output)

@@ -76,6 +76,11 @@ def _table_blocks(text: str) -> dict[str, tuple[BasisKet, ...]]:
 #: Outcome kets of each table, one block per outcome.
 TABLE_BLOCKS = _table_blocks(_PSI_1234_COMPONENTS)
 
+#: The table each of the 56 outcome kets belongs to.
+TABLE_OF_OUTCOME = {
+    ket: label for label, kets in TABLE_BLOCKS.items() for ket in kets
+}
+
 #: Positional roman names I..X for the ten tables, in document order.
 TABLE_ALIASES = {
     "III": "III-A", "IV": "III-B", "V": "IV-A", "VI": "IV-B",

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 
-from .factory import canonical_table_label
+from .factory import TABLE_BLOCKS, canonical_table_label
 from .gauss import GaussInt, parse_phase
-from .postselect import Eigenword, PairSelection, _constraint_row
+from .postselect import SITE_PAIRS, Eigenword, PairSelection, _constraint_row
 from .states import BasisKet, StateVector, phase_between
 
 # Table files and the allowlist share one line grammar: fields
@@ -147,84 +147,82 @@ def parse_fixture_text(text: str, label: str) -> list[FixtureRow]:
     return rows
 
 
-class RowVerdict:
-    """Comparison of a fixture row against the derived row.
+def _digits(ket: BasisKet) -> str:
+    return "".join(map(str, ket))
 
-    ``residual_ok`` means equal up to a global fourth-root phase (the
-    reference states residuals only up to phase).  ``basic_ok`` means the
-    listed basic constraint is among the derived eigenwords with the same
-    eigenvalue (or both sides agree there is none); ``extended_ok`` is an
-    exact match of the extended constraint.  ``block_ok`` records whether
-    the row's printed pair outcomes agree with its block's outcome.
+
+def check_table_shape(rows: list[FixtureRow], label: str) -> None:
+    """Raise ValueError unless ``rows`` hold all of table ``label``.
+
+    Its blocks are the outcomes of ``TABLE_BLOCKS[label]`` in order,
+    each with one row per unordered site pair.
     """
-
-    __slots__ = (
-        "row", "residual_ok", "basic_ok", "extended_ok", "block_ok", "reasons",
-    )
-
-    def __init__(
-        self,
-        row: FixtureRow,
-        residual_ok: bool,
-        basic_ok: bool,
-        extended_ok: bool,
-        block_ok: bool,
-        reasons: tuple[str, ...],
-    ) -> None:
-        self.row = row
-        self.residual_ok = residual_ok
-        self.basic_ok = basic_ok
-        self.extended_ok = extended_ok
-        self.block_ok = block_ok
-        self.reasons = reasons
-
-    @property
-    def derivation_ok(self) -> bool:
-        return self.residual_ok and self.basic_ok and self.extended_ok
-
-
-def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
-    """Re-derive one reference row from the state and diff it."""
-    reasons: list[str] = []
-    expected_i = row.block_outcome[row.pair.site_i]
-    expected_j = row.block_outcome[row.pair.site_j]
-    block_ok = (row.pair.m_i, row.pair.m_j) == (expected_i, expected_j)
-    if not block_ok:
-        reasons.append(
-            f"pair {row.pair.describe()} disagrees with block outcome "
-            f"{''.join(map(str, row.block_outcome))}"
-        )
-    try:
-        derived = _constraint_row(state, row.pair)
-    except ValueError:
-        return RowVerdict(
-            row, False, False, False, block_ok,
-            (*reasons, "selection has empty projection"),
-        )
-    residual_ok = (
-        phase_between(row.residual, derived.residual.state.amplitudes)
-        is not None
-    )
-    if not residual_ok:
-        reasons.append("residual differs beyond a global phase")
-    if row.basic is None:
-        basic_ok = not derived.eigenwords
-        if not basic_ok:
-            reasons.append("reference row lists no constraint but eigenwords exist")
-    else:
-        basic_ok = row.basic in derived.eigenwords
-        if not basic_ok:
-            reasons.append("basic eigenvalue differs or word is not an eigenword")
-    extended_ok = row.extended == derived.extended
-    if not extended_ok:
-        reasons.append("extended constraint differs")
-    return RowVerdict(
-        row, residual_ok, basic_ok, extended_ok, block_ok, tuple(reasons)
-    )
+    blocks: dict[BasisKet, list[tuple[int, int]]] = {}
+    for row in rows:
+        pair = (row.pair.site_i, row.pair.site_j)
+        blocks.setdefault(row.block_outcome, []).append((min(pair), max(pair)))
+    found = " ".join(map(_digits, blocks)) or "none"
+    expected = " ".join(map(_digits, TABLE_BLOCKS[label]))
+    if found != expected:
+        raise ValueError(f"blocks {found}, expected {expected}")
+    for outcome, pairs in blocks.items():
+        if sorted(pairs) != sorted(SITE_PAIRS):
+            raise ValueError(
+                f"block {_digits(outcome)} does not hold one row per site pair"
+            )
 
 
 #: Allowlist kinds: the two checks a fixture row can fail.
 ALLOWLIST_KINDS = ("derivation", "block-pair")
+
+
+class RowVerdict:
+    """Comparison of a fixture row against the derived row.
+
+    ``failed`` maps each allowlist kind the row fails to its reasons,
+    block-pair first.  ``derivation`` fails unless the residual is equal
+    up to a global fourth-root phase (the reference states residuals only
+    up to phase), the listed basic constraint is among the derived
+    eigenwords with the same eigenvalue (or both sides agree there is
+    none) and the extended constraint matches exactly.
+    """
+
+    __slots__ = ("row", "failed")
+
+    def __init__(self, row: FixtureRow, failed: dict[str, tuple[str, ...]]) -> None:
+        self.row = row
+        self.failed = failed
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        return sum(self.failed.values(), ())
+
+
+def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
+    """Re-derive one reference row from the state and diff it."""
+    failed = {}
+    pair, block = row.pair, row.block_outcome
+    if (pair.m_i, pair.m_j) != (block[pair.site_i], block[pair.site_j]):
+        failed["block-pair"] = (
+            f"pair {pair.describe()} disagrees with block outcome {_digits(block)}",
+        )
+    try:
+        derived = _constraint_row(state, pair)
+    except ValueError:
+        reasons = ["selection has empty projection"]
+    else:
+        reasons = []
+        if phase_between(row.residual, derived.residual.state.amplitudes) is None:
+            reasons.append("residual differs beyond a global phase")
+        if row.basic is None and derived.eigenwords:
+            reasons.append("reference row lists no constraint but eigenwords exist")
+        if row.basic is not None and row.basic not in derived.eigenwords:
+            reasons.append("basic eigenvalue differs or word is not an eigenword")
+        if row.extended != derived.extended:
+            reasons.append("extended constraint differs")
+    if reasons:
+        failed["derivation"] = tuple(reasons)
+    return RowVerdict(row, failed)
 
 
 class AllowlistEntry:
@@ -322,29 +320,21 @@ def diff_fixture_rows(
         if entry.key in allowed:
             raise ValueError(f"{name} kind {entry.kind} is repeated")
         allowed[entry.key] = entry
-    used = set()
     report = DiffReport()
+    report.total_rows = len(rows)
     for row in rows:
         verdict = verify_reference_row(state, row)
-        report.total_rows += 1
-        unallowed_failure = False
-        for kind, ok in (
-            ("derivation", verdict.derivation_ok),
-            ("block-pair", verdict.block_ok),
-        ):
-            if ok:
-                continue
-            key = (row.table, row.index, kind)
-            entry = allowed.get(key)
-            if entry is None:
-                unallowed_failure = True
-            else:
-                used.add(key)
-                report.allowlisted.append((verdict, entry))
-        if unallowed_failure:
-            report.failures.append(verdict)
-        elif verdict.derivation_ok and verdict.block_ok:
+        entries = [
+            allowed.get((row.table, row.index, kind))
+            for kind in ALLOWLIST_KINDS
+            if kind in verdict.failed
+        ]
+        if not entries:
             report.matched_rows += 1
+        elif None in entries:
+            report.failures.append(verdict)
+        report.allowlisted += [(verdict, e) for e in entries if e is not None]
+    used = {entry.key for _, entry in report.allowlisted}
     report.unused_allowlist = [
         entry for key, entry in sorted(allowed.items()) if key not in used
     ]

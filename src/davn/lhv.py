@@ -23,7 +23,7 @@ from functools import cache, reduce
 from itertools import combinations, product
 from operator import and_
 
-from .factory import TABLE_BLOCKS, TABLE_LABELS, joint_z_probability, z_support
+from .factory import TABLE_LABELS, TABLE_OF_OUTCOME, joint_z_probability, z_support
 from .gauss import phase_str
 from .postselect import ConstraintRow, Eigenword, table_for_outcome
 from .states import BasisKet, StateVector
@@ -180,11 +180,10 @@ def classify_type(outcome: BasisKet) -> str:
     component.  Each table holds one phase: A is +i for III, IV and V
     but -i for VI.
     """
-    key = tuple(outcome)
-    for label, blocks in TABLE_BLOCKS.items():
-        if key in blocks:
-            return label
-    raise ValueError(f"outcome {outcome} is not one of the 56 supported tuples")
+    label = TABLE_OF_OUTCOME.get(tuple(outcome))
+    if label is None:
+        raise ValueError(f"outcome {outcome} is not one of the 56 supported tuples")
+    return label
 
 
 class ParadoxReport:
@@ -249,13 +248,9 @@ def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
     merged = list(dict.fromkeys(basics + extendeds))
     witness = satisfiable(merged)
     core = None if witness is not None else tuple(minimal_unsat_core(merged))
-    try:
-        label = classify_type(outcome)
-    except ValueError:
-        label = None
     return ParadoxReport(
         outcome=tuple(outcome),
-        type_label=label,
+        type_label=TABLE_OF_OUTCOME.get(tuple(outcome)),
         probability=joint_z_probability(state, outcome),
         rows=rows,
         constraints_basic=tuple(basics),

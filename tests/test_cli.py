@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -354,6 +355,62 @@ def test_fixtures_diff_without_allowlist_excuses_nothing(tmp_path, capsys):
     assert code == 1
     assert err == ""
     assert "FAILURES: 6" in out
+
+
+def drop_lines(start, stop):
+    def edit(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:start] + lines[stop:])
+
+    return edit
+
+
+def swap_first_block_headers(text):
+    first, second = re.findall(r"# block \d+ outcome=\d+", text)[:2]
+    return text.replace(first, "@").replace(second, first).replace("@", second)
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        ("table_I.txt", lambda text: "", "blocks none, expected 0000 2222"),
+        ("table_VI-B.txt", drop_lines(3, 4),
+         "block 3122 does not hold one row per site pair"),
+        ("table_VI-B.txt", drop_lines(1, 8),
+         "blocks 2312 2231 1223 3212 2321, expected 3122 2312"),
+        ("table_II.txt", swap_first_block_headers,
+         "blocks 2002 0022 2200 0220 0202 2020, expected 0022 2002 2200"),
+        ("table_I.txt", lambda text: text.replace("Z3=1,Z4=1", "Z2=1,Z4=1", 1),
+         "block 0000 does not hold one row per site pair"),
+    ],
+    ids=["emptied", "dropped row", "dropped block", "swapped headers",
+         "repeated pair"],
+)
+def test_fixtures_diff_rejects_a_table_missing_rows_or_blocks(
+    tmp_path, capsys, name, edit, message
+):
+    table = copy_fixtures(tmp_path) / name
+    table.write_text(edit(table.read_text()))
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: ")
+    assert message in lines[0]
+
+
+@pytest.mark.parametrize("name", ["allowlist.txt", "table_I.txt"])
+def test_fixtures_diff_unreadable_file_is_named(tmp_path, capsys, name):
+    # A directory in a file's place is unreadable, not missing.
+    path = copy_fixtures(tmp_path) / name
+    path.unlink()
+    path.mkdir()
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: ")
+    assert "missing" not in lines[0]
 
 
 def test_fixtures_diff_missing_dir(tmp_path, capsys):

@@ -18,6 +18,7 @@ from davn.factory import (
     z_support,
 )
 from davn.fixtures import (
+    ALLOWLIST_KINDS,
     DiffReport,
     FixtureRow,
     diff_fixture_rows,
@@ -387,7 +388,7 @@ def test_table_fields_may_have_spaces_around_the_equals_sign():
 def test_verify_reference_row_matches_on_good_row():
     rows, _ = fixture_rows()
     verdict = verify_reference_row(PSI, rows[0])
-    assert verdict.derivation_ok and verdict.block_ok
+    assert verdict.failed == {}
     assert verdict.reasons == ()
 
 
@@ -401,8 +402,10 @@ def test_verify_reference_row_flags_flipped_target():
         row.residual, (word, (t + 2) % 4), row.extended,
     )
     verdict = verify_reference_row(PSI, tampered)
-    assert not verdict.basic_ok
-    assert any("eigenvalue differs" in reason for reason in verdict.reasons)
+    assert list(verdict.failed) == ["derivation"]
+    assert any(
+        "eigenvalue differs" in reason for reason in verdict.failed["derivation"]
+    )
 
 
 def test_verify_reference_row_flags_wrong_residual():
@@ -416,7 +419,32 @@ def test_verify_reference_row_flags_wrong_residual():
         tampered_residual, row.basic, row.extended,
     )
     verdict = verify_reference_row(PSI, tampered)
-    assert not verdict.residual_ok
+    assert verdict.failed == {
+        "derivation": ("residual differs beyond a global phase",)
+    }
+
+
+def test_row_failing_both_kinds_keeps_the_reasons_of_each():
+    # Table IV-A row 24 prints a Z3 outcome its block does not have, and
+    # its content matches the block's selection, not the printed one.
+    rows, fixdir = fixture_rows()
+    (row,) = [r for r in rows if (r.table, r.index) == ("IV-A", 24)]
+    verdict = verify_reference_row(PSI, row)
+    assert sorted(verdict.failed) == sorted(ALLOWLIST_KINDS)
+    assert verdict.reasons == (
+        *verdict.failed["block-pair"], *verdict.failed["derivation"]
+    )
+    assert "disagrees with block outcome 2110" in verdict.reasons[0]
+    allowlist = [
+        entry
+        for entry in parse_allowlist((fixdir / "allowlist.txt").read_text())
+        if (entry.table, entry.index) == ("IV-A", 24)
+    ]
+    report = diff_fixture_rows(PSI, [row], allowlist)
+    assert report.ok and report.matched_rows == 0
+    assert [entry.kind for _, entry in report.allowlisted] == [
+        "derivation", "block-pair",
+    ]
 
 
 def test_fixture_diff_is_clean_with_allowlist():
