@@ -10,6 +10,7 @@ reference.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .factory import TABLE_BLOCKS, canonical_table_label
 from .gauss import GaussInt, parse_phase
@@ -20,7 +21,11 @@ from .states import BasisKet, StateVector, phase_between
 # ``key=value`` separated by ``|``, with key and value stripped.  The
 # value grammar is the (pattern, shape) pairs below; ``re`` compiles each
 # pattern on its first use and caches it, so a command that reads no
-# fixture compiles none.
+# fixture compiles none.  The 336 packaged rows repeat their values (146
+# distinct texts among 1344 pair, residual and eigenword fields), so each
+# value parser is a pure function of the field text, memoized in a
+# bounded cache (the text is outside input) that keeps no errors and only
+# immutable results: a row builds its own pair and residual dict.
 
 _PHASE = r"\s*([+-]?[1i])\s*"
 _OUTCOME = ("[0-3]{4}", "4 digits 0..3")
@@ -85,6 +90,26 @@ class FixtureRow:
         self.extended = extended
 
 
+@lru_cache(maxsize=256)
+def _pair(text: str) -> tuple[int, int, int, int]:
+    """PairSelection arguments: 0-based sites and phase exponents."""
+    i, m_i, j, m_j = _match(_PAIR, text).groups()
+    return int(i) - 1, int(j) - 1, parse_phase(m_i), parse_phase(m_j)
+
+
+@lru_cache(maxsize=256)
+def _residual(text: str) -> tuple[tuple[BasisKet, GaussInt], ...]:
+    """The residual's (ket, amplitude) items."""
+    terms = _match(_RESIDUAL, text)[0].split(";")
+    residual = {
+        (int(a), int(b)): GaussInt.from_phase(int(t)) for a, b, _, t in terms
+    }
+    if len(residual) != len(terms):
+        raise ValueError("a residual ket is repeated")
+    return tuple(residual.items())
+
+
+@lru_cache(maxsize=256)
 def _eigenword(text: str) -> Eigenword | None:
     u, v, value = _match(_EIGENWORD, text).groups()
     if u is None:
@@ -121,17 +146,8 @@ def parse_fixture_text(text: str, label: str) -> list[FixtureRow]:
             table = canonical_table_label(fields["table"])
             if table != label:
                 raise ValueError(f"row of table {table} in a table {label} file")
-            i, m_i, j, m_j = _match(_PAIR, fields["pair"]).groups()
-            pair = PairSelection(
-                int(i) - 1, int(j) - 1, parse_phase(m_i), parse_phase(m_j)
-            )
-            terms = _match(_RESIDUAL, fields["residual"])[0].split(";")
-            residual = {
-                (int(a), int(b)): GaussInt.from_phase(int(t))
-                for a, b, _, t in terms
-            }
-            if len(residual) != len(terms):
-                raise ValueError("a residual ket is repeated")
+            pair = PairSelection(*_pair(fields["pair"]))
+            residual = dict(_residual(fields["residual"]))
             basic = _eigenword(fields["basic"])
             extended = _eigenword(fields["extended"])
             if block_outcome is None:
@@ -324,14 +340,15 @@ def diff_fixture_rows(
     report.total_rows = len(rows)
     for row in rows:
         verdict = verify_reference_row(state, row)
+        if not verdict.failed:
+            report.matched_rows += 1
+            continue
         entries = [
             allowed.get((row.table, row.index, kind))
             for kind in ALLOWLIST_KINDS
             if kind in verdict.failed
         ]
-        if not entries:
-            report.matched_rows += 1
-        elif None in entries:
+        if None in entries:
             report.failures.append(verdict)
         report.allowlisted += [(verdict, e) for e in entries if e is not None]
     used = {entry.key for _, entry in report.allowlisted}

@@ -39,8 +39,9 @@ class GaussInt:
 
     Python integers are arbitrary precision, so ring operations cannot
     overflow; amplitudes in this package stay single-digit anyway.
-    Values compare and hash by (re, im): states compare amplitude dicts,
-    and the eigenword scan memo is keyed on frozensets of amplitudes.
+    Values compare and hash by (re, im): states compare amplitude dicts
+    and hash the frozenset of their (ket, amplitude) items, which keys
+    the eigenword scan memo.
     """
 
     __slots__ = ("re", "im")

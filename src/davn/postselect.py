@@ -97,14 +97,16 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
     Raises if a site is out of range or the selection has probability
     zero.  The first selection on a site pair sweeps the kets once and
     files them with the state by the pair's outcomes; each residual is
-    built on its first selection and shared by every later one.
+    built on its first selection, without re-checking the kets it cuts
+    from the validated state, and shared by every later one.
     """
     sites = (pair.site_i, pair.site_j)
-    for site in sites:
-        if not 0 <= site < state.n_sites:
-            raise ValueError(f"site {site + 1} out of range")
     index = state._selections.get(sites)
     if index is None:
+        # Only a site pair in range is filed, so a filed pair needs no check.
+        for site in sites:
+            if not 0 <= site < state.n_sites:
+                raise ValueError(f"site {site + 1} out of range")
         kets_by_outcome: dict[tuple[int, int], dict[BasisKet, GaussInt]] = {}
         for ket, amp in state.amplitudes.items():
             outcome = (ket[pair.site_i], ket[pair.site_j])
@@ -124,7 +126,7 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
             for ket, amp in kets_by_outcome[outcome].items()
         }
         residual = residuals[outcome] = ResidualState(
-            keep, StateVector(len(keep), amplitudes, level=state.level)
+            keep, StateVector._cut(len(keep), amplitudes, state.level)
         )
     return residual
 
@@ -139,7 +141,8 @@ def derive_constraints(
     even-exponent form, which is itself an eigen-relation (squaring an
     eigen-relation squares the eigenvalue).  The scan is a pure function
     of the amplitudes, so each distinct residual is scanned once per
-    process.
+    process; the memo is keyed on the state, which hashes its amplitudes
+    once, so a residual shared by many rows is not hashed again.
     """
     if residual.n_sites != 2:
         raise ValueError("constraints are derived from two-site residuals")
@@ -147,7 +150,7 @@ def derive_constraints(
         raise ValueError("zero state has no eigenvalues")
     if residual.level != 4:
         raise ValueError("Pauli words act on 4-level states only")
-    return _scan(frozenset(residual.amplitudes.items()))
+    return _scan(residual)
 
 
 def _shift_eigenvalue(amplitudes: dict, u: int, v: int) -> int | None:
@@ -165,10 +168,10 @@ def _shift_eigenvalue(amplitudes: dict, u: int, v: int) -> int | None:
 
 @lru_cache(maxsize=1024)
 def _scan(
-    items: frozenset[tuple[BasisKet, GaussInt]],
+    residual: StateVector,
 ) -> tuple[tuple[Eigenword, ...], Eigenword | None, Eigenword | None]:
     """derive_constraints on a validated nonzero two-ququart residual."""
-    amplitudes = dict(items)
+    amplitudes = residual.amplitudes
     eigenwords = tuple(
         ((u, v), t)
         for u, v in CANDIDATE_WORDS

@@ -493,20 +493,27 @@ def mutated_fixtures(draw):
 def test_fixtures_diff_exit_code_contract_under_mutation(case):
     # Exit 0, 1 or 2 and no traceback whatever one edit does to one file;
     # an input error is one stderr line naming the edited file or table.
+    # A second run on the same files, with the parse and derivation memos
+    # warm, must give the same verdict or error.
     name, files = case
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for file_name, text in files.items():
             (Path(tmp) / file_name).write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["fixtures-diff", "--dir", tmp, "--format", "json"])
+        for _ in range(2):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["fixtures-diff", "--dir", tmp, "--format", "json"])
+            runs.append((code, out.getvalue(), err.getvalue()))
+    assert runs[1] == runs[0]
+    code, out, err = runs[0]
     if code != 2:
         assert code in (0, 1)
-        assert err.getvalue() == ""
-        json.loads(out.getvalue())
+        assert err == ""
+        json.loads(out)
         return
-    assert out.getvalue() == ""
-    lines = err.getvalue().splitlines()
+    assert out == ""
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     table = name.removeprefix("table_").removesuffix(".txt")
     assert name in lines[0] or f"table {table} " in lines[0]

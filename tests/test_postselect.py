@@ -144,6 +144,37 @@ def test_postselect_pair_matches_the_sweep_on_random_states(amplitudes):
     assert_selections_match_the_sweep(StateVector(4, amplitudes))
 
 
+@pytest.mark.parametrize("name", STATE_NAMES)
+def test_residuals_equal_states_built_by_the_validating_constructor(name):
+    # postselect_pair cuts residuals without re-checking their kets; the
+    # public constructor, fed the same amplitudes, is the reference.
+    state = build_state(name)
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                continue
+            selected = 0
+            for a in range(4):
+                for b in range(4):
+                    try:
+                        residual = postselect_pair(
+                            state, PairSelection(i, j, a, b)
+                        ).state
+                    except ValueError:
+                        continue
+                    reference = StateVector(
+                        residual.n_sites,
+                        dict(residual.amplitudes),
+                        level=residual.level,
+                    )
+                    assert residual == reference
+                    assert list(residual.amplitudes) == list(reference.amplitudes)
+                    assert residual.norm_sq == reference.norm_sq
+                    assert hash(residual) == hash(reference)
+                    selected += 1
+            assert selected > 0
+
+
 def test_states_of_one_shape_keep_their_own_selections():
     # Same kets, other amplitudes: an index shared by shape would hand the
     # second state the first one's residuals.
@@ -383,6 +414,52 @@ def test_table_fields_may_have_spaces_around_the_equals_sign():
     assert spaced.pair == rows[0].pair
     assert spaced.residual == rows[0].residual
     assert (spaced.basic, spaced.extended) == (rows[0].basic, rows[0].extended)
+
+
+#: Row 1 of table I, for parses of edited copies.
+TABLE_I_ROW = (
+    "table=I | pair=Z1=1,Z2=1 | residual=00:0;13:1;22:2;31:3"
+    " | basic=1,3:-i | extended=2,2:-1"
+)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("pair=Z1=1,Z2=1", "pair=Z1=1,Z2=2"),
+        ("pair=Z1=1,Z2=1", "pair=Z1=1,Z1=-1"),
+        ("residual=00:0;", "residual=00:4;"),
+        ("residual=00:0;", "residual=00:0;00:2;"),
+        ("basic=1,3:-i", "basic=4,3:-i"),
+        ("extended=2,2:-1", "extended=2,2:2"),
+    ],
+)
+def test_a_repeated_bad_value_is_rejected_on_each_line(old, new):
+    # Value parses are memoized, but a failed one is not kept: the same
+    # bad text fails again and names the line it is on.
+    bad = TABLE_I_ROW.replace(old, new)
+    messages = []
+    for before in ([], [TABLE_I_ROW]):
+        lines = ["# block 1 outcome=0000", *before, bad, bad]
+        with pytest.raises(ValueError) as raised:
+            parse_fixture_text("\n".join(lines), "I")
+        messages.append(str(raised.value))
+    assert messages[0].startswith("bad fixture line 2 (")
+    assert messages[1] == messages[0].replace("line 2 (", "line 3 (", 1)
+
+
+def test_rows_parsed_from_one_text_share_no_mutable_state():
+    text = f"# block 1 outcome=0000\n{TABLE_I_ROW}\n{TABLE_I_ROW}"
+    first, second = parse_fixture_text(text, "I")
+    expected = dict(second.residual)
+    first.residual[(0, 0)] = GaussInt.from_phase(2)
+    del first.residual[(1, 3)]
+    first.pair.m_i = 3
+    assert second.residual == expected
+    assert second.pair == PairSelection(0, 1, 0, 0)
+    again = parse_fixture_text(text, "I")[0]
+    assert again.residual == expected
+    assert again.pair == PairSelection(0, 1, 0, 0)
 
 
 def test_verify_reference_row_matches_on_good_row():

@@ -42,6 +42,16 @@ def test_norm_is_recomputed_sum_of_squares():
     assert state.norm_sq == 5 + 1
 
 
+def test_equal_states_hash_alike():
+    # The eigenword scan memo is keyed on states, so == and hash agree.
+    reordered = StateVector(
+        2, {**dict(reversed(RESIDUAL.amplitudes.items())), (1, 1): GaussInt(0, 0)}
+    )
+    assert reordered == RESIDUAL
+    assert hash(reordered) == hash(RESIDUAL)
+    assert len({reordered, RESIDUAL, scaled_by_phase(RESIDUAL, 1)}) == 2
+
+
 def test_digit_range_is_validated():
     with pytest.raises(ValueError):
         StateVector(1, {(4,): GaussInt(1, 0)})
