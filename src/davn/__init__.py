@@ -1,8 +1,8 @@
 """Exact verification engine for a four-ququart (d = 4) deterministic
 all-versus-nothing Bell-nonlocality argument.
 
-Everything is integer arithmetic: Gaussian-integer amplitudes, phase
-exponents mod 4, and rational probabilities.  See the README for the
+Everything is integer arithmetic: every amplitude is a unit i**t held
+as its phase exponent t mod 4, and probabilities are rationals.  See the README for the
 module map and the CLI (``davn``) for the runnable verification suites.
 """
 
@@ -17,7 +17,6 @@ from .factory import (
     reduced_density,
     z_support,
 )
-from .gauss import GaussInt
 from .lhv import (
     Constraint,
     classify_type,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constraint",
-    "GaussInt",
     "PairSelection",
     "StateVector",
     "__version__",

@@ -103,8 +103,8 @@ def checks_psi1234(state: StateVector) -> list[Check]:
     checks = [
         Check(
             "56 components with norm_sq 56",
-            len(state.amplitudes) == 56 and state.norm_sq == 56,
-            f"{len(state.amplitudes)} components, norm_sq={state.norm_sq}",
+            len(state.phases) == 56 and state.norm_sq == 56,
+            f"{len(state.phases)} components, norm_sq={state.norm_sq}",
         ),
         Check(
             "digit-sum rule on the support",
@@ -149,8 +149,8 @@ def checks_psi4_qubit(state: StateVector) -> list[Check]:
     checks = [
         Check(
             "7 components with norm_sq 7",
-            len(state.amplitudes) == 7 and state.norm_sq == 7,
-            f"{len(state.amplitudes)} components, norm_sq={state.norm_sq}",
+            len(state.phases) == 7 and state.norm_sq == 7,
+            f"{len(state.phases)} components, norm_sq={state.norm_sq}",
         ),
         Check(
             "qubit Z-word fixes the state",
@@ -168,7 +168,7 @@ def checks_psi4_embedded(state: StateVector) -> list[Check]:
     checks = [
         Check(
             "embedding preserved the seed state",
-            state.norm_sq == 7 and len(state.amplitudes) == 7,
+            state.norm_sq == 7 and len(state.phases) == 7,
             "digit map 0 -> 0, 1 -> 1 keeps all 7 amplitudes",
         ),
         Check(

@@ -42,7 +42,7 @@ from .states import BasisKet
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text)
+        Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -92,10 +92,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
 def cmd_paradox(args: argparse.Namespace) -> int:
     state = build_state(args.state)
     outcome = _parse_outcome(args.outcome, state.n_sites)
-    if state.amplitude(outcome).is_zero():
+    if outcome not in state.phases:
         raise ValueError(
             f"outcome {args.outcome} has probability 0; only the "
-            f"{len(state.amplitudes)} supported outcomes admit a paradox"
+            f"{len(state.phases)} supported outcomes admit a paradox"
         )
     report = verify_paradox(state, outcome)
     if args.format == "json":
@@ -142,7 +142,7 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
     for label in TABLE_LABELS:
         resource = fixdir / f"table_{label}.txt"
         try:
-            table = parse_fixture_text(resource.read_text(), label)
+            table = parse_fixture_text(resource.read_text(encoding="utf-8"), label)
             check_table_shape(table, label)
         except FileNotFoundError as exc:
             raise ValueError(f"missing fixture table {label}: {exc}") from exc
@@ -154,7 +154,7 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
         # A missing allowlist excuses nothing; an unreadable or
         # undecodable one is an input error that names the file.
         try:
-            allowlist_text = resource.read_text()
+            allowlist_text = resource.read_text(encoding="utf-8")
         except FileNotFoundError:
             allowlist_text = ""
         report = diff_fixture_rows(state, rows, parse_allowlist(allowlist_text))

@@ -9,7 +9,9 @@ embedding into ququarts are provided for comparison.  The paper's ten
 condition tables group the same 56 components by family, so their
 outcome lists are read off the component text too.
 
-Probabilities are exact `Fraction` values |amplitude|**2 / norm_sq.
+States carry phase exponents (amplitude i**t), so every supported
+ket weighs 1: probabilities are exact `Fraction` values 1 / norm_sq, and
+reduced-density entries count ket pairs by their phase difference.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .gauss import ZERO, GaussInt, parse_phase
+from .gauss import parse_phase
 from .states import BasisKet, StateVector
 
 # The 56 components, written as <digits>:<amplitude>.  One row per
@@ -117,9 +119,7 @@ def _check_transcription(terms: dict[BasisKet, int]) -> None:
 def build_psi_1234() -> StateVector:
     """The 56-component four-ququart state (norm_sq = 56)."""
     _check_transcription(PSI_1234_TERMS)
-    return StateVector(
-        4, {ket: GaussInt.from_phase(t) for ket, t in PSI_1234_TERMS.items()}
-    )
+    return StateVector(4, PSI_1234_TERMS)
 
 
 def build_psi4_qubit() -> StateVector:
@@ -127,17 +127,16 @@ def build_psi4_qubit() -> StateVector:
 
     norm_sq = 7; digits are 0 (up) and 1 (down).
     """
-    amplitudes = {(0, 0, 0, 0): GaussInt.from_phase(0)}
+    phases = {(0, 0, 0, 0): 0}
     for i, j in combinations(range(4), 2):
-        ket = tuple(1 if site in (i, j) else 0 for site in range(4))
-        amplitudes[ket] = GaussInt.from_phase(2)
-    return StateVector(4, amplitudes, level=2)
+        phases[tuple(1 if site in (i, j) else 0 for site in range(4))] = 2
+    return StateVector(4, phases, level=2)
 
 
 def embed_qubit_state(state: StateVector, target_digit: int) -> StateVector:
     """Relabel a 2-level state into 4 levels: 0 -> 0, 1 -> target_digit.
 
-    Amplitudes are unchanged, so norm_sq is preserved.
+    Phases are unchanged, so norm_sq is preserved.
     """
     if state.level != 2:
         raise ValueError("embedding expects a 2-level state")
@@ -146,8 +145,8 @@ def embed_qubit_state(state: StateVector, target_digit: int) -> StateVector:
     return StateVector(
         state.n_sites,
         {
-            tuple(target_digit if k else 0 for k in ket): amp
-            for ket, amp in state.amplitudes.items()
+            tuple(target_digit if k else 0 for k in ket): t
+            for ket, t in state.phases.items()
         },
         level=4,
     )
@@ -156,8 +155,9 @@ def embed_qubit_state(state: StateVector, target_digit: int) -> StateVector:
 class DensityMatrix:
     """Exact single-site density matrix: numerators over a common denominator.
 
-    Entry (r, c) is numerators[r][c] / denominator with a Gaussian-integer
-    numerator, so Hermiticity and trace are checked by integer equality.
+    Entry (r, c) is (re + im*i) / denominator for the int pair
+    numerators[r][c] = (re, im), so Hermiticity and trace are checked by
+    integer equality.
     """
 
     __slots__ = ("dim", "denominator", "numerators")
@@ -166,7 +166,7 @@ class DensityMatrix:
         self,
         dim: int,
         denominator: int,
-        numerators: tuple[tuple[GaussInt, ...], ...],
+        numerators: tuple[tuple[tuple[int, int], ...], ...],
     ) -> None:
         self.dim = dim
         self.denominator = denominator
@@ -174,7 +174,7 @@ class DensityMatrix:
 
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(
-            Fraction(self.numerators[k][k].re, self.denominator)
+            Fraction(self.numerators[k][k][0], self.denominator)
             for k in range(self.dim)
         )
 
@@ -183,39 +183,44 @@ class DensityMatrix:
 
     def is_hermitian(self) -> bool:
         return all(
-            self.numerators[r][c] == self.numerators[c][r].conj()
+            self.numerators[c][r] == (re, -im)
             for r in range(self.dim)
-            for c in range(self.dim)
+            for c, (re, im) in enumerate(self.numerators[r])
         )
 
     def is_maximally_mixed(self) -> bool:
         """Exactly equal to identity / dim."""
-        for r in range(self.dim):
-            for c in range(self.dim):
-                num = self.numerators[r][c]
-                if r == c:
-                    if num.im != 0 or num.re * self.dim != self.denominator:
-                        return False
-                elif not num.is_zero():
-                    return False
-        return True
+        return all(
+            (re * self.dim == self.denominator if r == c else re == 0) and im == 0
+            for r in range(self.dim)
+            for c, (re, im) in enumerate(self.numerators[r])
+        )
 
 
 def reduced_density(state: StateVector, site: int) -> DensityMatrix:
-    """Exact partial trace onto one site (0-based index)."""
+    """Exact partial trace onto one site (0-based index).
+
+    Entry (r, c) sums i**(t_r - t_c) over the ket pairs that agree off
+    the site and read r and c on it.  With n_e such pairs of exponent
+    difference e mod 4, that is (n_0 - n_2) + (n_1 - n_3) i.
+    """
     if not 0 <= site < state.n_sites:
         raise ValueError(f"site {site} out of range 0..{state.n_sites - 1}")
     d = state.level
-    buckets: dict[BasisKet, dict[int, GaussInt]] = {}
-    for ket, amp in state.amplitudes.items():
+    buckets: dict[BasisKet, dict[int, int]] = {}
+    for ket, t in state.phases.items():
         rest = ket[:site] + ket[site + 1 :]
-        buckets.setdefault(rest, {})[ket[site]] = amp
-    nums = [[ZERO for _ in range(d)] for _ in range(d)]
+        buckets.setdefault(rest, {})[ket[site]] = t
+    counts = [[[0] * 4 for _ in range(d)] for _ in range(d)]
     for row in buckets.values():
-        for r, amp_r in row.items():
-            for c, amp_c in row.items():
-                nums[r][c] = nums[r][c] + amp_r * amp_c.conj()
-    return DensityMatrix(d, state.norm_sq, tuple(tuple(r) for r in nums))
+        for r, t_r in row.items():
+            for c, t_c in row.items():
+                counts[r][c][(t_r - t_c) % 4] += 1
+    return DensityMatrix(
+        d,
+        state.norm_sq,
+        tuple(tuple((n0 - n2, n1 - n3) for n0, n1, n2, n3 in r) for r in counts),
+    )
 
 
 class NonstabilizerVerdict:
@@ -278,7 +283,7 @@ def z_word_fixes(state: StateVector, power: int) -> bool:
     """
     if state.is_zero():
         raise ValueError("zero state has no eigenvalues")
-    return all(power * sum(ket) % 4 == 0 for ket in state.amplitudes)
+    return all(power * sum(ket) % 4 == 0 for ket in state.phases)
 
 
 def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
@@ -293,7 +298,7 @@ def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
         raise ValueError(f"Z words are defined for levels 2 and 4, not {d}")
     p = 4 // d
     digit_rule_holds = all(
-        (p * sum(ket) % 4 == 0) == (sum(ket) % d == 0) for ket in state.amplitudes
+        (p * sum(ket) % 4 == 0) == (sum(ket) % d == 0) for ket in state.phases
     )
     return StabilizerAudit(z_word_fixes(state, p), digit_rule_holds)
 
@@ -302,9 +307,10 @@ def joint_z_probability(state: StateVector, outcome: BasisKet) -> Fraction:
     """Probability of the joint Z outcome i**k_j on each site j.
 
     Measuring every Z projectively is measurement in the computational
-    basis, so this is |amplitude|**2 / norm_sq, an exact rational.
+    basis, so this is |amplitude|**2 / norm_sq: 1 / norm_sq on the
+    support, since every amplitude is a unit, and 0 off it.
     """
-    return Fraction(state.amplitude(outcome).norm_sq(), state.norm_sq)
+    return Fraction(1, state.norm_sq) if outcome in state.phases else Fraction(0)
 
 
 def z_support(state: StateVector) -> list[BasisKet]:

@@ -13,7 +13,7 @@ import re
 from functools import lru_cache
 
 from .factory import TABLE_BLOCKS, canonical_table_label
-from .gauss import GaussInt, parse_phase
+from .gauss import parse_phase
 from .postselect import SITE_PAIRS, Eigenword, PairSelection, _constraint_row
 from .states import BasisKet, StateVector, phase_between
 
@@ -63,7 +63,7 @@ class FixtureRow:
     ``index`` is the 1-based data-row position within its table file and
     is the row identifier used by the allowlist.  ``block_outcome`` comes
     from the block header comment preceding the row.  ``residual`` maps
-    the residual's kets to their unit amplitudes.
+    the residual's kets to their phase exponents.
     """
 
     __slots__ = (
@@ -77,7 +77,7 @@ class FixtureRow:
         index: int,
         block_outcome: BasisKet,
         pair: PairSelection,
-        residual: dict[BasisKet, GaussInt],
+        residual: dict[BasisKet, int],
         basic: Eigenword | None,
         extended: Eigenword | None,
     ) -> None:
@@ -98,12 +98,10 @@ def _pair(text: str) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=256)
-def _residual(text: str) -> tuple[tuple[BasisKet, GaussInt], ...]:
-    """The residual's (ket, amplitude) items."""
+def _residual(text: str) -> tuple[tuple[BasisKet, int], ...]:
+    """The residual's (ket, phase exponent) items."""
     terms = _match(_RESIDUAL, text)[0].split(";")
-    residual = {
-        (int(a), int(b)): GaussInt.from_phase(int(t)) for a, b, _, t in terms
-    }
+    residual = {(int(a), int(b)): int(t) for a, b, _, t in terms}
     if len(residual) != len(terms):
         raise ValueError("a residual ket is repeated")
     return tuple(residual.items())
@@ -228,7 +226,7 @@ def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
         reasons = ["selection has empty projection"]
     else:
         reasons = []
-        if phase_between(row.residual, derived.residual.state.amplitudes) is None:
+        if phase_between(row.residual, derived.residual.state.phases) is None:
             reasons.append("residual differs beyond a global phase")
         if row.basic is None and derived.eigenwords:
             reasons.append("reference row lists no constraint but eigenwords exist")

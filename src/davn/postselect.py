@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gauss import GaussInt, phase_str
+from .gauss import phase_str
 from .states import BasisKet, StateVector, phase_between
 
 #: An eigen-relation of a two-site residual: ((u, v), eigenvalue exponent).
@@ -91,7 +91,7 @@ class ConstraintRow:
 def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
     """Project two sites onto given Z outcomes; keep the rest.
 
-    The residual keeps the amplitudes of all matching kets re-indexed to
+    The residual keeps the phases of all matching kets re-indexed to
     the remaining sites in ascending order; the global phase is whatever
     the state carries (comparisons downstream are phase-insensitive).
     Raises if a site is out of range or the selection has probability
@@ -107,10 +107,10 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
         for site in sites:
             if not 0 <= site < state.n_sites:
                 raise ValueError(f"site {site + 1} out of range")
-        kets_by_outcome: dict[tuple[int, int], dict[BasisKet, GaussInt]] = {}
-        for ket, amp in state.amplitudes.items():
+        kets_by_outcome: dict[tuple[int, int], dict[BasisKet, int]] = {}
+        for ket, t in state.phases.items():
             outcome = (ket[pair.site_i], ket[pair.site_j])
-            kets_by_outcome.setdefault(outcome, {})[ket] = amp
+            kets_by_outcome.setdefault(outcome, {})[ket] = t
         index = state._selections[sites] = (kets_by_outcome, {})
     kets_by_outcome, residuals = index
     outcome = (pair.m_i, pair.m_j)
@@ -121,12 +121,12 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
                 f"selection {pair.describe()} has probability zero"
             )
         keep = tuple(s for s in range(state.n_sites) if s not in sites)
-        amplitudes = {
-            tuple(ket[s] for s in keep): amp
-            for ket, amp in kets_by_outcome[outcome].items()
+        phases = {
+            tuple(ket[s] for s in keep): t
+            for ket, t in kets_by_outcome[outcome].items()
         }
         residual = residuals[outcome] = ResidualState(
-            keep, StateVector._cut(len(keep), amplitudes, state.level)
+            keep, StateVector._cut(len(keep), phases, state.level)
         )
     return residual
 
@@ -140,8 +140,8 @@ def derive_constraints(
     constraint is the first eigenword found; the extended one is its
     even-exponent form, which is itself an eigen-relation (squaring an
     eigen-relation squares the eigenvalue).  The scan is a pure function
-    of the amplitudes, so each distinct residual is scanned once per
-    process; the memo is keyed on the state, which hashes its amplitudes
+    of the phases, so each distinct residual is scanned once per
+    process; the memo is keyed on the state, which hashes its phases
     once, so a residual shared by many rows is not hashed again.
     """
     if residual.n_sites != 2:
@@ -153,17 +153,15 @@ def derive_constraints(
     return _scan(residual)
 
 
-def _shift_eigenvalue(amplitudes: dict, u: int, v: int) -> int | None:
+def _shift_eigenvalue(phases: dict, u: int, v: int) -> int | None:
     """c with X_k**u X_l**v |s> = i**c |s>, or None.
 
     The word sends |a,b> to |a+u, b+v> with no phase, so the relation
     holds exactly when the shifted kets are the support and
-    amp[k] == i**c * amp[k + (u, v)] with one common c.
+    phases[k] == phases[k + (u, v)] + c (mod 4) with one common c.
     """
-    image = {
-        ((a + u) % 4, (b + v) % 4): amp for (a, b), amp in amplitudes.items()
-    }
-    return phase_between(image, amplitudes)
+    image = {((a + u) % 4, (b + v) % 4): t for (a, b), t in phases.items()}
+    return phase_between(image, phases)
 
 
 @lru_cache(maxsize=1024)
@@ -171,11 +169,11 @@ def _scan(
     residual: StateVector,
 ) -> tuple[tuple[Eigenword, ...], Eigenword | None, Eigenword | None]:
     """derive_constraints on a validated nonzero two-ququart residual."""
-    amplitudes = residual.amplitudes
+    phases = residual.phases
     eigenwords = tuple(
         ((u, v), t)
         for u, v in CANDIDATE_WORDS
-        if (t := _shift_eigenvalue(amplitudes, u, v)) is not None
+        if (t := _shift_eigenvalue(phases, u, v)) is not None
     )
     if not eigenwords:
         return eigenwords, None, None
@@ -186,7 +184,7 @@ def _scan(
     # The square of an odd word may act on one site only (u or v even),
     # so it is tested on its own rather than looked up among the nine.
     u, v = 2 * u % 4, 2 * v % 4
-    t = _shift_eigenvalue(amplitudes, u, v)
+    t = _shift_eigenvalue(phases, u, v)
     if t is None:
         raise AssertionError(
             f"square of eigenword {basic} did not verify; scan is broken"
@@ -211,7 +209,7 @@ def table_for_outcome(
     state: StateVector, outcome: BasisKet
 ) -> tuple[ConstraintRow, ...]:
     """The six constraint rows of one joint outcome, one per site pair."""
-    if state.amplitude(outcome).is_zero():
+    if outcome not in state.phases:
         raise ValueError(
             f"outcome {outcome} has probability zero; no table for it"
         )

@@ -95,10 +95,7 @@ def render_state(state: StateVector) -> str:
     """Ket-sum rendering with the exact normalisation as a suffix."""
     parts = []
     for index, ket in enumerate(state.support()):
-        t = state.amplitudes[ket].as_phase()
-        if t is None:
-            raise ValueError("only unit-amplitude states are rendered")
-        parts.append(render_amplitude_term(ket, t, index == 0))
+        parts.append(render_amplitude_term(ket, state.phases[ket], index == 0))
     body = "(" + "".join(parts) + ")"
     n = state.norm_sq
     if n == 1:

@@ -1,14 +1,16 @@
 """Seeded empirical sampling of the exact joint-Z distribution.
 
 The generator is pinned, not just the seed: draws come from Python's
-Mersenne Twister via ``random.Random(seed).randrange(norm_sq)`` and are
-mapped to outcomes through the cumulative integer weights |amp|**2 in
-lexicographic outcome order.  The identifier below is recorded in every
-summary so a reproduction knows exactly what to re-run.
+Mersenne Twister via ``random.Random(seed).randrange(n)`` over the ``n``
+supported outcomes in lexicographic order, mapped to outcomes through
+the cumulative weights |amp|**2.  Every amplitude is a unit, so each
+outcome weighs 1 and the draw is the outcome's index.  The identifier
+below is recorded in every summary so a reproduction knows exactly what
+to re-run.
 
-For ``norm_sq < 256`` (every state the CLI samples) the draws are not
-made one by one: they are tallied from raw generator bytes, with the
-same counts, because CPython's generator guarantees three facts.
+For ``n < 256`` (every state the CLI samples) the draws are not made
+one by one: they are tallied from raw generator bytes, with the same
+counts, because CPython's generator guarantees three facts.
 
 * ``randrange(n)`` repeats ``getrandbits(k)`` until the value is below
   ``n``, where ``k = n.bit_length()``.
@@ -18,11 +20,11 @@ same counts, because CPython's generator guarantees three facts.
   of each of the next ``m`` outputs, in order.
 
 So a top byte ``t`` is the draw ``t >> (8 - k)``, rejected when that is
-``norm_sq`` or more.  The per-draw ``randrange`` loop is kept for larger
-norms and is the reference the tests compare the tally against.
+``n`` or more.  The per-draw ``randrange`` loop is kept for ``n >= 256``
+and is the reference the tests compare the tally against.
 
-One ``bytes.translate`` maps each top byte to its outcome index, or to
-the number of outcomes ``n`` when the draw is rejected; that index is
+One ``bytes.translate`` maps each top byte to its draw, which is its
+outcome index, or to ``n`` when the draw is rejected; that index is
 never tallied.  The indices are then counted by bit planes rather than
 by one pass per outcome.  Plane ``b`` is a Python int whose bit ``i`` is
 bit ``b`` of the ``i``-th index, built from the eight interleaved slices
@@ -37,7 +39,6 @@ popcounts of ints an eighth of its size, instead of ``n`` passes.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from fractions import Fraction
 
 from .states import BasisKet, StateVector
@@ -102,49 +103,39 @@ def sample_outcomes(state: StateVector, runs: int, seed: int) -> SampleSummary:
         raise ValueError("seed must be a non-negative integer")
     if type(runs) is not int or runs <= 0:
         raise ValueError("runs must be a positive integer")
-    if state.norm_sq <= 0:
+    if state.is_zero():
         raise ValueError("cannot sample a state of zero norm")
     outcomes = state.support()
-    boundaries = []
-    acc = 0
-    for ket in outcomes:
-        acc += state.amplitude(ket).norm_sq()
-        boundaries.append(acc)
+    n = len(outcomes)
     rng = random.Random(seed)
-    if state.norm_sq < 256:
-        tally = _tally_top_bytes(rng, state.norm_sq, boundaries, runs)
+    if n < 256:
+        tally = _tally_top_bytes(rng, n, runs)
     else:
-        tally = [0] * len(outcomes)
+        tally = [0] * n
         for _ in range(runs):
-            tally[bisect_right(boundaries, rng.randrange(state.norm_sq))] += 1
-    counts = dict(zip(outcomes, tally))
-    max_dev = max(
-        abs(
-            Fraction(counts[ket])
-            - Fraction(runs * state.amplitude(ket).norm_sq(), state.norm_sq)
-        )
-        for ket in outcomes
+            tally[rng.randrange(n)] += 1
+    expected = Fraction(runs, n)
+    max_dev = max(abs(count - expected) for count in tally)
+    return SampleSummary(
+        seed, runs, GENERATOR_ID, dict(zip(outcomes, tally)), max_dev
     )
-    return SampleSummary(seed, runs, GENERATOR_ID, counts, max_dev)
 
 
-def _tally_top_bytes(
-    rng: random.Random, norm_sq: int, boundaries: list[int], runs: int
-) -> list[int]:
-    """Outcome counts of ``runs`` draws ``rng.randrange(norm_sq)``.
+def _tally_top_bytes(rng: random.Random, n: int, runs: int) -> list[int]:
+    """Counts of each draw ``rng.randrange(n)`` over ``runs`` draws.
 
-    Valid for ``0 < norm_sq < 256`` only; the module docstring says why
-    the counts equal those of the per-draw loop.
+    Valid for ``0 < n < 256`` only; the module docstring says why the
+    counts equal those of the per-draw loop.
     """
-    shift = 8 - norm_sq.bit_length()
-    # A rejected draw lands past the last boundary: index len(boundaries).
-    index_of = bytes(bisect_right(boundaries, t >> shift) for t in range(256))
-    tally = [0] * len(boundaries)
+    shift = 8 - n.bit_length()
+    # A rejected draw, n or more, is mapped to n.
+    index_of = bytes(min(t >> shift, n) for t in range(256))
+    tally = [0] * n
     while runs > 0:
         # At most one draw per output, so a block never overshoots ``runs``.
         words = min(_BLOCK, runs)
         top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        counts = _count_indices(top.translate(index_of), len(tally))
+        counts = _count_indices(top.translate(index_of), n)
         for index, count in enumerate(counts):
             tally[index] += count
             runs -= count

@@ -2,15 +2,86 @@
 
 No command needs these, so they live with the tests: each is the
 obvious, slow statement of a fact the package computes another way.
+The package holds every amplitude as a phase exponent; ``GaussInt`` here
+is the ring Z[i] those amplitudes live in, so an oracle can add and
+multiply amplitudes as written rather than as exponents.
 """
 
 from __future__ import annotations
 
 from davn.fixtures import FixtureRow
-from davn.gauss import ZERO, phase_str
+from davn.gauss import phase_str
 from davn.lhv import Constraint
 from davn.postselect import PairSelection, ResidualState
-from davn.states import BasisKet, StateVector, phase_between
+from davn.states import BasisKet, StateVector
+
+
+class GaussInt:
+    """A Gaussian integer re + im*i; compares and hashes by (re, im)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int) -> None:
+        self.re = re
+        self.im = im
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussInt:
+            return NotImplemented
+        return (self.re, self.im) == (other.re, other.im)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"GaussInt(re={self.re}, im={self.im})"
+
+    def __add__(self, other: GaussInt) -> GaussInt:
+        return GaussInt(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other: GaussInt) -> GaussInt:
+        return GaussInt(self.re - other.re, self.im - other.im)
+
+    def __neg__(self) -> GaussInt:
+        return GaussInt(-self.re, -self.im)
+
+    def __mul__(self, other: GaussInt) -> GaussInt:
+        return GaussInt(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def conj(self) -> GaussInt:
+        return GaussInt(self.re, -self.im)
+
+    def norm_sq(self) -> int:
+        """|z|**2 = re**2 + im**2, an ordinary integer."""
+        return self.re * self.re + self.im * self.im
+
+    def times_phase(self, t: int) -> GaussInt:
+        """Multiply by i**t, i.e. by IMAG t times."""
+        z = self
+        for _ in range(t % 4):
+            z = z * IMAG
+        return z
+
+    def as_phase(self) -> int | None:
+        """Return t with self == i**t, or None if self is not a unit."""
+        for t in range(4):
+            if self == GaussInt.from_phase(t):
+                return t
+        return None
+
+    @staticmethod
+    def from_phase(t: int) -> GaussInt:
+        """The unit i**t."""
+        return ONE.times_phase(t)
+
+
+ZERO = GaussInt(0, 0)
+ONE = GaussInt(1, 0)
+IMAG = GaussInt(0, 1)
+
 
 # ---------------------------------------------------------------------------
 # Generalized Pauli words for four-level systems (d = 4).
@@ -96,53 +167,68 @@ def word_str(word: PauliWord) -> str:
     return body
 
 
+def global_phase(a: dict, b: dict) -> int | None:
+    """c in 0..3 with a[k] == b[k] + c (mod 4) on one support, by search."""
+    if a.keys() != b.keys():
+        return None
+    for c in range(4):
+        if all(a[k] == (b[k] + c) % 4 for k in a):
+            return c
+    return None
+
+
 def eigenvalue_of(word: PauliWord, state: StateVector) -> int | None:
     """Phase exponent c with word|s> = i**c |s>, or None.
 
-    Decided from amplitudes: the word sends k to i**t |k'>, so the relation
-    holds exactly when every k' is in the support and amp[k] * i**t ==
-    i**c * amp[k'] with one common c, a fourth-root eigenvalue.  Raises on
-    a zero state, where the relation is vacuous.
+    Decided from phases: the word sends k to i**t |k'>, so the relation
+    holds exactly when every k' is in the support and phases[k] + t ==
+    phases[k'] + c (mod 4) with one common c, a fourth-root eigenvalue.
+    Raises on a zero state, where the relation is vacuous.
     """
     if state.is_zero():
         raise ValueError("zero state has no eigenvalues")
     if state.level != 4:
         raise ValueError("Pauli words act on 4-level states only")
-    amplitudes = state.amplitudes
+    phases = state.phases
     image = {}
-    for ket, amp in amplitudes.items():
+    for ket, p in phases.items():
         t, shifted = apply_word(word, ket)
-        if shifted not in amplitudes:
+        if shifted not in phases:
             return None
-        image[shifted] = amp.times_phase(t)
-    return phase_between(image, amplitudes)
+        image[shifted] = (p + t) % 4
+    return global_phase(image, phases)
 
 
 def scaled_by_phase(state: StateVector, t: int) -> StateVector:
-    """i**t * state, amplitude by amplitude."""
+    """i**t * state, ket by ket."""
     return StateVector(
         state.n_sites,
-        {ket: amp.times_phase(t) for ket, amp in state.amplitudes.items()},
+        {ket: (p + t) % 4 for ket, p in state.phases.items()},
         level=state.level,
     )
 
 
 def apply_to_state(word: PauliWord, state: StateVector) -> StateVector:
-    """Linear extension of the word action; preserves norm_sq exactly."""
+    """Linear extension of the word action, summed in Z[i].
+
+    A word is a phased permutation of the kets, so every image amplitude
+    is a unit again and the result is a state; norm_sq is preserved.
+    """
     if state.level != 4:
         raise ValueError("Pauli words act on 4-level states only")
     out = {}
-    for ket, amp in state.amplitudes.items():
+    for ket, p in state.phases.items():
         t, image = apply_word(word, ket)
-        out[image] = out.get(image, ZERO) + amp.times_phase(t)
-    return StateVector(state.n_sites, out, level=state.level)
+        out[image] = out.get(image, ZERO) + GaussInt.from_phase(p).times_phase(t)
+    phases = {ket: amp.as_phase() for ket, amp in out.items()}
+    return StateVector(state.n_sites, phases, level=state.level)
 
 
 def phase_relative_to(state: StateVector, other: StateVector) -> int | None:
-    """t with state == i**t * other amplitude by amplitude, else None."""
+    """t with state == i**t * other ket by ket, else None."""
     if state.level != other.level or state.n_sites != other.n_sites:
         return None
-    return phase_between(state.amplitudes, other.amplitudes)
+    return global_phase(state.phases, other.phases)
 
 
 def holds(constraint: Constraint, values: tuple[int, ...]) -> bool:
@@ -163,11 +249,11 @@ def postselect_pair_sweep(state: StateVector, pair: PairSelection) -> ResidualSt
         for site in range(state.n_sites)
         if site not in (pair.site_i, pair.site_j)
     ]
-    amplitudes = {}
-    for ket, amp in state.amplitudes.items():
+    phases = {}
+    for ket, t in state.phases.items():
         if ket[pair.site_i] == pair.m_i and ket[pair.site_j] == pair.m_j:
-            amplitudes[tuple(ket[s] for s in keep)] = amp
-    residual = StateVector(len(keep), amplitudes, level=state.level)
+            phases[tuple(ket[s] for s in keep)] = t
+    residual = StateVector(len(keep), phases, level=state.level)
     if residual.is_zero():
         raise ValueError(
             f"selection {pair.describe()} has probability zero"
@@ -185,8 +271,8 @@ def render_fixture_row(row: FixtureRow) -> str:
         return f"{u},{v}:{phase_str(t)}"
 
     residual = ";".join(
-        "".join(map(str, ket)) + f":{amp.as_phase()}"
-        for ket, amp in sorted(row.residual.items())
+        "".join(map(str, ket)) + f":{t}"
+        for ket, t in sorted(row.residual.items())
     )
     return (
         f"table={row.table} | pair={row.pair.describe()}"

@@ -44,9 +44,9 @@ def _passed(number: int, name: str) -> None:
 
 
 def test_criterion_01_state_exactness():
-    assert len(PSI.amplitudes) == 56
+    assert len(PSI.phases) == 56
     assert PSI.norm_sq == 56
-    assert all(sum(ket) % 4 == 0 for ket in PSI.amplitudes)
+    assert all(sum(ket) % 4 == 0 for ket in PSI.phases)
     _passed(1, "56 components, norm_sq 56, digit sums 0 mod 4")
 
 
@@ -105,9 +105,9 @@ def test_criterion_05_table_reproduction():
     rows = []
     for label in TABLE_LABELS:
         rows += parse_fixture_text(
-            (fixdir / f"table_{label}.txt").read_text(), label
+            (fixdir / f"table_{label}.txt").read_text(encoding="utf-8"), label
         )
-    allow_text = (fixdir / "allowlist.txt").read_text()
+    allow_text = (fixdir / "allowlist.txt").read_text(encoding="utf-8")
     allowlist = parse_allowlist(allow_text)
     report = diff_fixture_rows(PSI, rows, allowlist)
     assert report.ok, [v.reasons for v in report.failures]
@@ -201,9 +201,9 @@ def test_criterion_09_qubit_seed_state():
     assert nonstabilizer_test(qubit).is_nonstabilizer
     embedded = embed_qubit_state(qubit, 1)
     assert embedded.norm_sq == 7
-    for ket, amp in qubit.amplitudes.items():
+    for ket, t in qubit.phases.items():
         image = tuple(1 if k else 0 for k in ket)
-        assert embedded.amplitude(image) == amp
+        assert embedded.phases[image] == t
     assert commutation_phase_audit(2) == -1
     assert commutation_phase_audit(6) == -1
     assert commutation_phase_audit(4) == 1

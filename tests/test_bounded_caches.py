@@ -54,7 +54,8 @@ def unbounded_caches(tree: ast.AST) -> list[str]:
 
 def test_every_cache_in_the_fixture_module_is_bounded():
     path = Path(davn.fixtures.__file__)
-    assert unbounded_caches(ast.parse(path.read_text(), str(path))) == []
+    source = path.read_text(encoding="utf-8")
+    assert unbounded_caches(ast.parse(source, str(path))) == []
 
 
 @pytest.mark.parametrize(

@@ -208,14 +208,14 @@ def test_fixtures_diff_passes_on_packaged_tables(capsys):
 def copy_fixtures(tmp_path):
     src = resources.files("davn") / "fixtures"
     for name in [p.name for p in src.iterdir() if p.name.endswith(".txt")]:
-        (tmp_path / name).write_text((src / name).read_text())
+        (tmp_path / name).write_bytes((src / name).read_bytes())
     return tmp_path
 
 
 def test_fixtures_diff_flags_tampered_fixture(tmp_path, capsys):
     table = copy_fixtures(tmp_path) / "table_I.txt"
-    text = table.read_text().replace("basic=1,3:-i", "basic=1,3:i", 1)
-    table.write_text(text)
+    text = table.read_text(encoding="utf-8").replace("basic=1,3:-i", "basic=1,3:i", 1)
+    table.write_text(text, encoding="utf-8")
     code, out, _ = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 1
     assert "FAILURES" in out
@@ -250,9 +250,9 @@ def test_fixtures_diff_malformed_table_is_an_input_error(
     tmp_path, capsys, old, new, line
 ):
     table = copy_fixtures(tmp_path) / "table_I.txt"
-    text = table.read_text()
+    text = table.read_text(encoding="utf-8")
     assert old in text
-    table.write_text(text.replace(old, new, 1))
+    table.write_text(text.replace(old, new, 1), encoding="utf-8")
     code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 2
     assert out == ""
@@ -265,7 +265,8 @@ def test_fixtures_diff_rejects_a_row_of_another_table(tmp_path, capsys):
     # Row 1 of table I reads the same as row 1 of table II, so the row
     # would otherwise pass as II/1, an allowlist key of the real table II.
     table = copy_fixtures(tmp_path) / "table_I.txt"
-    table.write_text(table.read_text().replace("table=I |", "table=II |", 1))
+    text = table.read_text(encoding="utf-8")
+    table.write_text(text.replace("table=I |", "table=II |", 1), encoding="utf-8")
     code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 2
     assert out == ""
@@ -278,7 +279,8 @@ def test_fixtures_diff_rejects_a_row_of_another_table(tmp_path, capsys):
 
 def test_fixtures_diff_rejects_a_row_before_any_block_header(tmp_path, capsys):
     table = copy_fixtures(tmp_path) / "table_I.txt"
-    table.write_text(table.read_text().replace("# block 1 outcome=0000\n", "", 1))
+    text = table.read_text(encoding="utf-8").replace("# block 1 outcome=0000\n", "", 1)
+    table.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 2
     assert out == ""
@@ -290,8 +292,9 @@ def test_fixtures_diff_rejects_a_row_before_any_block_header(tmp_path, capsys):
 def test_fixtures_diff_flags_unused_allowlist_entry(tmp_path, capsys):
     allowlist = copy_fixtures(tmp_path) / "allowlist.txt"
     allowlist.write_text(
-        allowlist.read_text()
-        + "table=I | row=1 | kind=derivation | tag=UNUSED | note=matches\n"
+        allowlist.read_text(encoding="utf-8")
+        + "table=I | row=1 | kind=derivation | tag=UNUSED | note=matches\n",
+        encoding="utf-8",
     )
     code, out, _ = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 1
@@ -300,7 +303,8 @@ def test_fixtures_diff_flags_unused_allowlist_entry(tmp_path, capsys):
 
 def test_fixtures_diff_names_a_missing_field(tmp_path, capsys):
     table = copy_fixtures(tmp_path) / "table_I.txt"
-    table.write_text(table.read_text().replace("pair=", "pairs=", 1))
+    text = table.read_text(encoding="utf-8")
+    table.write_text(text.replace("pair=", "pairs=", 1), encoding="utf-8")
     code, _, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 2
     assert "bad fixture line 3 (missing field 'pair')" in err
@@ -328,7 +332,8 @@ def test_fixtures_diff_malformed_allowlist_is_an_input_error(
     tmp_path, capsys, entry, message
 ):
     allowlist = copy_fixtures(tmp_path) / "allowlist.txt"
-    allowlist.write_text(allowlist.read_text() + entry + "\n")
+    text = allowlist.read_text(encoding="utf-8")
+    allowlist.write_text(text + entry + "\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 2
     assert out == ""
@@ -390,7 +395,7 @@ def test_fixtures_diff_rejects_a_table_missing_rows_or_blocks(
     tmp_path, capsys, name, edit, message
 ):
     table = copy_fixtures(tmp_path) / name
-    table.write_text(edit(table.read_text()))
+    table.write_text(edit(table.read_text(encoding="utf-8")), encoding="utf-8")
     code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 2
     assert out == ""
@@ -426,7 +431,7 @@ def test_output_file_writing(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    payload = json.loads(target.read_text())
+    payload = json.loads(target.read_text(encoding="utf-8"))
     assert payload["verdict"] == "DAVN"
 
 
@@ -444,9 +449,26 @@ def test_json_reports_are_byte_identical_across_processes():
     assert first.stdout.endswith(b"\n")
 
 
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # -X warn_default_encoding warns on every text file opened in the
+    # locale's encoding, and -W makes the warning an error: the fixture
+    # tables, the allowlist and the -o file must name their encoding.
+    davn = [
+        sys.executable, "-X", "warn_default_encoding",
+        "-W", "error::EncodingWarning", "-m", "davn",
+    ]
+    diff = subprocess.run([*davn, "fixtures-diff"], capture_output=True)
+    assert (diff.returncode, diff.stderr) == (0, b"")
+    target = tmp_path / "davn.json"
+    command = [*davn, "davn", "--format", "json", "-o", str(target)]
+    report = subprocess.run(command, capture_output=True)
+    assert (report.returncode, report.stdout, report.stderr) == (0, b"", b"")
+    assert json.loads(target.read_bytes())["verdict"] == "DAVN"
+
+
 #: The packaged fixture files by name, read once for the mutation fuzz.
 PACKAGED = {
-    p.name: p.read_text()
+    p.name: p.read_text(encoding="utf-8")
     for p in (resources.files("davn") / "fixtures").iterdir()
     if p.name.endswith(".txt")
 }
@@ -499,7 +521,7 @@ def test_fixtures_diff_exit_code_contract_under_mutation(case):
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for file_name, text in files.items():
-            (Path(tmp) / file_name).write_text(text)
+            (Path(tmp) / file_name).write_text(text, encoding="utf-8")
         for _ in range(2):
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
@@ -528,6 +550,6 @@ def test_import_pulls_in_neither_dataclasses_nor_inspect():
         "{'dataclasses', 'inspect', 'davn.sampling'} & set(sys.modules)))"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, check=True
     )
-    assert result.stdout == "[]\n"
+    assert result.stdout == b"[]\n"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from davn.factory import (
     PSI_1234_TERMS,
+    DensityMatrix,
     build_psi4_qubit,
     build_psi_1234,
     check_global_stabilizer,
@@ -25,9 +26,8 @@ from davn.factory import (
     z_support,
     z_word_fixes,
 )
-from davn.gauss import GaussInt
 from davn.states import StateVector
-from reference import PauliWord, apply_to_state, eigenvalue_of
+from reference import ZERO, GaussInt, PauliWord, apply_to_state, eigenvalue_of
 
 # Second transcription: families keyed by (phase, members).
 SECOND_TRANSCRIPTION = {
@@ -61,21 +61,21 @@ def test_component_table_matches_second_transcription():
 def test_psi1234_shape():
     psi = build_psi_1234()
     assert psi.norm_sq == 56
-    assert len(psi.amplitudes) == 56
-    assert all(sum(ket) % 4 == 0 for ket in psi.amplitudes)
+    assert len(psi.phases) == 56
+    assert all(sum(ket) % 4 == 0 for ket in psi.phases)
     census = {}
-    for amp in psi.amplitudes.values():
-        census[amp.as_phase()] = census.get(amp.as_phase(), 0) + 1
+    for t in psi.phases.values():
+        census[t] = census.get(t, 0) + 1
     assert census == {0: 2, 1: 24, 2: 6, 3: 24}
 
 
 def test_psi1234_amplitude_spot_checks():
     psi = build_psi_1234()
-    assert psi.amplitude((0, 0, 0, 0)).as_phase() == 0
-    assert psi.amplitude((0, 0, 2, 2)).as_phase() == 2
-    assert psi.amplitude((0, 2, 3, 3)).as_phase() == 1
-    assert psi.amplitude((2, 0, 3, 3)).as_phase() == 3
-    assert psi.amplitude((1, 1, 1, 1)).is_zero()
+    assert psi.phases[(0, 0, 0, 0)] == 0
+    assert psi.phases[(0, 0, 2, 2)] == 2
+    assert psi.phases[(0, 2, 3, 3)] == 1
+    assert psi.phases[(2, 0, 3, 3)] == 3
+    assert (1, 1, 1, 1) not in psi.phases
 
 
 def test_global_stabilizer_identity():
@@ -87,9 +87,9 @@ def test_global_stabilizer_identity():
 
 
 def test_digit_rule_on_single_kets():
-    fixed = StateVector(4, {(0, 0, 1, 3): GaussInt(1, 0)})
+    fixed = StateVector(4, {(0, 0, 1, 3): 0})
     assert check_global_stabilizer(fixed).stabilized
-    moved = StateVector(4, {(0, 0, 0, 1): GaussInt(1, 0)})
+    moved = StateVector(4, {(0, 0, 0, 1): 0})
     audit = check_global_stabilizer(moved)
     assert not audit.stabilized
     assert audit.digit_rule_holds  # the rule itself still holds per ket
@@ -97,7 +97,7 @@ def test_digit_rule_on_single_kets():
 
 def test_digit_rule_tells_digit_sum_two_from_zero():
     # Digit sum 2 is even but not 0 mod 4: Z1*Z2*Z3*Z4 gives the phase -1.
-    moved = StateVector(4, {(0, 0, 1, 1): GaussInt(1, 0)})
+    moved = StateVector(4, {(0, 0, 1, 1): 0})
     audit = check_global_stabilizer(moved)
     assert not audit.stabilized
     assert audit.digit_rule_holds
@@ -113,11 +113,7 @@ def unit_states(draw, level):
     phases = draw(
         st.dictionaries(st.sampled_from(kets), st.integers(0, 3), min_size=1)
     )
-    return StateVector(
-        n_sites,
-        {ket: GaussInt.from_phase(t) for ket, t in phases.items()},
-        level=level,
-    )
+    return StateVector(n_sites, phases, level=level)
 
 
 @given(unit_states(4), st.integers(0, 3))
@@ -130,14 +126,14 @@ def test_z_word_fixes_matches_reference_eigenvalue(state, power):
 @given(unit_states(2))
 def test_qubit_stabilizer_is_even_down_spins(state):
     audit = check_global_stabilizer(state)
-    assert audit.stabilized == all(sum(ket) % 2 == 0 for ket in state.amplitudes)
+    assert audit.stabilized == all(sum(ket) % 2 == 0 for ket in state.phases)
     assert audit.digit_rule_holds
 
 
 def test_stabilizer_audit_rejects_other_levels_and_zero_states():
     # Digit sum 3 is 0 mod 3, but no Z word is defined at level 3.
     with pytest.raises(ValueError, match="levels 2 and 4"):
-        check_global_stabilizer(StateVector(4, {(1, 2, 0, 0): GaussInt(1, 0)}, 3))
+        check_global_stabilizer(StateVector(4, {(1, 2, 0, 0): 0}, 3))
     for level in (2, 4):
         with pytest.raises(ValueError, match="zero state"):
             check_global_stabilizer(StateVector(4, {}, level))
@@ -155,35 +151,60 @@ def test_reduced_density_site1_exact():
     assert rho.trace() == 1
     # Off-diagonal entries vanish exactly.
     assert all(
-        rho.numerators[r][c].is_zero()
+        rho.numerators[r][c] == (0, 0)
         for r in range(4)
         for c in range(4)
         if r != c
     )
 
 
-def test_reduced_density_brute_force_oracle():
-    # Independent oracle: expand rho = sum over ket pairs explicitly on
-    # the full 256-dimensional index set, then compare entry by entry.
-    psi = build_psi_1234()
-    site = 2
-    dense = [[GaussInt(0, 0) for _ in range(4)] for _ in range(4)]
-    for ket_a, amp_a in psi.amplitudes.items():
-        for ket_b, amp_b in psi.amplitudes.items():
+def brute_force_density(state, site):
+    """rho on one site, summed over all ket pairs in Z[i]."""
+    d = state.level
+    dense = [[ZERO for _ in range(d)] for _ in range(d)]
+    for ket_a, t_a in state.phases.items():
+        for ket_b, t_b in state.phases.items():
             rest_a = ket_a[:site] + ket_a[site + 1 :]
             rest_b = ket_b[:site] + ket_b[site + 1 :]
             if rest_a == rest_b:
                 row, col = ket_a[site], ket_b[site]
+                amp_a, amp_b = GaussInt.from_phase(t_a), GaussInt.from_phase(t_b)
                 dense[row][col] = dense[row][col] + amp_a * amp_b.conj()
-    rho = reduced_density(psi, site)
+    return [[(z.re, z.im) for z in row] for row in dense]
+
+
+def test_reduced_density_brute_force_oracle():
+    # Independent oracle: expand rho = sum over ket pairs explicitly on
+    # the full 256-dimensional index set, then compare entry by entry.
+    psi = build_psi_1234()
+    rho = reduced_density(psi, 2)
     assert rho.denominator == 56
-    for r in range(4):
-        for c in range(4):
-            assert rho.numerators[r][c] == dense[r][c]
+    assert [list(row) for row in rho.numerators] == brute_force_density(psi, 2)
+
+
+@given(unit_states(4) | unit_states(2), st.integers(0, 3))
+def test_reduced_density_matches_the_brute_force_oracle(state, site):
+    site %= state.n_sites
+    rho = reduced_density(state, site)
+    assert rho.denominator == state.norm_sq
+    assert [list(row) for row in rho.numerators] == brute_force_density(state, site)
+    assert rho.is_hermitian() and rho.trace() == 1
+
+
+def test_density_predicates_read_the_int_pairs():
+    def matrix(*numerators):
+        return DensityMatrix(2, 2, numerators)
+
+    assert matrix(((1, 0), (0, 0)), ((0, 0), (1, 0))).is_maximally_mixed()
+    assert not matrix(((1, 0), (0, 1)), ((0, 1), (1, 0))).is_maximally_mixed()
+    assert not matrix(((1, 1), (0, 0)), ((0, 0), (1, -1))).is_maximally_mixed()
+    assert matrix(((1, 0), (0, 1)), ((0, -1), (1, 0))).is_hermitian()
+    assert not matrix(((1, 0), (0, 1)), ((0, 1), (1, 0))).is_hermitian()
+    assert not matrix(((1, 1), (0, 0)), ((0, 0), (1, 0))).is_hermitian()
 
 
 def test_maximally_entangled_pair_is_maximally_mixed():
-    pair = StateVector(2, {(k, k): GaussInt(1, 0) for k in range(4)})
+    pair = StateVector(2, {(k, k): 0 for k in range(4)})
     rho = reduced_density(pair, 0)
     assert rho.is_maximally_mixed()
     assert nonstabilizer_test(pair).deviating_sites == ()
@@ -199,6 +220,10 @@ def test_joint_probabilities():
     assert joint_z_probability(psi, (0, 0, 0, 0)) == Fraction(1, 56)
     assert joint_z_probability(psi, (0, 0, 0, 1)) == 0
     assert joint_z_probability(psi, (1, 1, 1, 1)) == 0
+    # |amplitude|**2 / norm_sq, by the oracle's norm.
+    for ket, t in psi.phases.items():
+        weight = GaussInt.from_phase(t).norm_sq()
+        assert joint_z_probability(psi, ket) == Fraction(weight, psi.norm_sq)
     total = sum(
         (joint_z_probability(psi, ket) for ket in product(range(4), repeat=4)),
         Fraction(0),
@@ -208,7 +233,7 @@ def test_joint_probabilities():
 
 def test_z_support_sizes():
     assert len(z_support(build_psi_1234())) == 56
-    single = StateVector(4, {(0, 0, 0, 0): GaussInt(1, 0)})
+    single = StateVector(4, {(0, 0, 0, 0): 0})
     assert z_support(single) == [(0, 0, 0, 0)]
     assert len(z_support(build_psi4_qubit())) == 7
 
@@ -216,12 +241,12 @@ def test_z_support_sizes():
 def test_qubit_seed_state():
     q = build_psi4_qubit()
     assert q.norm_sq == 7
-    assert q.amplitude((0, 0, 0, 0)).as_phase() == 0
-    assert q.amplitude((0, 1, 1, 0)).as_phase() == 2
-    assert q.amplitude((1, 1, 1, 1)).is_zero()
+    assert q.phases[(0, 0, 0, 0)] == 0
+    assert q.phases[(0, 1, 1, 0)] == 2
+    assert (1, 1, 1, 1) not in q.phases
     # Oracle for the reduced density: count components by first digit.
-    ups = sum(1 for ket in q.amplitudes if ket[0] == 0)
-    downs = sum(1 for ket in q.amplitudes if ket[0] == 1)
+    ups = sum(1 for ket in q.phases if ket[0] == 0)
+    downs = sum(1 for ket in q.phases if ket[0] == 1)
     assert (ups, downs) == (4, 3)
     assert reduced_density(q, 0).diagonal() == (
         Fraction(4, 7), Fraction(3, 7),
@@ -233,8 +258,8 @@ def test_embedding_preserves_structure():
     emb = embed_qubit_state(q, 1)
     assert emb.level == 4
     assert emb.norm_sq == 7
-    assert emb.amplitude((0, 1, 1, 0)).as_phase() == 2
-    assert emb.amplitude((0, 0, 0, 0)).as_phase() == 0
+    assert emb.phases[(0, 1, 1, 0)] == 2
+    assert emb.phases[(0, 0, 0, 0)] == 0
     with pytest.raises(ValueError):
         embed_qubit_state(q, 0)
     with pytest.raises(ValueError):

@@ -1,15 +1,14 @@
-"""Ring and phase-group tests for the exact arithmetic kernel."""
+"""Phase strings of the package, and ring tests of the Z[i] test oracle.
+
+The package keeps amplitudes as phase exponents; the oracles in
+``reference`` compute with Gaussian integers, checked here.
+"""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from davn.gauss import (
-    IMAG,
-    ONE,
-    GaussInt,
-    parse_phase,
-    phase_str,
-)
+from davn.gauss import parse_phase, phase_str
+from reference import IMAG, ONE, GaussInt
 
 ints = st.integers(min_value=-50, max_value=50)
 gauss = st.builds(GaussInt, ints, ints)
@@ -82,7 +81,7 @@ def test_phase_strings_round_trip():
 
 
 def test_equal_values_hash_equal():
-    # The eigenword scan memo is keyed on frozensets of amplitudes.
+    # Oracles key dicts and sets on amplitudes.
     a, b = GaussInt(2, -1), GaussInt(2, -1)
     assert a == b and a is not b
     assert hash(a) == hash(b)

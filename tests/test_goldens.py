@@ -136,10 +136,10 @@ def test_tampered_fixture_diff_bytes_are_pinned(tmp_path, capsys, fmt):
     # Pins the failure reasons of a derivation mismatch byte for byte.
     fixtures = resources.files("davn") / "fixtures"
     for name in [p.name for p in fixtures.iterdir() if p.name.endswith(".txt")]:
-        text = (fixtures / name).read_text()
+        text = (fixtures / name).read_text(encoding="utf-8")
         if name == "table_I.txt":
             text = text.replace("basic=1,3:-i", "basic=1,3:i", 1)
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
     assert main(["fixtures-diff", "--dir", str(tmp_path), "--format", fmt]) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TAMPERED[fmt]

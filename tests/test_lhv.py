@@ -20,7 +20,7 @@ from davn.lhv import (
     verify_paradox,
 )
 from davn.states import StateVector
-from davn.gauss import GaussInt, phase_str
+from davn.gauss import phase_str
 from reference import PauliWord, holds, word_str
 
 PSI = build_psi_1234()
@@ -269,7 +269,7 @@ def test_paradox_reports_for_hand_worked_outcomes():
 
 
 def test_paradox_witness_for_product_state():
-    single = StateVector(4, {(0, 0, 0, 0): GaussInt(1, 0)})
+    single = StateVector(4, {(0, 0, 0, 0): 0})
     report = verify_paradox(single, (0, 0, 0, 0))
     assert report.satisfiable
     assert report.witness == (0, 0, 0, 0)
@@ -293,7 +293,7 @@ def test_davn_on_the_main_state():
 
 
 def test_davn_not_awarded_to_product_state():
-    single = StateVector(4, {(0, 0, 0, 0): GaussInt(1, 0)})
+    single = StateVector(4, {(0, 0, 0, 0): 0})
     report = verify_davn(single)
     assert report.verdict == "NOT-DAVN"
     assert report.failing_outcomes == ((0, 0, 0, 0),)

@@ -1,7 +1,7 @@
 """Tripwire: no float or complex arithmetic enters the package.
 
-Every amplitude, eigenvalue and probability is an int, a GaussInt or a
-Fraction, and every check is exact equality.  This walks the syntax tree
+Every amplitude and eigenvalue is a phase exponent (an int), every
+probability a Fraction, and every check is exact equality.  This walks the syntax tree
 of each module and fails on anything that would bring floating point in:
 a float or complex literal, a call to ``float`` or ``complex``, an import
 of ``cmath``, or a name from ``math`` other than ``isqrt``.  True
@@ -61,7 +61,7 @@ def test_every_module_is_walked():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_float_enters_the_package(path):
-    assert float_uses(ast.parse(path.read_text(), str(path))) == []
+    assert float_uses(ast.parse(path.read_text(encoding="utf-8"), str(path))) == []
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,6 @@ from davn.fixtures import (
     parse_fixture_text,
     verify_reference_row,
 )
-from davn.gauss import GaussInt
 from davn.postselect import (
     CANDIDATE_WORDS,
     PairSelection,
@@ -36,6 +35,7 @@ from davn.postselect import (
 )
 from davn.states import StateVector
 from reference import (
+    GaussInt,
     PauliWord,
     eigenvalue_of,
     phase_relative_to,
@@ -47,10 +47,8 @@ from reference import (
 PSI = build_psi_1234()
 
 
-def unit_state(entries):
-    return StateVector(
-        2, {ket: GaussInt.from_phase(t) for ket, t in entries.items()}
-    )
+def unit_state(phases):
+    return StateVector(2, phases)
 
 
 def test_postselect_first_pair():
@@ -82,7 +80,7 @@ def test_diff_reports_do_not_share_lists():
 
 
 def test_postselect_empty_projection_names_pair():
-    single = StateVector(4, {(0, 0, 0, 0): GaussInt(1, 0)})
+    single = StateVector(4, {(0, 0, 0, 0): 0})
     with pytest.raises(ValueError, match="Z1=i,Z2=1"):
         postselect_pair(single, PairSelection(0, 1, 1, 0))
 
@@ -100,9 +98,7 @@ def test_every_pair_selection_of_psi_is_nonempty():
         assert weight == PSI.norm_sq
 
 
-nonzero_gauss = st.builds(
-    GaussInt, st.integers(-3, 3), st.integers(-3, 3)
-).filter(bool)
+phase_exponents = st.integers(0, 3)
 
 
 def assert_selections_match_the_sweep(state):
@@ -125,8 +121,8 @@ def assert_selections_match_the_sweep(state):
                     residual = postselect_pair(state, pair)
                     assert residual.sites == expected.sites
                     assert residual.state == expected.state
-                    assert list(residual.state.amplitudes) == list(
-                        expected.state.amplitudes
+                    assert list(residual.state.phases) == list(
+                        expected.state.phases
                     )
                     assert postselect_pair(state, pair) is residual
 
@@ -139,15 +135,15 @@ def test_postselect_pair_matches_the_sweep_on_builtin_states(name):
 four_site_kets = st.tuples(*[st.integers(0, 3)] * 4)
 
 
-@given(st.dictionaries(four_site_kets, nonzero_gauss, min_size=1, max_size=24))
-def test_postselect_pair_matches_the_sweep_on_random_states(amplitudes):
-    assert_selections_match_the_sweep(StateVector(4, amplitudes))
+@given(st.dictionaries(four_site_kets, phase_exponents, min_size=1, max_size=24))
+def test_postselect_pair_matches_the_sweep_on_random_states(phases):
+    assert_selections_match_the_sweep(StateVector(4, phases))
 
 
 @pytest.mark.parametrize("name", STATE_NAMES)
 def test_residuals_equal_states_built_by_the_validating_constructor(name):
     # postselect_pair cuts residuals without re-checking their kets; the
-    # public constructor, fed the same amplitudes, is the reference.
+    # public constructor, fed the same phases, is the reference.
     state = build_state(name)
     for i in range(4):
         for j in range(4):
@@ -164,11 +160,11 @@ def test_residuals_equal_states_built_by_the_validating_constructor(name):
                         continue
                     reference = StateVector(
                         residual.n_sites,
-                        dict(residual.amplitudes),
+                        dict(residual.phases),
                         level=residual.level,
                     )
                     assert residual == reference
-                    assert list(residual.amplitudes) == list(reference.amplitudes)
+                    assert list(residual.phases) == list(reference.phases)
                     assert residual.norm_sq == reference.norm_sq
                     assert hash(residual) == hash(reference)
                     selected += 1
@@ -176,7 +172,7 @@ def test_residuals_equal_states_built_by_the_validating_constructor(name):
 
 
 def test_states_of_one_shape_keep_their_own_selections():
-    # Same kets, other amplitudes: an index shared by shape would hand the
+    # Same kets, other phases: an index shared by shape would hand the
     # second state the first one's residuals.
     turned = scaled_by_phase(PSI, 1)
     pair = PairSelection(0, 1, 0, 0)
@@ -189,16 +185,16 @@ def test_residual_norm_matches_projected_weight():
     pair = PairSelection(0, 1, 0, 0)
     residual = postselect_pair(PSI, pair)
     direct = sum(
-        amp.norm_sq()
-        for ket, amp in PSI.amplitudes.items()
+        GaussInt.from_phase(t).norm_sq()
+        for ket, t in PSI.phases.items()
         if ket[0] == 0 and ket[1] == 0
     )
     assert residual.state.norm_sq == direct
     # Each residual ket corresponds to one supported outcome tuple.
-    for ket in residual.state.support():
+    for ket, t in residual.state.phases.items():
         outcome = (0, 0) + ket
         assert joint_z_probability(PSI, outcome) == Fraction(
-            residual.state.amplitude(ket).norm_sq(), PSI.norm_sq
+            GaussInt.from_phase(t).norm_sq(), PSI.norm_sq
         )
 
 
@@ -232,11 +228,11 @@ def test_derive_constraints_deterministic():
 
 def test_derive_constraints_rejects_what_has_no_eigenwords():
     with pytest.raises(ValueError, match="two-site"):
-        derive_constraints(StateVector(3, {(0, 0, 0): GaussInt(1, 0)}))
+        derive_constraints(StateVector(3, {(0, 0, 0): 0}))
     with pytest.raises(ValueError, match="zero state"):
         derive_constraints(StateVector(2, {}))
     with pytest.raises(ValueError, match="4-level"):
-        derive_constraints(StateVector(2, {(0, 1): GaussInt(1, 0)}, level=2))
+        derive_constraints(StateVector(2, {(0, 1): 0}, level=2))
 
 
 def reference_eigenwords(state):
@@ -252,12 +248,13 @@ def reference_eigenwords(state):
 
 @st.composite
 def residuals_on_one_support(draw):
-    """Two residuals with one support and independently drawn amplitudes.
+    """Two residuals with one support and independently drawn phases.
 
     The support is a union of orbits of one candidate shift; along each
-    orbit amp[k + (u, v)] = i**-c * amp[k], from a Gaussian-integer seed
-    amplitude, so eigenwords occur often.  One amplitude may then be
-    replaced outright, which usually breaks the relation.
+    orbit phases[k + (u, v)] = phases[k] - c (mod 4), from a drawn seed
+    exponent, so eigenwords occur often.  One exponent may then be
+    redrawn outright, which breaks the relation unless it comes out the
+    same.
     """
     u, v = draw(st.sampled_from(CANDIDATE_WORDS))
     kets = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -272,16 +269,16 @@ def residuals_on_one_support(draw):
     states = []
     for _ in range(2):
         c = draw(st.integers(0, 3))
-        amplitudes = {}
+        phases = {}
         for orbit in orbits:
-            amp = draw(nonzero_gauss)
+            t = draw(phase_exponents)
             for ket in orbit:
-                amplitudes.setdefault(ket, amp)
-                amp = amp.times_phase(-c)
+                phases.setdefault(ket, t)
+                t = (t - c) % 4
         if draw(st.booleans()):
-            ket = draw(st.sampled_from(sorted(amplitudes)))
-            amplitudes[ket] = draw(nonzero_gauss)
-        states.append(StateVector(2, amplitudes))
+            ket = draw(st.sampled_from(sorted(phases)))
+            phases[ket] = draw(phase_exponents)
+        states.append(StateVector(2, phases))
     return states
 
 
@@ -371,7 +368,7 @@ def test_fixture_block_headers_follow_the_table_blocks():
     # second transcription of the same tables, tied to it by their headers.
     fixdir = resources.files("davn") / "fixtures"
     for label in TABLE_LABELS:
-        text = (fixdir / f"table_{label}.txt").read_text()
+        text = (fixdir / f"table_{label}.txt").read_text(encoding="utf-8")
         outcomes = re.findall(r"^# block \d+ outcome=([0-3]{4})$", text, re.M)
         assert [tuple(map(int, o)) for o in outcomes] == list(TABLE_BLOCKS[label])
 
@@ -381,7 +378,7 @@ def fixture_rows():
     fixdir = resources.files("davn") / "fixtures"
     for label in TABLE_LABELS:
         rows += parse_fixture_text(
-            (fixdir / f"table_{label}.txt").read_text(), label
+            (fixdir / f"table_{label}.txt").read_text(encoding="utf-8"), label
         )
     return rows, fixdir
 
@@ -452,7 +449,7 @@ def test_rows_parsed_from_one_text_share_no_mutable_state():
     text = f"# block 1 outcome=0000\n{TABLE_I_ROW}\n{TABLE_I_ROW}"
     first, second = parse_fixture_text(text, "I")
     expected = dict(second.residual)
-    first.residual[(0, 0)] = GaussInt.from_phase(2)
+    first.residual[(0, 0)] = 2
     del first.residual[(1, 3)]
     first.pair.m_i = 3
     assert second.residual == expected
@@ -490,7 +487,7 @@ def test_verify_reference_row_flags_wrong_residual():
     row = rows[0]
     tampered_residual = dict(row.residual)
     ket = next(iter(tampered_residual))
-    tampered_residual[ket] = -tampered_residual[ket]
+    tampered_residual[ket] = (tampered_residual[ket] + 2) % 4
     tampered = FixtureRow(
         row.table, row.index, row.block_outcome, row.pair,
         tampered_residual, row.basic, row.extended,
@@ -512,9 +509,10 @@ def test_row_failing_both_kinds_keeps_the_reasons_of_each():
         *verdict.failed["block-pair"], *verdict.failed["derivation"]
     )
     assert "disagrees with block outcome 2110" in verdict.reasons[0]
+    allowlist_text = (fixdir / "allowlist.txt").read_text(encoding="utf-8")
     allowlist = [
         entry
-        for entry in parse_allowlist((fixdir / "allowlist.txt").read_text())
+        for entry in parse_allowlist(allowlist_text)
         if (entry.table, entry.index) == ("IV-A", 24)
     ]
     report = diff_fixture_rows(PSI, [row], allowlist)
@@ -526,7 +524,7 @@ def test_row_failing_both_kinds_keeps_the_reasons_of_each():
 
 def test_fixture_diff_is_clean_with_allowlist():
     rows, fixdir = fixture_rows()
-    allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text())
+    allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text(encoding="utf-8"))
     report = diff_fixture_rows(PSI, rows, allowlist)
     assert report.ok
     assert report.total_rows == 336
@@ -541,7 +539,7 @@ def test_fixture_completeness_of_reference_constraints():
     # Every non-allowlisted reference basic/extended constraint appears
     # among the derived eigenwords of its row.
     rows, fixdir = fixture_rows()
-    allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text())
+    allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text(encoding="utf-8"))
     skip = {(e.table, e.index) for e in allowlist if e.kind == "derivation"}
     for row in rows:
         if (row.table, row.index) in skip:
@@ -559,7 +557,7 @@ def test_unused_allowlist_entry_fails_the_diff():
     from davn.fixtures import AllowlistEntry
 
     rows, fixdir = fixture_rows()
-    allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text())
+    allowlist = parse_allowlist((fixdir / "allowlist.txt").read_text(encoding="utf-8"))
     allowlist.append(AllowlistEntry("I", 1, "derivation", "REF-NONE", "stale"))
     report = diff_fixture_rows(PSI, rows, allowlist)
     assert not report.ok

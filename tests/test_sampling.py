@@ -3,7 +3,7 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from unittest import mock
 
 import pytest
@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from davn import sampling
 from davn.checks import STATE_NAMES, build_state
 from davn.factory import build_psi4_qubit, build_psi_1234
-from davn.gauss import GaussInt
 from davn.sampling import GENERATOR_ID, sample_outcomes
 from davn.states import StateVector
+from reference import GaussInt
 
 PSI = build_psi_1234()
 
@@ -71,17 +71,6 @@ def test_deviation_bookkeeping_is_exact():
     )
 
 
-def test_nonuniform_distribution_respects_weights():
-    # A state with weights 4:1 - the heavy outcome must dominate.
-    state = StateVector(
-        1, {(0,): GaussInt(2, 0), (1,): GaussInt(0, 1)}
-    )
-    summary = sample_outcomes(state, 10000, 2)
-    heavy, light = summary.counts[(0,)], summary.counts[(1,)]
-    assert heavy + light == 10000
-    assert 7600 < heavy < 8400  # ~5 sigma around 8000
-
-
 def test_qubit_state_sampling():
     summary = sample_outcomes(build_psi4_qubit(), 700, 4)
     assert set(summary.counts) == set(build_psi4_qubit().support())
@@ -89,48 +78,56 @@ def test_qubit_state_sampling():
 
 
 def reference_counts(state, runs, seed):
-    """The pinned generator, one ``randrange`` draw at a time."""
+    """The pinned generator, one ``randrange`` draw at a time.
+
+    ``mt19937-randrange-cdf/1`` maps each draw below the total weight to
+    the first outcome, in lexicographic order, whose cumulative weight
+    |amplitude|**2 exceeds it.
+    """
     outcomes = state.support()
-    boundaries = list(accumulate(state.amplitude(k).norm_sq() for k in outcomes))
+    weights = (GaussInt.from_phase(state.phases[k]).norm_sq() for k in outcomes)
+    boundaries = list(accumulate(weights))
     rng = random.Random(seed)
     counts = dict.fromkeys(outcomes, 0)
     for _ in range(runs):
-        counts[outcomes[bisect_right(boundaries, rng.randrange(state.norm_sq))]] += 1
+        counts[outcomes[bisect_right(boundaries, rng.randrange(boundaries[-1]))]] += 1
     return counts
 
 
+#: The 1024 kets of five ququarts, so a state can hold past 256 of them.
+FIVE_SITE_KETS = list(product(range(4), repeat=5))
+
+
+def spread_state(phases, offset=0):
+    """Five-site state with the k-th exponent on ket 7k + offset (mod 1024)."""
+    return StateVector(
+        5, {FIVE_SITE_KETS[(offset + 7 * k) % 1024]: t for k, t in enumerate(phases)}
+    )
+
+
 @st.composite
-def nonzero_states(draw):
-    """Two-site states; a bound of 3 keeps most norms below 256, 11 most above."""
-    kets = draw(st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)),
-        min_size=1, max_size=16, unique=True,
-    ))
-    bound = draw(st.sampled_from((3, 11)))
-    parts = st.integers(-bound, bound)
-    amps = {ket: GaussInt(draw(parts), draw(parts)) for ket in kets}
-    amps[kets[0]] = GaussInt(draw(st.integers(1, bound)), draw(parts))
-    return StateVector(2, amps)
+def unit_states(draw):
+    """States of 1 to 300 unit kets: the byte tally below 256, the loop above."""
+    n = draw(st.integers(1, 300))
+    phases = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return spread_state(phases, draw(st.integers(0, 1023)))
 
 
-def one_site_state(*amplitudes):
-    return StateVector(1, {(k,): GaussInt(*a) for k, a in enumerate(amplitudes)})
+def n_kets(n):
+    return spread_state([k % 4 for k in range(n)])
 
 
-HALF_REJECTED = StateVector(2, {(0, 1): GaussInt(10, 5), (3, 2): GaussInt(2, 0)})
-assert HALF_REJECTED.norm_sq == 129
+HALF_REJECTED = n_kets(129)
 # Seed 2's first three outputs have top bytes 244, 220 and 242, all 129
 # or more, so a first block of 3 accepts no draw.
 assert all(t >= 129 for t in random.Random(2).getrandbits(96).to_bytes(12, "little")[3::4])
-# Cumulative weights 1, 10, 50: no outcome boundary is a power of two.
-UNEVEN = one_site_state((1, 0), (3, 0), (6, 2))
-# Norm 255 = 250 + 5: 8-bit draws with shift 0, one value rejected.
-NORM_255 = one_site_state((15, 5), (2, 1))
+# 255 outcomes: 8-bit draws with shift 0, one value rejected.
+N_255 = n_kets(255)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    nonzero_states(),
+    unit_states(),
     st.integers(1, 3000),
     st.integers(min_value=0),
     st.integers(1, 8) | st.just(sampling._BLOCK),
@@ -139,17 +136,15 @@ NORM_255 = one_site_state((15, 5), (2, 1))
 @example(HALF_REJECTED, 3000, 5, 3)
 @example(HALF_REJECTED, 1000, 2**70, sampling._BLOCK)
 @example(HALF_REJECTED, 40, 2, 3)
-@example(StateVector(1, {(2,): GaussInt(1, 0)}), 17, 0, 2)
-@example(StateVector(1, {(2,): GaussInt(1, 0)}), 301, 3, 7)
-@example(StateVector(1, {(0,): GaussInt(15, 5)}), 50, 1, 4)
-@example(StateVector(1, {(0,): GaussInt(16, 0)}), 50, 1, 4)
-@example(one_site_state((1, 0), (0, 1)), 203, 6, 5)
-@example(one_site_state((1, 1)), 99, 8, 7)
-@example(one_site_state((8, 0), (0, 8)), 301, 9, 3)
-@example(one_site_state((8, 8)), 77, 10, 5)
-@example(NORM_255, 1003, 11, 7)
-@example(UNEVEN, 999, 12, 5)
-@example(UNEVEN, 5000, 13, sampling._BLOCK)
+@example(n_kets(1), 17, 0, 2)
+@example(spread_state([2], offset=5), 301, 3, 7)
+@example(n_kets(2), 203, 6, 5)
+@example(n_kets(3), 999, 12, 5)
+@example(n_kets(3), 5000, 13, sampling._BLOCK)
+@example(n_kets(128), 301, 9, 3)
+@example(N_255, 1003, 11, 7)
+@example(n_kets(256), 77, 10, 5)
+@example(n_kets(257), 500, 14, 4)
 def test_counts_equal_the_per_draw_reference(state, runs, seed, block):
     with mock.patch.object(sampling, "_BLOCK", block):
         summary = sample_outcomes(state, runs, seed)

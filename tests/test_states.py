@@ -3,16 +3,16 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from davn.gauss import GaussInt
-from davn.states import StateVector
+from davn.states import StateVector, phase_between
 from reference import (
     PauliWord,
     apply_to_state,
     apply_word,
     eigenvalue_of,
+    global_phase,
     phase_relative_to,
     scaled_by_phase,
 )
@@ -20,33 +20,31 @@ from reference import (
 X = PauliWord.from_exponents(1, x_exps={0: 1})
 
 
-def unit_state(entries, n_sites=2, level=4):
-    return StateVector(
-        n_sites,
-        {ket: GaussInt.from_phase(t) for ket, t in entries.items()},
-        level=level,
-    )
+def unit_state(phases, n_sites=2, level=4):
+    return StateVector(n_sites, phases, level=level)
 
 
 RESIDUAL = unit_state({(0, 0): 0, (1, 3): 1, (2, 2): 2, (3, 1): 3})
 
 
-def test_zero_amplitudes_are_dropped():
-    state = StateVector(1, {(0,): GaussInt(0, 0), (1,): GaussInt(1, 0)})
-    assert state.support() == [(1,)]
-    assert state.norm_sq == 1
+def test_norm_sq_is_the_ket_count():
+    # Every amplitude is a unit, so the squared norm counts the kets.
+    state = StateVector(1, {(0,): 1, (3,): 3})
+    assert state.norm_sq == 2
+    assert StateVector(1, {}).norm_sq == 0
 
 
-def test_norm_is_recomputed_sum_of_squares():
-    state = StateVector(1, {(0,): GaussInt(1, 2), (3,): GaussInt(0, -1)})
-    assert state.norm_sq == 5 + 1
+def test_constructor_copies_the_phase_map():
+    # build_psi_1234 hands the constructor the module's PSI_1234_TERMS.
+    phases = {(0,): 1}
+    state = StateVector(1, phases)
+    phases[(1,)] = 2
+    assert state.phases == {(0,): 1}
 
 
 def test_equal_states_hash_alike():
     # The eigenword scan memo is keyed on states, so == and hash agree.
-    reordered = StateVector(
-        2, {**dict(reversed(RESIDUAL.amplitudes.items())), (1, 1): GaussInt(0, 0)}
-    )
+    reordered = StateVector(2, dict(reversed(RESIDUAL.phases.items())))
     assert reordered == RESIDUAL
     assert hash(reordered) == hash(RESIDUAL)
     assert len({reordered, RESIDUAL, scaled_by_phase(RESIDUAL, 1)}) == 2
@@ -54,9 +52,27 @@ def test_equal_states_hash_alike():
 
 def test_digit_range_is_validated():
     with pytest.raises(ValueError):
-        StateVector(1, {(4,): GaussInt(1, 0)})
+        StateVector(1, {(4,): 0})
     with pytest.raises(ValueError):
-        StateVector(1, {(2,): GaussInt(1, 0)}, level=2)
+        StateVector(1, {(2,): 0}, level=2)
+
+
+@pytest.mark.parametrize(
+    "ket,t",
+    [
+        ((0, 1), True),
+        ((0, 1), 4),
+        ((0, 1), -1),
+        ((0, 1), 1.0),
+        ((0, 1), "1"),
+        ((0, 1, 2), 1),
+        ((0, 4), 1),
+    ],
+    ids=["bool", "four", "negative", "float", "str", "ket-length", "digit"],
+)
+def test_constructor_rejects_a_bad_ket_or_exponent(ket, t):
+    with pytest.raises(ValueError):
+        StateVector(2, {(0, 0): 0, ket: t})
 
 
 def test_apply_preserves_norm():
@@ -113,9 +129,7 @@ def test_x_eigenstate_eigenvalues():
     # The amplitude at |k> is i**(-m*k): shifting k -> k+1 multiplies
     # every amplitude by i**m, so X has eigenvalue i**m.
     for m in range(4):
-        state = StateVector(
-            1, {(k,): GaussInt.from_phase(-m * k) for k in range(4)}
-        )
+        state = StateVector(1, {(k,): -m * k % 4 for k in range(4)})
         assert state.norm_sq == 4
         assert eigenvalue_of(X, state) == m
 
@@ -204,12 +218,45 @@ def test_phase_relative_to_matches_reference(case, t, perturb):
     # Compare a state with a phase copy of itself, optionally with one
     # amplitude rotated or one ket dropped from the support.
     _, state = case
-    amplitudes = dict(scaled_by_phase(state, t).amplitudes)
-    ket = min(amplitudes)
+    phases = dict(scaled_by_phase(state, t).phases)
+    ket = min(phases)
     if perturb == "phase":
-        amplitudes[ket] = amplitudes[ket].times_phase(1)
+        phases[ket] = (phases[ket] + 1) % 4
     elif perturb == "drop":
-        del amplitudes[ket]
-    other = StateVector(state.n_sites, amplitudes)
+        del phases[ket]
+    other = StateVector(state.n_sites, phases)
     assert phase_relative_to(state, other) == reference_phase(state, other)
     assert phase_relative_to(other, state) == reference_phase(other, state)
+
+
+phase_maps = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 3),
+    max_size=6,
+)
+
+
+@given(
+    phase_maps,
+    st.integers(0, 3),
+    st.sampled_from(["same", "rotate", "drop", "add", "other"]),
+    phase_maps,
+)
+@example({}, 0, "same", {})
+@example({}, 0, "other", {(0, 0): 1})
+def test_phase_between_matches_brute_force(a, c, change, other):
+    # b is a phase copy of a, perhaps with one exponent rotated, one ket
+    # dropped or added; or an independent map.
+    b = {k: (t - c) % 4 for k, t in a.items()}
+    if change == "rotate" and b:
+        k = min(b)
+        b[k] = (b[k] + 1) % 4
+    elif change == "drop" and b:
+        del b[min(b)]
+    elif change == "add":
+        b.setdefault((4, 4), 0)
+    elif change == "other":
+        b = other
+    assert phase_between(a, b) == global_phase(a, b)
+    assert phase_between(b, a) == global_phase(b, a)
+    if change == "same":
+        assert phase_between(a, b) == (c if a else 0)
