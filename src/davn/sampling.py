@@ -2,38 +2,36 @@
 
 The generator is pinned, not just the seed: draws come from Python's
 Mersenne Twister via ``random.Random(seed).randrange(n)`` over the ``n``
-supported outcomes in lexicographic order, mapped to outcomes through
-the cumulative weights |amp|**2.  Every amplitude is a unit, so each
-outcome weighs 1 and the draw is the outcome's index.  The identifier
-below is recorded in every summary so a reproduction knows exactly what
-to re-run.
+supported outcomes in lexicographic order.  Every amplitude is a unit,
+so each outcome weighs 1 and the draw is the outcome's index.  The
+identifier below is recorded in every summary so a reproduction knows
+exactly what to re-run.
 
 For ``n < 256`` (every state the CLI samples) the draws are not made
-one by one: they are tallied from raw generator bytes, with the same
+one by one: they are tallied from raw generator words, with the same
 counts, because CPython's generator guarantees three facts.
 
 * ``randrange(n)`` repeats ``getrandbits(k)`` until the value is below
   ``n``, where ``k = n.bit_length()``.
 * For ``k <= 32`` each ``getrandbits(k)`` returns the top ``k`` bits of
   one 32-bit Mersenne Twister output.
-* ``getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]`` is the top byte
-  of each of the next ``m`` outputs, in order.
+* ``raw = getrandbits(32 * w).to_bytes(4 * w, "little")`` holds the next
+  ``w`` outputs in order, so ``raw[4*m + 3::32]`` is the top byte of
+  outputs ``m``, ``m + 8``, ``m + 16``, ...
 
 So a top byte ``t`` is the draw ``t >> (8 - k)``, rejected when that is
 ``n`` or more.  The per-draw ``randrange`` loop is kept for ``n >= 256``
 and is the reference the tests compare the tally against.
 
-One ``bytes.translate`` maps each top byte to its draw, which is its
-outcome index, or to ``n`` when the draw is rejected; that index is
-never tallied.  The indices are then counted by bit planes rather than
-by one pass per outcome.  Plane ``b`` is a Python int whose bit ``i`` is
-bit ``b`` of the ``i``-th index, built from the eight interleaved slices
-``[m::8]`` of the index bytes, and a walk down the binary trie of index
-prefixes, top bit first, splits each prefix's set of draws with one
-``&`` per plane.  Prefixes that no index below ``n`` starts with are
-dropped, and ``int.bit_count`` of each leaf is one outcome's count.  A
-block of draws costs about ``log2(n)`` passes over its bytes and ``n``
-popcounts of ints an eighth of its size, instead of ``n`` passes.
+The draws are counted by bit planes rather than by one pass per
+outcome.  Plane ``b`` is a Python int whose bit ``i`` is bit ``b`` of
+the ``i``-th draw, built from the eight lanes, and a walk down the
+binary trie of draw prefixes, top bit first, splits each prefix's set
+of draws with one ``&`` per plane.  Prefixes that no draw below ``n``
+starts with are dropped, rejected draws with them, and
+``int.bit_count`` of each leaf is one outcome's count.  A block costs
+about ``log2(n)`` passes over its top bytes and ``n`` popcounts of ints
+of a bit per output, instead of ``n`` passes.
 """
 
 from __future__ import annotations
@@ -45,9 +43,11 @@ from .states import BasisKet, StateVector
 
 GENERATOR_ID = "mt19937-randrange-cdf/1"
 
-#: Most generator outputs read per block of the byte tally, so memory
-#: stays bounded whatever the number of runs.
-_BLOCK = 1 << 20
+#: Most generator outputs read per block of the tally, so memory stays
+#: bounded, and few enough that a block's three 256 KiB buffers (words,
+#: int, bytes) stay in a 2 MiB L2 cache while it is tallied; 2**17 and
+#: 2**18 words time alike but fault in more pages.
+_BLOCK = 1 << 16
 
 
 class SampleSummary:
@@ -127,42 +127,42 @@ def _tally_top_bytes(rng: random.Random, n: int, runs: int) -> list[int]:
     Valid for ``0 < n < 256`` only; the module docstring says why the
     counts equal those of the per-draw loop.
     """
-    shift = 8 - n.bit_length()
-    # A rejected draw, n or more, is mapped to n.
-    index_of = bytes(min(t >> shift, n) for t in range(256))
     tally = [0] * n
+    # The first block is the largest; its masks serve every later one.
+    masks = _lane_masks(min(_BLOCK, runs))
     while runs > 0:
         # At most one draw per output, so a block never overshoots ``runs``.
         words = min(_BLOCK, runs)
-        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        counts = _count_indices(top.translate(index_of), n)
-        for index, count in enumerate(counts):
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        for index, count in enumerate(_count_draws(raw, n, masks)):
             tally[index] += count
             runs -= count
     return tally
 
 
-def _count_indices(data: bytes, n: int) -> list[int]:
-    """``[data.count(i) for i in range(n)]``, for bytes of at most ``n``.
+def _lane_masks(words: int) -> list[int]:
+    """Mask ``j`` has bits ``j, j + 8, ...``, enough for ``words`` words."""
+    low = int.from_bytes(b"\1" * (words + 7 >> 3), "little")
+    return [low << j for j in range(15)]
 
-    The byte ``n`` (at most 255) is a rejected draw and is not counted.
-    """
+
+def _count_draws(raw: bytes, n: int, masks: list[int]) -> list[int]:
+    """Counts of each draw below ``n`` from the 32-bit words of ``raw``."""
     bits = n.bit_length()
-    # Lane m is bytes m, m + 8, ... of data as an int, shifted left by m:
-    # bit b of data[i] sits at bit i + b, and masks[m + b] picks it out.
-    low = int.from_bytes(b"\1" * (len(data) + 7 >> 3), "little")
-    masks = [low << j for j in range(bits + 7)]
-    lanes = [int.from_bytes(data[m::8], "little") << m for m in range(8)]
-    planes = []  # bit i of planes[b] is bit b of data[i]
-    for b in range(bits):
+    # Lane m is the top bytes of words m, m + 8, ... as an int, shifted
+    # left by m: bit c of word i's top byte sits at bit i + c, and
+    # masks[m + c] picks it out.
+    lanes = [int.from_bytes(raw[4 * m + 3::32], "little") << m for m in range(8)]
+    planes = []  # bit i of planes[b] is bit b of word i's draw
+    for c in range(8 - bits, 8):
         plane = 0
         for m, lane in enumerate(lanes):
-            plane |= lane & masks[m + b]
-        planes.append(plane >> b)
+            plane |= lane & masks[m + c]
+        planes.append(plane >> c)
     counts = []
 
     def split(draws: int, b: int, prefix: int) -> None:
-        # ``draws`` marks the bytes whose bits above b spell ``prefix``.
+        # ``draws`` marks the words whose draw bits above b spell ``prefix``.
         if b < 0:
             counts.append(draws.bit_count())
             return
@@ -171,6 +171,6 @@ def _count_indices(data: bytes, n: int) -> list[int]:
         if (2 * prefix + 1) << b < n:
             split(one, b - 1, 2 * prefix + 1)
 
-    # Depth first, so only a few ints of len(data) bits are alive at once.
-    split((1 << len(data)) - 1, bits - 1, 0)
+    # Depth first, so only a few ints of a bit per word are alive at once.
+    split((1 << (len(raw) >> 2)) - 1, bits - 1, 0)
     return counts

@@ -1,6 +1,7 @@
 """Seeded sampling: determinism, support coverage, exact bookkeeping."""
 
 import random
+import struct
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, product
@@ -166,11 +167,48 @@ def test_zero_norm_state_is_an_error():
         sample_outcomes(StateVector(1, {}), 10, 1)
 
 
-def test_index_counts_equal_bytes_count():
-    # Every index count up to the largest (norm_sq 255), at every length
-    # up to five lanes of 8, on random bytes and on all-rejected ones.
+def test_draw_counts_equal_a_per_word_count():
+    # Every draw count up to the largest (norm_sq 255), at every length
+    # up to five lanes of 8 words, on random words and on all-rejected
+    # ones (top bits all set, so every draw is n or more).
     rng = random.Random(0)
+    masks = sampling._lane_masks(40)
     for n in range(1, 256):
+        k = n.bit_length()
         for length in range(41):
-            for data in (bytes(rng.randint(0, n) for _ in range(length)), bytes([n]) * length):
-                assert sampling._count_indices(data, n) == [data.count(i) for i in range(n)]
+            for raw in (rng.randbytes(4 * length), b"\xff" * (4 * length)):
+                draws = [w >> (32 - k) for (w,) in struct.iter_unpack("<I", raw)]
+                expected = [draws.count(i) for i in range(n)]
+                assert sampling._count_draws(raw, n, masks) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 255),
+    st.integers(1, 3000),
+    st.integers(min_value=0),
+    st.integers(1, 8) | st.just(sampling._BLOCK),
+)
+@example(1, 301, 3, 7)
+@example(129, 2999, 7, 1)
+@example(129, 40, 2, 3)
+@example(255, 1003, 11, sampling._BLOCK)
+def test_tally_reads_the_outputs_the_per_draw_loop_reads(n, runs, seed, block):
+    # The tally's last word is the runs-th accepted draw, so the generator
+    # is left where the per-draw loop leaves it.
+    rng = random.Random(seed)
+    with mock.patch.object(sampling, "_BLOCK", block):
+        sampling._tally_top_bytes(rng, n, runs)
+    reference = random.Random(seed)
+    for _ in range(runs):
+        reference.randrange(n)
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("name", ["psi1234", "psi4-qubit"])
+def test_several_full_blocks_match_the_per_draw_reference(name):
+    # Two full blocks at the real size, then the tail blocks after them.
+    state = build_state(name)
+    runs = 2 * sampling._BLOCK + 4321
+    summary = sample_outcomes(state, runs, 3)
+    assert summary.counts == reference_counts(state, runs, 3)
