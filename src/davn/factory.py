@@ -19,8 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .gauss import parse_phase
-from .states import BasisKet, StateVector
+from .states import BasisKet, StateVector, parse_phase
 
 # The 56 components, written as <digits>:<amplitude>.  One row per
 # component family: the two +1 kets, then six families each headed by a

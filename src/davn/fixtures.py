@@ -13,9 +13,8 @@ import re
 from functools import lru_cache
 
 from .factory import TABLE_BLOCKS, canonical_table_label
-from .gauss import parse_phase
 from .postselect import SITE_PAIRS, Eigenword, PairSelection, _constraint_row
-from .states import BasisKet, StateVector, phase_between
+from .states import BasisKet, StateVector, parse_phase, phase_between
 
 # Table files and the allowlist share one line grammar: fields
 # ``key=value`` separated by ``|``, with key and value stripped.  The

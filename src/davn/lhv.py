@@ -24,9 +24,8 @@ from itertools import combinations, product
 from operator import and_
 
 from .factory import TABLE_LABELS, TABLE_OF_OUTCOME, joint_z_probability, z_support
-from .gauss import phase_str
 from .postselect import ConstraintRow, Eigenword, table_for_outcome
-from .states import BasisKet, StateVector
+from .states import BasisKet, StateVector, phase_str
 
 #: All hidden-variable assignments (v1, v2, v3, v4), lexicographic.
 ASSIGNMENTS: tuple[tuple[int, int, int, int], ...] = tuple(

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gauss import phase_str
-from .states import BasisKet, StateVector, phase_between
+from .states import BasisKet, StateVector, phase_between, phase_str
 
 #: An eigen-relation of a two-site residual: ((u, v), eigenvalue exponent).
 Eigenword = tuple[tuple[int, int], int]
@@ -92,43 +91,47 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
     """Project two sites onto given Z outcomes; keep the rest.
 
     The residual keeps the phases of all matching kets re-indexed to
-    the remaining sites in ascending order; the global phase is whatever
-    the state carries (comparisons downstream are phase-insensitive).
-    Raises if a site is out of range or the selection has probability
-    zero.  The first selection on a site pair sweeps the kets once and
-    files them with the state by the pair's outcomes; each residual is
-    built on its first selection, without re-checking the kets it cuts
+    the remaining sites in ascending order, kets in lexicographic order;
+    the global phase is whatever the state carries (comparisons
+    downstream are phase-insensitive).  Raises if a site is out of range
+    or the selection has probability zero.  Both steps are memos keyed
+    on the state's value: the first selection on a site pair sweeps the
+    kets once and files them by the pair's outcomes, and each residual
+    is cut on its first selection, without re-checking the kets it takes
     from the validated state, and shared by every later one.
     """
-    sites = (pair.site_i, pair.site_j)
-    index = state._selections.get(sites)
-    if index is None:
-        # Only a site pair in range is filed, so a filed pair needs no check.
-        for site in sites:
-            if not 0 <= site < state.n_sites:
-                raise ValueError(f"site {site + 1} out of range")
-        kets_by_outcome: dict[tuple[int, int], dict[BasisKet, int]] = {}
-        for ket, t in state.phases.items():
-            outcome = (ket[pair.site_i], ket[pair.site_j])
-            kets_by_outcome.setdefault(outcome, {})[ket] = t
-        index = state._selections[sites] = (kets_by_outcome, {})
-    kets_by_outcome, residuals = index
-    outcome = (pair.m_i, pair.m_j)
-    residual = residuals.get(outcome)
+    residual = _residual(state, pair.site_i, pair.site_j, pair.m_i, pair.m_j)
     if residual is None:
-        if outcome not in kets_by_outcome:
-            raise ValueError(
-                f"selection {pair.describe()} has probability zero"
-            )
-        keep = tuple(s for s in range(state.n_sites) if s not in sites)
-        phases = {
-            tuple(ket[s] for s in keep): t
-            for ket, t in kets_by_outcome[outcome].items()
-        }
-        residual = residuals[outcome] = ResidualState(
-            keep, StateVector._cut(len(keep), phases, state.level)
-        )
+        raise ValueError(f"selection {pair.describe()} has probability zero")
     return residual
+
+
+@lru_cache(maxsize=64)
+def _sweep(
+    state: StateVector, site_i: int, site_j: int
+) -> dict[tuple[int, int], dict[BasisKet, int]]:
+    """The kets of ``state``, in lexicographic order, by their outcomes
+    on the two sites."""
+    for site in (site_i, site_j):
+        if not 0 <= site < state.n_sites:
+            raise ValueError(f"site {site + 1} out of range")
+    kets_by_outcome: dict[tuple[int, int], dict[BasisKet, int]] = {}
+    for ket, t in sorted(state.phases.items()):
+        kets_by_outcome.setdefault((ket[site_i], ket[site_j]), {})[ket] = t
+    return kets_by_outcome
+
+
+@lru_cache(maxsize=1024)
+def _residual(
+    state: StateVector, site_i: int, site_j: int, m_i: int, m_j: int
+) -> ResidualState | None:
+    """postselect_pair, or None for a selection of probability zero."""
+    kets = _sweep(state, site_i, site_j).get((m_i, m_j))
+    if kets is None:
+        return None
+    keep = tuple(s for s in range(state.n_sites) if s not in (site_i, site_j))
+    phases = {tuple(ket[s] for s in keep): t for ket, t in kets.items()}
+    return ResidualState(keep, StateVector._cut(len(keep), phases, state.level))
 
 
 def derive_constraints(
@@ -141,8 +144,8 @@ def derive_constraints(
     even-exponent form, which is itself an eigen-relation (squaring an
     eigen-relation squares the eigenvalue).  The scan is a pure function
     of the phases, so each distinct residual is scanned once per
-    process; the memo is keyed on the state, which hashes its phases
-    once, so a residual shared by many rows is not hashed again.
+    process; the memo is keyed on the state, which is hashed once when
+    it is built, so a residual shared by many rows is not hashed again.
     """
     if residual.n_sites != 2:
         raise ValueError("constraints are derived from two-site residuals")

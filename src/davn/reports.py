@@ -14,8 +14,8 @@ from json.encoder import encode_basestring_ascii
 from math import isqrt
 from typing import TYPE_CHECKING, Any
 
-from .gauss import phase_str
 from .lhv import constraint_from_row
+from .states import BasisKet, StateVector, phase_str
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -25,7 +25,6 @@ if TYPE_CHECKING:
     from .fixtures import DiffReport
     from .postselect import ConstraintRow
     from .sampling import SampleSummary
-    from .states import BasisKet, StateVector
 
 
 def to_json(payload: dict[str, Any]) -> str:

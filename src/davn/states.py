@@ -1,4 +1,11 @@
-"""Sparse multi-qudit state vectors with unit amplitudes.
+"""Sparse multi-qudit state vectors with unit amplitudes, and the phase
+group Z4 they are written in.
+
+Every amplitude, eigenvalue and Z outcome in this package is a unit
+i**t, so it is carried as its "phase exponent" t, a plain int reduced
+mod 4; the group law is addition mod 4.  Probabilities are
+`fractions.Fraction` values, and all checks downstream are equality
+tests, never tolerance comparisons.
 
 A state is an unnormalised map from the basis kets of its support
 (tuples over Z_d) to phase exponents: ket k carries the amplitude
@@ -7,11 +14,10 @@ squared norm is the number of kets.  Nothing is ever divided: the
 physical state is the vector divided by sqrt(norm_sq), and every
 consumer works with the integer data directly.
 
-States are immutable after construction and all operations here are pure,
-so values can be shared freely between threads.  Two slots are filled
-later, each a function of the phases, so filling one twice is harmless:
-``_hash``, the state's hash, on its first use as a key, and
-``_selections``, postselect's index of the pair selections.
+A state is a value: every slot is set when it is built and never
+after, its hash included, so states can be shared freely between
+threads and used as memo keys.  Memos over states live with the
+modules that compute them (postselect keeps its own selections).
 
 The constructor validates every ket and exponent, since they come from
 outside.  A residual that postselect cuts from a validated state is
@@ -24,11 +30,31 @@ from __future__ import annotations
 #: A basis ket: one digit in 0..level-1 per site.
 BasisKet = tuple[int, ...]
 
+#: Rendering of the four unit phases i**t for t = 0..3.
+PHASE_STRINGS = ("1", "i", "-1", "-i")
+
+_PHASE_FROM_STRING = {s: t for t, s in enumerate(PHASE_STRINGS)}
+_PHASE_FROM_STRING["+1"] = 0
+_PHASE_FROM_STRING["+i"] = 1
+
+
+def phase_str(t: int) -> str:
+    """Render i**t as one of 1, i, -1, -i."""
+    return PHASE_STRINGS[t % 4]
+
+
+def parse_phase(text: str) -> int:
+    """Inverse of :func:`phase_str`; also accepts +1 and +i."""
+    try:
+        return _PHASE_FROM_STRING[text.strip()]
+    except KeyError:
+        raise ValueError(f"not a fourth root of unity: {text!r}") from None
+
 
 class StateVector:
-    """Unnormalised state: ket -> phase exponent, with squared norm cached."""
+    """Unnormalised state: ket -> phase exponent, hashed once when built."""
 
-    __slots__ = ("level", "n_sites", "phases", "norm_sq", "_hash", "_selections")
+    __slots__ = ("level", "n_sites", "phases", "_hash")
 
     def __init__(
         self, n_sites: int, phases: dict[BasisKet, int], level: int = 4
@@ -45,9 +71,7 @@ class StateVector:
         self.level = level
         self.n_sites = n_sites
         self.phases = dict(phases)
-        self.norm_sq = len(phases)
-        self._hash: int | None = None
-        self._selections: dict = {}
+        self._hash = hash(frozenset(self.phases.items()))
 
     @classmethod
     def _cut(
@@ -63,10 +87,13 @@ class StateVector:
         state.level = level
         state.n_sites = n_sites
         state.phases = phases
-        state.norm_sq = len(phases)
-        state._hash = None
-        state._selections = {}
+        state._hash = hash(frozenset(phases.items()))
         return state
+
+    @property
+    def norm_sq(self) -> int:
+        """Squared norm: every amplitude is a unit, so the ket count."""
+        return len(self.phases)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
@@ -75,8 +102,6 @@ class StateVector:
 
     def __hash__(self) -> int:
         # Equal states have equal phase maps, so this agrees with ==.
-        if self._hash is None:
-            self._hash = hash(frozenset(self.phases.items()))
         return self._hash
 
     def __repr__(self) -> str:

@@ -10,7 +10,7 @@ multiply amplitudes as written rather than as exponents.
 from __future__ import annotations
 
 from davn.fixtures import FixtureRow
-from davn.gauss import phase_str
+from davn.states import phase_str
 from davn.lhv import Constraint
 from davn.postselect import PairSelection, ResidualState
 from davn.states import BasisKet, StateVector

@@ -1,11 +1,14 @@
-"""Tripwire: every cache in ``davn.fixtures`` is bounded.
+"""Tripwire: every cache in ``davn.fixtures`` and ``davn.postselect`` is
+bounded.
 
-That module parses fixture files, which are outside input, and memoizes
-the values it parses, so an unbounded cache would grow with whatever
-file it is given.  This walks the module's syntax tree and fails on any
-use of ``functools.cache`` and on any ``lru_cache`` that is not called
-with a positive integer literal ``maxsize`` (a bare ``@lru_cache`` is
-bounded by its default, but the bound should be stated).
+Both modules memoize on values their callers supply: ``fixtures`` the
+fields of fixture files, which are outside input, and ``postselect`` the
+selections and residuals of whatever states it is given.  An unbounded
+cache would grow with that input.  This walks each module's syntax tree
+and fails on any use of ``functools.cache`` and on any ``lru_cache``
+that is not called with a positive integer literal ``maxsize`` (a bare
+``@lru_cache`` is bounded by its default, but the bound should be
+stated).
 """
 
 import ast
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import davn.fixtures
+import davn.postselect
 
 CACHE_NAMES = {"cache", "lru_cache"}
 
@@ -52,10 +56,18 @@ def unbounded_caches(tree: ast.AST) -> list[str]:
     ]
 
 
-def test_every_cache_in_the_fixture_module_is_bounded():
-    path = Path(davn.fixtures.__file__)
+def unbounded_caches_of(module) -> list[str]:
+    path = Path(module.__file__)
     source = path.read_text(encoding="utf-8")
-    assert unbounded_caches(ast.parse(source, str(path))) == []
+    return unbounded_caches(ast.parse(source, str(path)))
+
+
+def test_every_cache_in_the_fixture_module_is_bounded():
+    assert unbounded_caches_of(davn.fixtures) == []
+
+
+def test_every_cache_in_the_postselect_module_is_bounded():
+    assert unbounded_caches_of(davn.postselect) == []
 
 
 @pytest.mark.parametrize(

@@ -135,6 +135,23 @@ def test_paradox_malformed_outcome(capsys):
         assert len(lines) == 1 and "comma-separated digits" in lines[0]
 
 
+def test_paradox_outcome_exponent_out_of_range(capsys):
+    code, out, err = run_cli(capsys, "paradox", "--outcome", "0,4,0,0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: outcome exponents must be in 0..3 (i^k per site)\n"
+
+
+def test_paradox_reports_an_lhv_model(capsys):
+    code, out, _ = run_cli(
+        capsys, "paradox", "--state", "psi4-embedded", "--outcome", "0,0,1,1"
+    )
+    assert code == 1
+    assert out.endswith(
+        "LHV model EXISTS: X values i^(0,0,0,0)\nno paradox for this outcome\n"
+    )
+
+
 def test_paradox_outcome_allows_spaces_around_digits(capsys):
     code, out, _ = run_cli(capsys, "paradox", "--outcome", " 0, 2 ,3,3 ")
     assert code == 0
@@ -299,6 +316,25 @@ def test_fixtures_diff_flags_unused_allowlist_entry(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert code == 1
     assert "no longer fire:\n  table I row 1 kind derivation" in out
+
+
+def test_fixtures_diff_json_lists_an_unused_allowlist_entry(tmp_path, capsys):
+    allowlist = copy_fixtures(tmp_path) / "allowlist.txt"
+    allowlist.write_text(
+        allowlist.read_text(encoding="utf-8")
+        + "table=I | row=1 | kind=derivation | tag=UNUSED | note=matches\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(
+        capsys, "fixtures-diff", "--dir", str(tmp_path), "--format", "json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["failures"] == []
+    assert payload["unused_allowlist"] == [
+        {"table": "I", "row": 1, "kind": "derivation"}
+    ]
 
 
 def test_fixtures_diff_names_a_missing_field(tmp_path, capsys):

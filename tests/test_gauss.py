@@ -7,7 +7,7 @@ The package keeps amplitudes as phase exponents; the oracles in
 from hypothesis import given
 from hypothesis import strategies as st
 
-from davn.gauss import parse_phase, phase_str
+from davn.states import parse_phase, phase_str
 from reference import IMAG, ONE, GaussInt
 
 ints = st.integers(min_value=-50, max_value=50)

@@ -1,6 +1,7 @@
 """Hidden-variable refutation: satisfiability, cores, classification."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -19,8 +20,7 @@ from davn.lhv import (
     verify_davn,
     verify_paradox,
 )
-from davn.states import StateVector
-from davn.gauss import phase_str
+from davn.states import StateVector, phase_str
 from reference import PauliWord, holds, word_str
 
 PSI = build_psi_1234()
@@ -297,6 +297,40 @@ def test_davn_not_awarded_to_product_state():
     report = verify_davn(single)
     assert report.verdict == "NOT-DAVN"
     assert report.failing_outcomes == ((0, 0, 0, 0),)
+
+
+def neighbours_of_psi():
+    """The 224 states one ket away from PSI, by kind: each ket's phase
+    moved by 1, 2 or 3, and each ket dropped."""
+    shifts, drops = [], []
+    for ket, t in PSI.phases.items():
+        for shift in (1, 2, 3):
+            phases = dict(PSI.phases)
+            phases[ket] = (t + shift) % 4
+            shifts.append(StateVector(4, phases))
+        kept = {k: s for k, s in PSI.phases.items() if k != ket}
+        drops.append(StateVector(4, kept))
+    return {"phase shift": shifts, "ket drop": drops}
+
+
+def test_census_of_the_neighbours_of_psi():
+    # Tripwire on the wiring from selections to verdicts: every state one
+    # ket away from PSI is NOT-DAVN, and how many of its outcomes admit
+    # an LHV model is pinned per kind of neighbour.
+    census = {}
+    for kind, states in neighbours_of_psi().items():
+        counts = []
+        for state in states:
+            report = verify_davn(state)
+            assert report.verdict == "NOT-DAVN"
+            assert report.support_size == len(state.phases)
+            assert report.probability_sum == 1
+            counts.append(len(report.failing_outcomes))
+        census[kind] = dict(sorted(Counter(counts).items()))
+    assert census == {
+        "phase shift": {5: 96, 10: 48, 13: 24},
+        "ket drop": {4: 32, 9: 16, 12: 8},
+    }
 
 
 

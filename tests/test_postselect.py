@@ -121,7 +121,9 @@ def assert_selections_match_the_sweep(state):
                     residual = postselect_pair(state, pair)
                     assert residual.sites == expected.sites
                     assert residual.state == expected.state
-                    assert list(residual.state.phases) == list(
+                    # Kets come in lexicographic order, whatever the
+                    # order the state was built in.
+                    assert list(residual.state.phases) == sorted(
                         expected.state.phases
                     )
                     assert postselect_pair(state, pair) is residual
@@ -179,6 +181,14 @@ def test_states_of_one_shape_keep_their_own_selections():
     mine, theirs = postselect_pair(PSI, pair), postselect_pair(turned, pair)
     assert phase_relative_to(mine.state, theirs.state) == 3
     assert theirs.state == postselect_pair_sweep(turned, pair).state
+
+
+def test_equal_states_share_their_selections():
+    # The memo is keyed on the state's value, so a copy built with its
+    # kets in reverse order gets the very residual of the original.
+    reordered = StateVector(4, dict(reversed(PSI.phases.items())))
+    pair = PairSelection(0, 1, 0, 0)
+    assert postselect_pair(reordered, pair) is postselect_pair(PSI, pair)
 
 
 def test_residual_norm_matches_projected_weight():
@@ -495,6 +505,35 @@ def test_verify_reference_row_flags_wrong_residual():
     verdict = verify_reference_row(PSI, tampered)
     assert verdict.failed == {
         "derivation": ("residual differs beyond a global phase",)
+    }
+
+
+def test_verify_reference_row_flags_an_empty_selection():
+    # Every pair selection of PSI is nonempty, so the row is checked
+    # against PSI without the kets its selection picks out.
+    rows, _ = fixture_rows()
+    row = rows[0]
+    pair = row.pair
+    state = StateVector(4, {
+        ket: t
+        for ket, t in PSI.phases.items()
+        if (ket[pair.site_i], ket[pair.site_j]) != (pair.m_i, pair.m_j)
+    })
+    verdict = verify_reference_row(state, row)
+    assert verdict.failed == {"derivation": ("selection has empty projection",)}
+
+
+def test_verify_reference_row_flags_a_missing_constraint():
+    rows, _ = fixture_rows()
+    row = rows[0]
+    assert row.basic is not None
+    tampered = FixtureRow(
+        row.table, row.index, row.block_outcome, row.pair,
+        row.residual, None, row.extended,
+    )
+    verdict = verify_reference_row(PSI, tampered)
+    assert verdict.failed == {
+        "derivation": ("reference row lists no constraint but eigenwords exist",)
     }
 
 
