@@ -4,57 +4,42 @@ all-versus-nothing Bell-nonlocality argument.
 Everything is integer arithmetic: every amplitude is a unit i**t held
 as its phase exponent t mod 4, and probabilities are rationals.  See the README for the
 module map and the CLI (``davn``) for the runnable verification suites.
+
+``import davn`` loads no submodule: each name in ``__all__`` is imported
+from its home module on first access (PEP 562), so a ``davn`` command
+compiles only the modules it runs.
 """
 
-from .factory import (
-    build_psi4_qubit,
-    build_psi_1234,
-    check_global_stabilizer,
-    commutation_phase_audit,
-    embed_qubit_state,
-    joint_z_probability,
-    nonstabilizer_test,
-    reduced_density,
-    z_support,
-)
-from .lhv import (
-    Constraint,
-    classify_type,
-    minimal_unsat_core,
-    satisfiable,
-    verify_davn,
-    verify_paradox,
-)
-from .postselect import (
-    PairSelection,
-    derive_constraints,
-    postselect_pair,
-    table_for_outcome,
-)
-from .states import StateVector
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Constraint",
-    "PairSelection",
-    "StateVector",
-    "__version__",
-    "build_psi4_qubit",
-    "build_psi_1234",
-    "check_global_stabilizer",
-    "classify_type",
-    "commutation_phase_audit",
-    "derive_constraints",
-    "embed_qubit_state",
-    "joint_z_probability",
-    "minimal_unsat_core",
-    "nonstabilizer_test",
-    "postselect_pair",
-    "reduced_density",
-    "satisfiable",
-    "table_for_outcome",
-    "verify_davn",
-    "verify_paradox",
-    "z_support",
-]
+#: The public names of each home module.
+_EXPORTS = {
+    "factory": (
+        "build_psi4_qubit", "build_psi_1234", "check_global_stabilizer",
+        "commutation_phase_audit", "embed_qubit_state", "joint_z_probability",
+        "nonstabilizer_test", "reduced_density", "z_support",
+    ),
+    "lhv": (
+        "Constraint", "classify_type", "minimal_unsat_core", "satisfiable",
+        "verify_davn", "verify_paradox",
+    ),
+    "postselect": (
+        "PairSelection", "derive_constraints", "postselect_pair",
+        "table_for_outcome",
+    ),
+    "states": ("StateVector",),
+}
+_HOME = {name: home for home, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_HOME, "__version__"])
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(
+        name, getattr(import_module(f".{home}", __name__), name)
+    )

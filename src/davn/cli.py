@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from importlib import resources
-from pathlib import Path
+from importlib import import_module
 
-from . import reports
 from .checks import STATE_NAMES, build_state, run_state_checks
 from .factory import (
     TABLE_ALIASES,
@@ -29,19 +27,45 @@ from .factory import (
     TABLE_LABELS,
     canonical_table_label,
 )
-from .fixtures import (
-    check_table_shape,
-    diff_fixture_rows,
-    parse_allowlist,
-    parse_fixture_text,
-)
-from .lhv import verify_davn, verify_paradox
-from .postselect import table_for_outcome
 from .states import BasisKet
+
+#: Home module of each name a command imports on first use, so that a
+#: command loads only the modules it runs.  ``reports`` is the module.
+_LAZY = {
+    "reports": "reports",
+    "verify_davn": "lhv",
+    "verify_paradox": "lhv",
+    "table_for_outcome": "postselect",
+    "check_table_shape": "fixtures",
+    "diff_fixture_rows": "fixtures",
+    "parse_allowlist": "fixtures",
+    "parse_fixture_text": "fixtures",
+}
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{home}", __package__)
+    # ``_load`` calls this for bound names too: whatever is bound (a
+    # wrapper installed by a tracer, say) stays.
+    return globals().setdefault(
+        name, module if name == home else getattr(module, name)
+    )
+
+
+def _load(*names: str) -> None:
+    """Bind each name of ``_LAZY`` that is not yet a global of this
+    module; the commands then call it through the global."""
+    for name in names:
+        __getattr__(name)
 
 
 def _emit(text: str, output: str | None) -> None:
     if output:
+        from pathlib import Path
+
         Path(output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -65,6 +89,7 @@ def _parse_outcome(text: str, n_sites: int) -> BasisKet:
 def cmd_verify_state(args: argparse.Namespace) -> int:
     name = args.state
     _, checks = run_state_checks(name)
+    _load("reports")
     if args.format == "json":
         _emit(reports.checks_json(name, checks), args.output)
     else:
@@ -74,6 +99,7 @@ def cmd_verify_state(args: argparse.Namespace) -> int:
 
 def cmd_tables(args: argparse.Namespace) -> int:
     label = canonical_table_label(args.table)
+    _load("table_for_outcome", "reports")
     state = build_state("psi1234")
     blocks = [
         (outcome, table_for_outcome(state, outcome))
@@ -97,6 +123,7 @@ def cmd_paradox(args: argparse.Namespace) -> int:
             f"outcome {args.outcome} has probability 0; only the "
             f"{len(state.phases)} supported outcomes admit a paradox"
         )
+    _load("verify_paradox", "reports")
     report = verify_paradox(state, outcome)
     if args.format == "json":
         payload = reports.paradox_json(report, include_rows=True)
@@ -109,6 +136,7 @@ def cmd_paradox(args: argparse.Namespace) -> int:
 
 def cmd_davn(args: argparse.Namespace) -> int:
     state = build_state(args.state)
+    _load("verify_davn", "reports")
     report = verify_davn(state)
     if args.format == "json":
         _emit(reports.davn_json(report), args.output)
@@ -122,6 +150,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
     state = build_state(args.state)
     summary = sample_outcomes(state, args.runs, args.seed)
+    _load("reports")
     if args.format == "json":
         _emit(reports.sample_json(args.state, summary), args.output)
     else:
@@ -130,12 +159,17 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _fixture_dir(path: str | None):
+    from importlib import resources
+    from pathlib import Path
+
     if path is not None:
         return Path(path)
     return resources.files("davn") / "fixtures"
 
 
 def cmd_fixtures_diff(args: argparse.Namespace) -> int:
+    _load("parse_fixture_text", "check_table_shape", "parse_allowlist",
+          "diff_fixture_rows", "reports")
     fixdir = _fixture_dir(args.dir)
     state = build_state("psi1234")
     rows = []

@@ -14,7 +14,6 @@ from json.encoder import encode_basestring_ascii
 from math import isqrt
 from typing import TYPE_CHECKING, Any
 
-from .lhv import constraint_from_row
 from .states import BasisKet, StateVector, phase_str
 
 if TYPE_CHECKING:
@@ -118,6 +117,8 @@ def constraint_json(constraint: Constraint) -> dict[str, Any]:
 
 
 def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
+    from .lhv import constraint_from_row
+
     out = []
     for row in rows:
         sites = row.residual.sites
@@ -141,6 +142,8 @@ def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
 
 
 def _row_cells(row: ConstraintRow) -> tuple[str, str, str, str]:
+    from .lhv import constraint_from_row
+
     sites = row.residual.sites
     return (
         row.pair.describe(),

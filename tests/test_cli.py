@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import davn
 from davn.cli import main
 
 
@@ -580,7 +582,8 @@ def test_fixtures_diff_exit_code_contract_under_mutation(case):
 def test_import_pulls_in_neither_dataclasses_nor_inspect():
     # Every command pays for what `import davn.cli` imports; dataclasses
     # (with inspect, ast, dis and tokenize) cost more than a refutation.
-    # Only `sample` needs davn.sampling, and imports it itself.
+    # The engine modules load in the commands that run them (see
+    # test_each_command_loads_only_the_modules_it_runs).
     code = (
         "import sys, davn.cli; print(sorted("
         "{'dataclasses', 'inspect', 'davn.sampling'} & set(sys.modules)))"
@@ -589,3 +592,75 @@ def test_import_pulls_in_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", code], capture_output=True, check=True
     )
     assert result.stdout == b"[]\n"
+
+
+def loaded_modules(code: str, *argv: str) -> set[str]:
+    """The modules a fresh process has loaded after running ``code``.
+
+    ``-S`` keeps out the modules that start-up hooks in site-packages
+    may import, so the set is the same on every host; PYTHONPATH names
+    the davn under test instead.
+    """
+    probe = f"{code}\nimport sys\nprint(*sys.modules)"
+    path = [str(Path(davn.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        capture_output=True, check=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+    )
+    return set(result.stdout.split())
+
+
+#: Runs ``main`` on the process's arguments with its stdout discarded.
+RUN_MAIN = """\
+import io, sys
+from contextlib import redirect_stdout
+from davn.cli import main
+with redirect_stdout(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass"""
+
+#: What ``import davn.cli`` loads: the modules every command needs.
+CLI_MODULES = {"davn", "davn.checks", "davn.cli", "davn.factory", "davn.states"}
+
+
+@pytest.mark.parametrize(
+    ("code", "expected"),
+    [
+        ("import davn", {"davn"}),
+        ("import davn.cli", CLI_MODULES),
+    ],
+)
+def test_import_loads_only_what_every_command_needs(code, expected):
+    loaded = loaded_modules(code)
+    assert {m for m in loaded if m.split(".")[0] == "davn"} == expected
+    # importlib.resources (with zipfile and tempfile) and pathlib serve
+    # fixtures-diff and -o only.
+    assert not {"importlib.resources", "pathlib"} & loaded
+
+
+@pytest.mark.parametrize(
+    ("argv", "added"),
+    [
+        (["--help"], set()),
+        (["verify-state"], {"reports"}),
+        (["sample", "--runs", "10", "--seed", "1"], {"reports", "sampling"}),
+        (["sample", "--runs", "0", "--seed", "1"], {"sampling"}),
+        (["davn"], {"lhv", "postselect", "reports"}),
+        (["paradox", "--outcome", "0,2,3,3"], {"lhv", "postselect", "reports"}),
+        (["tables", "--table", "I"], {"lhv", "postselect", "reports"}),
+        (["fixtures-diff"], {"fixtures", "postselect", "reports"}),
+    ],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, added):
+    # Compiling a module is a large share of a short command when no
+    # bytecode cache is written, so each command imports the engine
+    # modules it calls, and no others.
+    loaded = loaded_modules(RUN_MAIN, *argv)
+    expected = CLI_MODULES | {f"davn.{name}" for name in added}
+    assert {m for m in loaded if m.split(".")[0] == "davn"} == expected
+    if argv[:3] == ["sample", "--runs", "0"]:
+        # A rejected run stops before any report is rendered.
+        assert "json" not in loaded
