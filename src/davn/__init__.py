@@ -16,17 +16,20 @@ __version__ = "0.1.0"
 
 #: The public names of each home module.
 _EXPORTS = {
+    "checks": (
+        "check_global_stabilizer", "commutation_phase_audit",
+        "nonstabilizer_test", "reduced_density",
+    ),
     "factory": (
-        "build_psi4_qubit", "build_psi_1234", "check_global_stabilizer",
-        "commutation_phase_audit", "embed_qubit_state", "joint_z_probability",
-        "nonstabilizer_test", "reduced_density", "z_support",
+        "build_psi4_qubit", "build_psi_1234", "embed_qubit_state",
+        "joint_z_probability", "z_support",
     ),
     "lhv": (
-        "Constraint", "classify_type", "minimal_unsat_core", "satisfiable",
-        "verify_davn", "verify_paradox",
+        "classify_type", "minimal_unsat_core", "satisfiable", "verify_davn",
+        "verify_paradox",
     ),
     "postselect": (
-        "PairSelection", "derive_constraints", "postselect_pair",
+        "Constraint", "PairSelection", "derive_constraints", "postselect_pair",
         "table_for_outcome",
     ),
     "states": ("StateVector",),

@@ -1,9 +1,12 @@
-"""Verification suites for the built-in states.
+"""Verification suites for the built-in states, and the diagnostics
+only they run.
 
 Each suite is a list of named exact checks (no tolerances anywhere); the
 CLI renders them and fails on the first false one.  The expected values
 asserted here are the package's ground truths: norms, the reduced-density
-diagonals, the digit-sum rule, and the support census.
+diagonals (whose deviation from I/d marks a nonstabilizer state), the
+digit-sum rule, and the support census.  ``build_state`` and
+``STATE_NAMES`` are `davn.factory`'s, re-exported here.
 """
 
 from __future__ import annotations
@@ -11,30 +14,180 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .factory import (
-    build_psi4_qubit,
-    build_psi_1234,
-    check_global_stabilizer,
-    commutation_phase_audit,
-    embed_qubit_state,
-    joint_z_probability,
-    nonstabilizer_test,
-    z_support,
-    z_word_fixes,
-)
-from .states import StateVector
-
-STATE_NAMES = ("psi1234", "psi4-qubit", "psi4-embedded")
+from .factory import STATE_NAMES, build_state, joint_z_probability, z_support
+from .states import BasisKet, StateVector
 
 
-def build_state(name: str) -> StateVector:
-    if name == "psi1234":
-        return build_psi_1234()
-    if name == "psi4-qubit":
-        return build_psi4_qubit()
-    if name == "psi4-embedded":
-        return embed_qubit_state(build_psi4_qubit(), 1)
-    raise ValueError(f"unknown state {name!r}; expected one of {STATE_NAMES}")
+class DensityMatrix:
+    """Exact single-site density matrix: numerators over a common denominator.
+
+    Entry (r, c) is (re + im*i) / denominator for the int pair
+    numerators[r][c] = (re, im), so Hermiticity and trace are checked by
+    integer equality.
+    """
+
+    __slots__ = ("dim", "denominator", "numerators")
+
+    def __init__(
+        self,
+        dim: int,
+        denominator: int,
+        numerators: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        self.dim = dim
+        self.denominator = denominator
+        self.numerators = numerators
+
+    def diagonal(self) -> tuple[Fraction, ...]:
+        return tuple(
+            Fraction(self.numerators[k][k][0], self.denominator)
+            for k in range(self.dim)
+        )
+
+    def trace(self) -> Fraction:
+        return sum(self.diagonal(), Fraction(0))
+
+    def is_hermitian(self) -> bool:
+        return all(
+            self.numerators[c][r] == (re, -im)
+            for r in range(self.dim)
+            for c, (re, im) in enumerate(self.numerators[r])
+        )
+
+    def is_maximally_mixed(self) -> bool:
+        """Exactly equal to identity / dim."""
+        return all(
+            (re * self.dim == self.denominator if r == c else re == 0) and im == 0
+            for r in range(self.dim)
+            for c, (re, im) in enumerate(self.numerators[r])
+        )
+
+
+def reduced_density(state: StateVector, site: int) -> DensityMatrix:
+    """Exact partial trace onto one site (0-based index).
+
+    Entry (r, c) sums i**(t_r - t_c) over the ket pairs that agree off
+    the site and read r and c on it.  With n_e such pairs of exponent
+    difference e mod 4, that is (n_0 - n_2) + (n_1 - n_3) i.
+    """
+    if not 0 <= site < state.n_sites:
+        raise ValueError(f"site {site} out of range 0..{state.n_sites - 1}")
+    d = state.level
+    buckets: dict[BasisKet, dict[int, int]] = {}
+    for ket, t in state.phases.items():
+        rest = ket[:site] + ket[site + 1 :]
+        buckets.setdefault(rest, {})[ket[site]] = t
+    counts = [[[0] * 4 for _ in range(d)] for _ in range(d)]
+    for row in buckets.values():
+        for r, t_r in row.items():
+            for c, t_c in row.items():
+                counts[r][c][(t_r - t_c) % 4] += 1
+    return DensityMatrix(
+        d,
+        state.norm_sq,
+        tuple(tuple((n0 - n2, n1 - n3) for n0, n1, n2, n3 in r) for r in counts),
+    )
+
+
+class NonstabilizerVerdict:
+    """Per-site deviation of the reduced density matrices from I/d.
+
+    For a fully entangled state (assumed, not checked here) any deviation
+    certifies that the state is not a stabilizer state.
+    """
+
+    __slots__ = ("densities", "deviating_sites")
+
+    def __init__(
+        self,
+        densities: tuple[DensityMatrix, ...],
+        deviating_sites: tuple[int, ...],
+    ) -> None:
+        self.densities = densities
+        self.deviating_sites = deviating_sites
+
+    @property
+    def is_nonstabilizer(self) -> bool:
+        return bool(self.deviating_sites)
+
+
+def nonstabilizer_test(state: StateVector) -> NonstabilizerVerdict:
+    densities = tuple(
+        reduced_density(state, site) for site in range(state.n_sites)
+    )
+    deviating = tuple(
+        site
+        for site, rho in enumerate(densities)
+        if not rho.is_maximally_mixed()
+    )
+    return NonstabilizerVerdict(densities, deviating)
+
+
+class StabilizerAudit:
+    """Result of applying the all-sites Z word.
+
+    The word multiplies |k1..kn> by the phase of the digit sum, so it
+    fixes the state exactly when every support ket has digit sum 0 mod d.
+    `digit_rule_holds` records that each support ket is fixed exactly
+    when its digit sum is 0 mod d, both ways.
+    """
+
+    __slots__ = ("stabilized", "digit_rule_holds")
+
+    def __init__(self, stabilized: bool, digit_rule_holds: bool) -> None:
+        self.stabilized = stabilized
+        self.digit_rule_holds = digit_rule_holds
+
+
+def z_word_fixes(state: StateVector, power: int) -> bool:
+    """Does Z1**p Z2**p ... Zn**p fix the state exactly?
+
+    Z**p sends |k> to i**(p*k) |k>, so the word multiplies each ket by the
+    phase of p times its digit sum and fixes the state exactly when that
+    is 0 mod 4 on every support ket.  Raises on a zero state, where the
+    relation is vacuous.
+    """
+    if state.is_zero():
+        raise ValueError("zero state has no eigenvalues")
+    return all(power * sum(ket) % 4 == 0 for ket in state.phases)
+
+
+def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
+    """Does Z1 Z2 ... Zn fix the state exactly?
+
+    In fourth-root units Z is i**(p*k) with p = 4 // d: Z itself for
+    d = 4 and the qubit diag(1, -1) for d = 2.  Raises on a zero state
+    and on any other level.
+    """
+    d = state.level
+    if d not in (2, 4):
+        raise ValueError(f"Z words are defined for levels 2 and 4, not {d}")
+    p = 4 // d
+    digit_rule_holds = all(
+        (p * sum(ket) % 4 == 0) == (sum(ket) % d == 0) for ket in state.phases
+    )
+    return StabilizerAudit(z_word_fixes(state, p), digit_rule_holds)
+
+
+
+def commutation_phase_audit(d: int) -> int:
+    """Sign relating X**(d/2) Z**(d/2) and Z**(d/2) X**(d/2) for even d.
+
+    Swapping the halves multiplies by omega**((d/2)**2) with
+    omega = exp(2*pi*i/d), which is +1 or -1 for even d; the value is -1
+    (anticommuting, qubit-like) exactly when d/2 is odd.  Returned as
+    +1 or -1.
+    """
+    if d % 2 or d < 2:
+        raise ValueError("d must be a positive even integer")
+    if d > 64:
+        raise ValueError("audit supports d up to 64")
+    exponent = (d // 2) ** 2 % d
+    if exponent == 0:
+        return 1
+    if 2 * exponent == d:
+        return -1
+    raise AssertionError("(d/2)**2 mod d is always 0 or d/2 for even d")
 
 
 class Check:

@@ -16,15 +16,11 @@ failed, 2 usage or input error.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from importlib import import_module
 
-from .checks import STATE_NAMES, build_state, run_state_checks
 from .factory import (
-    TABLE_ALIASES,
-    TABLE_BLOCKS,
-    TABLE_LABELS,
+    STATE_NAMES, TABLE_ALIASES, TABLE_BLOCKS, TABLE_LABELS, build_state,
     canonical_table_label,
 )
 from .states import BasisKet
@@ -33,6 +29,7 @@ from .states import BasisKet
 #: command loads only the modules it runs.  ``reports`` is the module.
 _LAZY = {
     "reports": "reports",
+    "run_state_checks": "checks",
     "verify_davn": "lhv",
     "verify_paradox": "lhv",
     "table_for_outcome": "postselect",
@@ -88,8 +85,8 @@ def _parse_outcome(text: str, n_sites: int) -> BasisKet:
 
 def cmd_verify_state(args: argparse.Namespace) -> int:
     name = args.state
+    _load("run_state_checks", "reports")
     _, checks = run_state_checks(name)
-    _load("reports")
     if args.format == "json":
         _emit(reports.checks_json(name, checks), args.output)
     else:
@@ -202,6 +199,8 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="davn",
         description=(

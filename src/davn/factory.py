@@ -1,25 +1,27 @@
-"""Construction and diagnostics of the states under study.
+"""Construction of the states under study, by name through `build_state`.
 
 The central object is a four-ququart state with 56 basis components whose
-digits sum to 0 mod 4, so the product of the four Z operators fixes it
-(`check_global_stabilizer`), while its single-site reduced density
-matrices are not maximally mixed (`nonstabilizer_test`) - the combination
-that makes it interesting.  A four-qubit seed state and its digit-map
-embedding into ququarts are provided for comparison.  The paper's ten
-condition tables group the same 56 components by family, so their
-outcome lists are read off the component text too.
+digits sum to 0 mod 4, so the product of the four Z operators fixes it,
+while its single-site reduced density matrices are not maximally mixed
+(both are checked in `davn.checks`) - the combination that makes it
+interesting.  A four-qubit seed state and its digit-map embedding into
+ququarts are provided for comparison.  The paper's ten condition tables
+group the same 56 components by family, so their outcome lists are read
+off the component text too.
 
 States carry phase exponents (amplitude i**t), so every supported
-ket weighs 1: probabilities are exact `Fraction` values 1 / norm_sq, and
-reduced-density entries count ket pairs by their phase difference.
+ket weighs 1: probabilities are exact `Fraction` values 1 / norm_sq.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .states import BasisKet, StateVector, parse_phase
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # The 56 components, written as <digits>:<amplitude>.  One row per
 # component family: the two +1 kets, then six families each headed by a
@@ -151,155 +153,17 @@ def embed_qubit_state(state: StateVector, target_digit: int) -> StateVector:
     )
 
 
-class DensityMatrix:
-    """Exact single-site density matrix: numerators over a common denominator.
-
-    Entry (r, c) is (re + im*i) / denominator for the int pair
-    numerators[r][c] = (re, im), so Hermiticity and trace are checked by
-    integer equality.
-    """
-
-    __slots__ = ("dim", "denominator", "numerators")
-
-    def __init__(
-        self,
-        dim: int,
-        denominator: int,
-        numerators: tuple[tuple[tuple[int, int], ...], ...],
-    ) -> None:
-        self.dim = dim
-        self.denominator = denominator
-        self.numerators = numerators
-
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(
-            Fraction(self.numerators[k][k][0], self.denominator)
-            for k in range(self.dim)
-        )
-
-    def trace(self) -> Fraction:
-        return sum(self.diagonal(), Fraction(0))
-
-    def is_hermitian(self) -> bool:
-        return all(
-            self.numerators[c][r] == (re, -im)
-            for r in range(self.dim)
-            for c, (re, im) in enumerate(self.numerators[r])
-        )
-
-    def is_maximally_mixed(self) -> bool:
-        """Exactly equal to identity / dim."""
-        return all(
-            (re * self.dim == self.denominator if r == c else re == 0) and im == 0
-            for r in range(self.dim)
-            for c, (re, im) in enumerate(self.numerators[r])
-        )
+STATE_NAMES = ("psi1234", "psi4-qubit", "psi4-embedded")
 
 
-def reduced_density(state: StateVector, site: int) -> DensityMatrix:
-    """Exact partial trace onto one site (0-based index).
-
-    Entry (r, c) sums i**(t_r - t_c) over the ket pairs that agree off
-    the site and read r and c on it.  With n_e such pairs of exponent
-    difference e mod 4, that is (n_0 - n_2) + (n_1 - n_3) i.
-    """
-    if not 0 <= site < state.n_sites:
-        raise ValueError(f"site {site} out of range 0..{state.n_sites - 1}")
-    d = state.level
-    buckets: dict[BasisKet, dict[int, int]] = {}
-    for ket, t in state.phases.items():
-        rest = ket[:site] + ket[site + 1 :]
-        buckets.setdefault(rest, {})[ket[site]] = t
-    counts = [[[0] * 4 for _ in range(d)] for _ in range(d)]
-    for row in buckets.values():
-        for r, t_r in row.items():
-            for c, t_c in row.items():
-                counts[r][c][(t_r - t_c) % 4] += 1
-    return DensityMatrix(
-        d,
-        state.norm_sq,
-        tuple(tuple((n0 - n2, n1 - n3) for n0, n1, n2, n3 in r) for r in counts),
-    )
-
-
-class NonstabilizerVerdict:
-    """Per-site deviation of the reduced density matrices from I/d.
-
-    For a fully entangled state (assumed, not checked here) any deviation
-    certifies that the state is not a stabilizer state.
-    """
-
-    __slots__ = ("densities", "deviating_sites")
-
-    def __init__(
-        self,
-        densities: tuple[DensityMatrix, ...],
-        deviating_sites: tuple[int, ...],
-    ) -> None:
-        self.densities = densities
-        self.deviating_sites = deviating_sites
-
-    @property
-    def is_nonstabilizer(self) -> bool:
-        return bool(self.deviating_sites)
-
-
-def nonstabilizer_test(state: StateVector) -> NonstabilizerVerdict:
-    densities = tuple(
-        reduced_density(state, site) for site in range(state.n_sites)
-    )
-    deviating = tuple(
-        site
-        for site, rho in enumerate(densities)
-        if not rho.is_maximally_mixed()
-    )
-    return NonstabilizerVerdict(densities, deviating)
-
-
-class StabilizerAudit:
-    """Result of applying the all-sites Z word.
-
-    The word multiplies |k1..kn> by the phase of the digit sum, so it
-    fixes the state exactly when every support ket has digit sum 0 mod d.
-    `digit_rule_holds` records that each support ket is fixed exactly
-    when its digit sum is 0 mod d, both ways.
-    """
-
-    __slots__ = ("stabilized", "digit_rule_holds")
-
-    def __init__(self, stabilized: bool, digit_rule_holds: bool) -> None:
-        self.stabilized = stabilized
-        self.digit_rule_holds = digit_rule_holds
-
-
-def z_word_fixes(state: StateVector, power: int) -> bool:
-    """Does Z1**p Z2**p ... Zn**p fix the state exactly?
-
-    Z**p sends |k> to i**(p*k) |k>, so the word multiplies each ket by the
-    phase of p times its digit sum and fixes the state exactly when that
-    is 0 mod 4 on every support ket.  Raises on a zero state, where the
-    relation is vacuous.
-    """
-    if state.is_zero():
-        raise ValueError("zero state has no eigenvalues")
-    return all(power * sum(ket) % 4 == 0 for ket in state.phases)
-
-
-def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
-    """Does Z1 Z2 ... Zn fix the state exactly?
-
-    In fourth-root units Z is i**(p*k) with p = 4 // d: Z itself for
-    d = 4 and the qubit diag(1, -1) for d = 2.  Raises on a zero state
-    and on any other level.
-    """
-    d = state.level
-    if d not in (2, 4):
-        raise ValueError(f"Z words are defined for levels 2 and 4, not {d}")
-    p = 4 // d
-    digit_rule_holds = all(
-        (p * sum(ket) % 4 == 0) == (sum(ket) % d == 0) for ket in state.phases
-    )
-    return StabilizerAudit(z_word_fixes(state, p), digit_rule_holds)
+def build_state(name: str) -> StateVector:
+    if name == "psi1234":
+        return build_psi_1234()
+    if name == "psi4-qubit":
+        return build_psi4_qubit()
+    if name == "psi4-embedded":
+        return embed_qubit_state(build_psi4_qubit(), 1)
+    raise ValueError(f"unknown state {name!r}; expected one of {STATE_NAMES}")
 
 
 def joint_z_probability(state: StateVector, outcome: BasisKet) -> Fraction:
@@ -309,29 +173,13 @@ def joint_z_probability(state: StateVector, outcome: BasisKet) -> Fraction:
     basis, so this is |amplitude|**2 / norm_sq: 1 / norm_sq on the
     support, since every amplitude is a unit, and 0 off it.
     """
+    # Imported here: fractions (with decimal and numbers) is compiled
+    # only by the commands that compute a probability.
+    from fractions import Fraction
+
     return Fraction(1, state.norm_sq) if outcome in state.phases else Fraction(0)
 
 
 def z_support(state: StateVector) -> list[BasisKet]:
     """Outcome tuples with nonzero probability, in lexicographic order."""
     return state.support()
-
-
-def commutation_phase_audit(d: int) -> int:
-    """Sign relating X**(d/2) Z**(d/2) and Z**(d/2) X**(d/2) for even d.
-
-    Swapping the halves multiplies by omega**((d/2)**2) with
-    omega = exp(2*pi*i/d), which is +1 or -1 for even d; the value is -1
-    (anticommuting, qubit-like) exactly when d/2 is odd.  Returned as
-    +1 or -1.
-    """
-    if d % 2 or d < 2:
-        raise ValueError("d must be a positive even integer")
-    if d > 64:
-        raise ValueError("audit supports d up to 64")
-    exponent = (d // 2) ** 2 % d
-    if exponent == 0:
-        return 1
-    if 2 * exponent == d:
-        return -1
-    raise AssertionError("(d/2)**2 mod d is always 0 or d/2 for even d")

@@ -24,8 +24,10 @@ from itertools import combinations, product
 from operator import and_
 
 from .factory import TABLE_LABELS, TABLE_OF_OUTCOME, joint_z_probability, z_support
-from .postselect import ConstraintRow, Eigenword, table_for_outcome
-from .states import BasisKet, StateVector, phase_str
+from .postselect import (
+    Constraint, ConstraintRow, constraint_from_row, table_for_outcome,
+)
+from .states import BasisKet, StateVector
 
 #: All hidden-variable assignments (v1, v2, v3, v4), lexicographic.
 ASSIGNMENTS: tuple[tuple[int, int, int, int], ...] = tuple(
@@ -58,89 +60,26 @@ def _term_masks(site: int) -> tuple[tuple[int, ...], ...]:
 _TERM_MASKS = tuple(_term_masks(site) for site in range(4))
 
 
-class Constraint:
-    """Product of X powers across sites equals a fourth root of unity.
-
-    ``exps`` holds one X exponent per site and ``target`` the phase
-    exponent, all in 0..3; nothing reduces them mod 4, so construction
-    rejects anything else.  Constraints compare and hash by (exps,
-    target), so verify_paradox can drop repeats with ``dict.fromkeys``.
-    """
-
-    __slots__ = ("exps", "target", "_truth_mask")
-
-    def __init__(self, exps: tuple[int, int, int, int], target: int) -> None:
-        if type(exps) is not tuple or len(exps) != 4 or not all(
-            type(e) is int and 0 <= e <= 3 for e in exps
-        ):
-            raise ValueError(f"exps {exps!r} is not a tuple of four ints in 0..3")
-        if not any(exps):
-            raise ValueError("constraint must involve at least one site")
-        if type(target) is not int or not 0 <= target <= 3:
-            raise ValueError(f"target {target!r} is not an int in 0..3")
-        self.exps = exps
-        self.target = target
-        self._truth_mask = None
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Constraint:
-            return NotImplemented
-        return self.exps == other.exps and self.target == other.target
-
-    def __hash__(self) -> int:
-        return hash((self.exps, self.target))
-
-    def __repr__(self) -> str:
-        return f"Constraint(exps={self.exps}, target={self.target})"
-
-    @property
-    def truth_mask(self) -> int:
-        """Bit k set iff ASSIGNMENTS[k] satisfies the constraint.
-
-        Built on first read.  by_sum[s] holds the assignments whose sum
-        of e_j * v_j over the sites so far is s mod 4; a site's term r
-        moves by_sum[s - r] there (a negative index wraps mod 4).
-        """
-        if self._truth_mask is None:
-            by_sum = (ALL_ASSIGNMENTS, 0, 0, 0)
-            for site, e in enumerate(self.exps):
-                if e:
-                    term = _TERM_MASKS[site][e]
-                    by_sum = tuple(
-                        by_sum[s] & term[0] | by_sum[s - 1] & term[1]
-                        | by_sum[s - 2] & term[2] | by_sum[s - 3] & term[3]
-                        for s in range(4)
-                    )
-            self._truth_mask = by_sum[self.target]
-        return self._truth_mask
-
-    def word_str(self) -> str:
-        """The X word in text form, e.g. ``X3*X4^3`` (sites 1-based)."""
-        return "*".join(
-            f"X{j + 1}" + (f"^{e}" if e > 1 else "")
-            for j, e in enumerate(self.exps)
-            if e
-        )
-
-    def __str__(self) -> str:
-        return f"{self.word_str()} = {phase_str(self.target)}"
-
-
 @cache
-def constraint_from_row(
-    sites: tuple[int, ...], eigenword: Eigenword
-) -> Constraint:
-    """Lift a two-site eigenword onto the four-site constraint form.
+def truth_mask(constraint: Constraint) -> int:
+    """Bit k set iff ASSIGNMENTS[k] satisfies the constraint.
 
-    Each distinct (sites, eigenword) gives one shared Constraint, so its
-    truth mask is built once.  Rows name two of four sites and exponents
-    and an eigenvalue mod 4, a finite set that bounds the cache.
+    Built once per distinct constraint; there are at most 255 * 4 = 1020
+    of them (nonzero exponent words times targets), which bounds the
+    cache.  by_sum[s] holds the assignments whose sum of e_j * v_j over
+    the sites so far is s mod 4; a site's term r moves by_sum[s - r]
+    there (a negative index wraps mod 4).
     """
-    (u, v), t = eigenword
-    exps = [0, 0, 0, 0]
-    exps[sites[0]] = u
-    exps[sites[1]] = v
-    return Constraint(tuple(exps), t)
+    by_sum = (ALL_ASSIGNMENTS, 0, 0, 0)
+    for site, e in enumerate(constraint.exps):
+        if e:
+            term = _TERM_MASKS[site][e]
+            by_sum = tuple(
+                by_sum[s] & term[0] | by_sum[s - 1] & term[1]
+                | by_sum[s - 2] & term[2] | by_sum[s - 3] & term[3]
+                for s in range(4)
+            )
+    return by_sum[constraint.target]
 
 
 def satisfiable(constraints: list[Constraint]) -> Assignment | None:
@@ -149,7 +88,7 @@ def satisfiable(constraints: list[Constraint]) -> Assignment | None:
     Bit k of the AND of the truth masks is ASSIGNMENTS[k]; the witness is
     the lowest set bit.  An empty list is satisfied by (0, 0, 0, 0).
     """
-    joint = reduce(and_, (c.truth_mask for c in constraints), ALL_ASSIGNMENTS)
+    joint = reduce(and_, map(truth_mask, constraints), ALL_ASSIGNMENTS)
     return ASSIGNMENTS[(joint & -joint).bit_length() - 1] if joint else None
 
 
@@ -162,7 +101,7 @@ def minimal_unsat_core(constraints: list[Constraint]) -> list[Constraint]:
     """
     if satisfiable(constraints) is not None:
         raise ValueError("constraint set is satisfiable; no unsat core")
-    masks = [c.truth_mask for c in constraints]
+    masks = [truth_mask(c) for c in constraints]
     for size in range(1, len(constraints) + 1):
         for combo in combinations(range(len(constraints)), size):
             if not reduce(and_, (masks[index] for index in combo)):

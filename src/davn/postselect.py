@@ -14,6 +14,8 @@ value constraints of the argument:
 Single-site words (u or v = 0) are not candidates: they never fix the
 residuals of the built-in states.  Only an extended constraint can be
 one, as the square of an odd basic word such as X_k X_l**2.
+`constraint_from_row` lifts each onto the four-site `Constraint` that
+`davn.lhv` refutes.
 """
 
 from __future__ import annotations
@@ -85,6 +87,72 @@ class ConstraintRow:
         self.eigenwords = eigenwords
         self.basic = basic
         self.extended = extended
+
+
+class Constraint:
+    """Product of X powers across sites equals a fourth root of unity.
+
+    ``exps`` holds one X exponent per site and ``target`` the phase
+    exponent, all in 0..3; nothing reduces them mod 4, so construction
+    rejects anything else.  A constraint is a value: both slots are set
+    at construction, and constraints compare and hash by (exps, target),
+    so verify_paradox can drop repeats with ``dict.fromkeys``.
+    """
+
+    __slots__ = ("exps", "target")
+
+    def __init__(self, exps: tuple[int, int, int, int], target: int) -> None:
+        if type(exps) is not tuple or len(exps) != 4 or not all(
+            type(e) is int and 0 <= e <= 3 for e in exps
+        ):
+            raise ValueError(f"exps {exps!r} is not a tuple of four ints in 0..3")
+        if not any(exps):
+            raise ValueError("constraint must involve at least one site")
+        if type(target) is not int or not 0 <= target <= 3:
+            raise ValueError(f"target {target!r} is not an int in 0..3")
+        self.exps = exps
+        self.target = target
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Constraint:
+            return NotImplemented
+        return self.exps == other.exps and self.target == other.target
+
+    def __hash__(self) -> int:
+        return hash((self.exps, self.target))
+
+    def __repr__(self) -> str:
+        return f"Constraint(exps={self.exps}, target={self.target})"
+
+    def word_str(self) -> str:
+        """The X word in text form, e.g. ``X3*X4^3`` (sites 1-based)."""
+        return "*".join(
+            f"X{j + 1}" + (f"^{e}" if e > 1 else "")
+            for j, e in enumerate(self.exps)
+            if e
+        )
+
+    def __str__(self) -> str:
+        return f"{self.word_str()} = {phase_str(self.target)}"
+
+
+@lru_cache(maxsize=512)
+def constraint_from_row(
+    sites: tuple[int, ...], eigenword: Eigenword
+) -> Constraint:
+    """Lift a two-site eigenword onto the four-site constraint form.
+
+    Each distinct (sites, eigenword) gives one shared Constraint, so the
+    memos keyed on it (``lhv.truth_mask``, ``reports.constraint_json``)
+    find it by identity.  Rows name one of six site pairs, an exponent
+    pair in 0..3 and an eigenvalue mod 4: 384 keys, within the bound, so
+    no entry is evicted.
+    """
+    (u, v), t = eigenword
+    exps = [0, 0, 0, 0]
+    exps[sites[0]] = u
+    exps[sites[1]] = v
+    return Constraint(tuple(exps), t)
 
 
 def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:

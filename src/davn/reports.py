@@ -12,17 +12,20 @@ import json
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import isqrt
-from typing import TYPE_CHECKING, Any
 
 from .states import BasisKet, StateVector, phase_str
 
+# Type checkers take any TYPE_CHECKING as true; at run time the block is
+# skipped, so rendering a report does not import typing.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Any
 
     from .checks import Check
-    from .lhv import Constraint, DavnReport, ParadoxReport
     from .fixtures import DiffReport
-    from .postselect import ConstraintRow
+    from .lhv import DavnReport, ParadoxReport
+    from .postselect import Constraint, ConstraintRow
     from .sampling import SampleSummary
 
 
@@ -117,7 +120,7 @@ def constraint_json(constraint: Constraint) -> dict[str, Any]:
 
 
 def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
-    from .lhv import constraint_from_row
+    from .postselect import constraint_from_row
 
     out = []
     for row in rows:
@@ -142,7 +145,7 @@ def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
 
 
 def _row_cells(row: ConstraintRow) -> tuple[str, str, str, str]:
-    from .lhv import constraint_from_row
+    from .postselect import constraint_from_row
 
     sites = row.residual.sites
     return (

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from davn.fixtures import FixtureRow
 from davn.states import phase_str
-from davn.lhv import Constraint
-from davn.postselect import PairSelection, ResidualState
+from davn.postselect import Constraint, PairSelection, ResidualState
 from davn.states import BasisKet, StateVector
 
 

@@ -13,16 +13,18 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations, product
 
+from davn.checks import (
+    check_global_stabilizer,
+    commutation_phase_audit,
+    nonstabilizer_test,
+    reduced_density,
+)
 from davn.factory import (
     TABLE_LABELS,
     build_psi4_qubit,
     build_psi_1234,
-    check_global_stabilizer,
-    commutation_phase_audit,
     embed_qubit_state,
     joint_z_probability,
-    nonstabilizer_test,
-    reduced_density,
     z_support,
 )
 from davn.fixtures import diff_fixture_rows, parse_allowlist, parse_fixture_text

@@ -623,7 +623,7 @@ with redirect_stdout(io.StringIO()):
         pass"""
 
 #: What ``import davn.cli`` loads: the modules every command needs.
-CLI_MODULES = {"davn", "davn.checks", "davn.cli", "davn.factory", "davn.states"}
+CLI_MODULES = {"davn", "davn.cli", "davn.factory", "davn.states"}
 
 
 @pytest.mark.parametrize(
@@ -645,12 +645,12 @@ def test_import_loads_only_what_every_command_needs(code, expected):
     ("argv", "added"),
     [
         (["--help"], set()),
-        (["verify-state"], {"reports"}),
+        (["verify-state"], {"checks", "reports"}),
         (["sample", "--runs", "10", "--seed", "1"], {"reports", "sampling"}),
         (["sample", "--runs", "0", "--seed", "1"], {"sampling"}),
         (["davn"], {"lhv", "postselect", "reports"}),
         (["paradox", "--outcome", "0,2,3,3"], {"lhv", "postselect", "reports"}),
-        (["tables", "--table", "I"], {"lhv", "postselect", "reports"}),
+        (["tables", "--table", "I"], {"postselect", "reports"}),
         (["fixtures-diff"], {"fixtures", "postselect", "reports"}),
     ],
 )
@@ -664,3 +664,23 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
     if argv[:3] == ["sample", "--runs", "0"]:
         # A rejected run stops before any report is rendered.
         assert "json" not in loaded
+
+
+@pytest.mark.parametrize(
+    ("code", "argv", "absent"),
+    [
+        # The parser is built in main, and only a probability needs
+        # fractions (with decimal and numbers).
+        ("import davn.cli", [], {"argparse", "fractions"}),
+        # reports imports typing only for type checkers; fixtures-diff
+        # loads it anyway, through importlib.resources.
+        (RUN_MAIN, ["verify-state"], {"typing"}),
+        (RUN_MAIN, ["davn"], {"typing"}),
+        # A table renders its constraints through postselect: no lhv.
+        (RUN_MAIN, ["tables", "--table", "I"], {"davn.lhv", "fractions", "typing"}),
+        (RUN_MAIN, ["fixtures-diff"], {"fractions"}),
+    ],
+    ids=["import-cli", "verify-state", "davn", "tables", "fixtures-diff"],
+)
+def test_each_command_skips_the_modules_it_never_calls(code, argv, absent):
+    assert not absent & loaded_modules(code, *argv)

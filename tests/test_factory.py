@@ -12,19 +12,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from davn.factory import (
-    PSI_1234_TERMS,
+from davn.checks import (
     DensityMatrix,
-    build_psi4_qubit,
-    build_psi_1234,
     check_global_stabilizer,
     commutation_phase_audit,
-    embed_qubit_state,
-    joint_z_probability,
     nonstabilizer_test,
     reduced_density,
-    z_support,
     z_word_fixes,
+)
+from davn.factory import (
+    PSI_1234_TERMS,
+    build_psi4_qubit,
+    build_psi_1234,
+    embed_qubit_state,
+    joint_z_probability,
+    z_support,
 )
 from davn.states import StateVector
 from reference import ZERO, GaussInt, PauliWord, apply_to_state, eigenvalue_of

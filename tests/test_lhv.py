@@ -137,7 +137,13 @@ def test_constraint_text_matches_reference_word_for_every_constraint():
 def test_truth_mask_is_built_once():
     # A 256-bit int is a new object each time it is computed.
     constraint = c((1, 2, 0, 3), 1)
-    assert constraint.truth_mask is constraint.truth_mask
+    assert lhv.truth_mask(constraint) is lhv.truth_mask(c((1, 2, 0, 3), 1))
+
+
+def test_a_constraint_is_a_value():
+    # Both slots are set at construction; the truth mask lives in a memo
+    # of lhv keyed on the constraint's value.
+    assert Constraint.__slots__ == ("exps", "target")
 
 
 def test_constraint_from_row_shares_one_constraint_per_word():
@@ -381,7 +387,7 @@ def test_truth_mask_matches_holds_for_every_constraint():
                 1 << k for k, values in enumerate(ASSIGNMENTS)
                 if holds(constraint, values)
             )
-            assert constraint.truth_mask == expected
+            assert lhv.truth_mask(constraint) == expected
 
 
 @settings(max_examples=200)

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from davn.lhv import Constraint
+from davn.postselect import Constraint
 from davn.reports import constraint_json, to_json, two_decimals
 
 scalars = (
