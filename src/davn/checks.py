@@ -5,8 +5,8 @@ Each suite is a list of named exact checks (no tolerances anywhere); the
 CLI renders them and fails on the first false one.  The expected values
 asserted here are the package's ground truths: norms, the reduced-density
 diagonals (whose deviation from I/d marks a nonstabilizer state), the
-digit-sum rule, and the support census.  ``build_state`` and
-``STATE_NAMES`` are `davn.factory`'s, re-exported here.
+digit-sum rule, and the support census.  ``build_state`` is
+`davn.factory`'s, imported here for `run_state_checks`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .factory import STATE_NAMES, build_state, joint_z_probability, z_support
+from .factory import build_state, joint_z_probability, z_support
 from .states import BasisKet, StateVector
 
 

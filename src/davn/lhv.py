@@ -40,46 +40,21 @@ Assignment = tuple[int, int, int, int]
 ALL_ASSIGNMENTS = (1 << len(ASSIGNMENTS)) - 1
 
 
-def _term_masks(site: int) -> tuple[tuple[int, ...], ...]:
-    """masks[e][r]: the assignments with e * v_site == r (mod 4).
-
-    Built as unions of the value masks v_site == x, which are disjoint,
-    so sum is union.
-    """
-    values = [
-        sum(1 << k for k, a in enumerate(ASSIGNMENTS) if a[site] == x)
-        for x in range(4)
-    ]
-    return tuple(
-        tuple(sum(values[x] for x in range(4) if e * x % 4 == r) for r in range(4))
-        for e in range(4)
-    )
-
-
-#: _TERM_MASKS[j][e][r]: mask of the assignments with e * v_j == r (mod 4).
-_TERM_MASKS = tuple(_term_masks(site) for site in range(4))
-
-
 @cache
 def truth_mask(constraint: Constraint) -> int:
-    """Bit k set iff ASSIGNMENTS[k] satisfies the constraint.
+    """Bit k set iff ASSIGNMENTS[k] meets sum_j e_j * v_j == target (mod 4).
 
-    Built once per distinct constraint; there are at most 255 * 4 = 1020
-    of them (nonzero exponent words times targets), which bounds the
-    cache.  by_sum[s] holds the assignments whose sum of e_j * v_j over
-    the sites so far is s mod 4; a site's term r moves by_sum[s - r]
-    there (a negative index wraps mod 4).
+    Built by one pass over the 256 assignments, once per distinct
+    constraint; there are at most 255 * 4 = 1020 of them (nonzero
+    exponent words times targets), which bounds the cache.
     """
-    by_sum = (ALL_ASSIGNMENTS, 0, 0, 0)
-    for site, e in enumerate(constraint.exps):
-        if e:
-            term = _TERM_MASKS[site][e]
-            by_sum = tuple(
-                by_sum[s] & term[0] | by_sum[s - 1] & term[1]
-                | by_sum[s - 2] & term[2] | by_sum[s - 3] & term[3]
-                for s in range(4)
-            )
-    return by_sum[constraint.target]
+    e1, e2, e3, e4 = constraint.exps
+    target = constraint.target
+    return sum(
+        1 << k
+        for k, (v1, v2, v3, v4) in enumerate(ASSIGNMENTS)
+        if (e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4) % 4 == target
+    )
 
 
 def satisfiable(constraints: list[Constraint]) -> Assignment | None:

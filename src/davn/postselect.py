@@ -166,7 +166,8 @@ def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
     on the state's value: the first selection on a site pair sweeps the
     kets once and files them by the pair's outcomes, and each residual
     is cut on its first selection, without re-checking the kets it takes
-    from the validated state, and shared by every later one.
+    from the validated state, and shared by every later one, as is its
+    scan: `derive_constraints` is the third memo, keyed on the residual.
     """
     residual = _residual(state, pair.site_i, pair.site_j, pair.m_i, pair.m_j)
     if residual is None:
@@ -202,28 +203,6 @@ def _residual(
     return ResidualState(keep, StateVector._cut(len(keep), phases, state.level))
 
 
-def derive_constraints(
-    residual: StateVector,
-) -> tuple[tuple[Eigenword, ...], Eigenword | None, Eigenword | None]:
-    """Scan all candidate eigenwords of a two-site residual.
-
-    Returns (all eigenwords in scan order, basic, extended).  The basic
-    constraint is the first eigenword found; the extended one is its
-    even-exponent form, which is itself an eigen-relation (squaring an
-    eigen-relation squares the eigenvalue).  The scan is a pure function
-    of the phases, so each distinct residual is scanned once per
-    process; the memo is keyed on the state, which is hashed once when
-    it is built, so a residual shared by many rows is not hashed again.
-    """
-    if residual.n_sites != 2:
-        raise ValueError("constraints are derived from two-site residuals")
-    if residual.is_zero():
-        raise ValueError("zero state has no eigenvalues")
-    if residual.level != 4:
-        raise ValueError("Pauli words act on 4-level states only")
-    return _scan(residual)
-
-
 def _shift_eigenvalue(phases: dict, u: int, v: int) -> int | None:
     """c with X_k**u X_l**v |s> = i**c |s>, or None.
 
@@ -236,10 +215,25 @@ def _shift_eigenvalue(phases: dict, u: int, v: int) -> int | None:
 
 
 @lru_cache(maxsize=1024)
-def _scan(
+def derive_constraints(
     residual: StateVector,
 ) -> tuple[tuple[Eigenword, ...], Eigenword | None, Eigenword | None]:
-    """derive_constraints on a validated nonzero two-ququart residual."""
+    """Scan all candidate eigenwords of a two-site residual.
+
+    Returns (all eigenwords in scan order, basic, extended).  The basic
+    constraint is the first eigenword found; the extended one is its
+    even-exponent form, which is itself an eigen-relation (squaring an
+    eigen-relation squares the eigenvalue).  The scan is a pure function
+    of the phases, so the function is its own memo, keyed on the
+    residual state (hashed once, when it is cut); the memo keeps no
+    exception, so an invalid residual raises on every call.
+    """
+    if residual.n_sites != 2:
+        raise ValueError("constraints are derived from two-site residuals")
+    if residual.is_zero():
+        raise ValueError("zero state has no eigenvalues")
+    if residual.level != 4:
+        raise ValueError("Pauli words act on 4-level states only")
     phases = residual.phases
     eigenwords = tuple(
         ((u, v), t)

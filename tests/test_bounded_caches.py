@@ -9,6 +9,10 @@ and fails on any use of ``functools.cache`` and on any ``lru_cache``
 that is not called with a positive integer literal ``maxsize`` (a bare
 ``@lru_cache`` is bounded by its default, but the bound should be
 stated).
+
+``davn.lhv`` and ``davn.reports`` keep unbounded memos, but only on
+``Constraint`` values, of which there are at most 255 * 4 = 1020
+(nonzero exponent words times targets); a second walk pins that set.
 """
 
 import ast
@@ -17,7 +21,9 @@ from pathlib import Path
 import pytest
 
 import davn.fixtures
+import davn.lhv
 import davn.postselect
+import davn.reports
 
 CACHE_NAMES = {"cache", "lru_cache"}
 
@@ -56,10 +62,13 @@ def unbounded_caches(tree: ast.AST) -> list[str]:
     ]
 
 
-def unbounded_caches_of(module) -> list[str]:
+def syntax_tree(module) -> ast.Module:
     path = Path(module.__file__)
-    source = path.read_text(encoding="utf-8")
-    return unbounded_caches(ast.parse(source, str(path)))
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def unbounded_caches_of(module) -> list[str]:
+    return unbounded_caches(syntax_tree(module))
 
 
 def test_every_cache_in_the_fixture_module_is_bounded():
@@ -68,6 +77,29 @@ def test_every_cache_in_the_fixture_module_is_bounded():
 
 def test_every_cache_in_the_postselect_module_is_bounded():
     assert unbounded_caches_of(davn.postselect) == []
+
+
+def test_lhv_and_reports_cache_without_a_bound_only_on_a_constraint():
+    # Any other unbounded memo there would grow with its callers' input.
+    found = {}
+    for module in (davn.lhv, davn.reports):
+        tree = syntax_tree(module)
+        decorated = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(unbounded_caches(d) for d in node.decorator_list)
+        ]
+        # No unbounded cache sits anywhere but on a decorated function.
+        assert len(unbounded_caches(tree)) == len(decorated)
+        for node in decorated:
+            found[f"{module.__name__}.{node.name}"] = [
+                ast.unparse(arg.annotation) for arg in node.args.args
+            ]
+    assert found == {
+        "davn.lhv.truth_mask": ["Constraint"],
+        "davn.reports.constraint_json": ["Constraint"],
+    }
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +20,11 @@ from davn.lhv import (
     verify_davn,
     verify_paradox,
 )
+from davn.postselect import PairSelection
 from davn.states import StateVector, phase_str
-from reference import PauliWord, holds, word_str
+from reference import (
+    PauliWord, eigenvalue_of, holds, postselect_pair_sweep, word_str,
+)
 
 PSI = build_psi_1234()
 
@@ -414,3 +417,92 @@ def test_minimal_core_matches_reference_on_contradictions(constraints, extra):
     constraints = constraints + [extra, clash]
     assert satisfiable(constraints) is None
     assert minimal_unsat_core(constraints) == reference_core(constraints)
+
+
+# ---------------------------------------------------------------------------
+# The whole pipeline against the oracles: selection by sweep, eigenwords by
+# the general eigen test, refutation by holds, on near neighbours of PSI.
+
+
+def oracle_row(state, pair):
+    """(pair, residual sites, residual state, eigenwords, basic, extended)
+    of one table row, from the reference forms alone."""
+    residual = postselect_pair_sweep(state, pair)
+    eigenwords = []
+    for u, v in product(range(1, 4), repeat=2):
+        word = PauliWord.from_exponents(2, x_exps={0: u, 1: v})
+        t = eigenvalue_of(word, residual.state)
+        if t is not None:
+            eigenwords.append(((u, v), t))
+    basic = extended = eigenwords[0] if eigenwords else None
+    if basic is not None and (basic[0][0] % 2 or basic[0][1] % 2):
+        u, v = 2 * basic[0][0] % 4, 2 * basic[0][1] % 4
+        square = PauliWord.from_exponents(2, x_exps={0: u, 1: v})
+        extended = ((u, v), eigenvalue_of(square, residual.state))
+    return (
+        pair, residual.sites, residual.state, tuple(eigenwords), basic, extended,
+    )
+
+
+def oracle_paradox(state, outcome):
+    """The fields of verify_paradox, from the reference forms alone."""
+    rows = [
+        oracle_row(state, PairSelection(i, j, outcome[i], outcome[j]))
+        for i, j in combinations(range(4), 2)
+    ]
+
+    def lifted(sites, eigenword):
+        (u, v), t = eigenword
+        exps = [0, 0, 0, 0]
+        exps[sites[0]], exps[sites[1]] = u, v
+        return c(exps, t)
+
+    basics = [lifted(row[1], row[4]) for row in rows if row[4] is not None]
+    extendeds = [lifted(row[1], row[5]) for row in rows if row[5] is not None]
+    merged = []
+    for constraint in basics + extendeds:
+        if constraint not in merged:
+            merged.append(constraint)
+    witness = reference_satisfiable(merged)
+    core = None if witness is not None else tuple(reference_core(merged))
+    return {
+        "rows": rows,
+        "basic": tuple(basics),
+        "extended": tuple(extendeds),
+        "witness": witness,
+        "core": core,
+        "extended only": reference_satisfiable(extendeds) is None,
+    }
+
+
+def test_paradox_reports_of_neighbours_match_the_oracles():
+    # Pins the wiring from selections to verdicts: which rows feed an
+    # outcome's set, the order repeats are dropped in, the extended-only
+    # flag and the core chosen.  A seeded sample of each kind of
+    # neighbour, every outcome of each.
+    rng = random.Random(19)
+    sample = [
+        state
+        for states in neighbours_of_psi().values()
+        for state in rng.sample(states, 6)
+    ]
+    refuted = satisfied = 0
+    for state in sample:
+        for outcome in sorted(state.phases):
+            report = verify_paradox(state, outcome)
+            expected = oracle_paradox(state, outcome)
+            assert [
+                (
+                    row.pair, row.residual.sites, row.residual.state,
+                    row.eigenwords, row.basic, row.extended,
+                )
+                for row in report.rows
+            ] == expected["rows"]
+            assert report.constraints_basic == expected["basic"]
+            assert report.constraints_extended == expected["extended"]
+            assert report.witness == expected["witness"]
+            assert report.minimal_core == expected["core"]
+            assert report.extended_only_unsatisfiable == expected["extended only"]
+            refuted += report.witness is None
+            satisfied += report.witness is not None
+    assert refuted and satisfied

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from davn.checks import STATE_NAMES, build_state
+from davn.factory import STATE_NAMES, build_state
 from davn.factory import (
     TABLE_BLOCKS,
     TABLE_LABELS,

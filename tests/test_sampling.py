@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from davn import sampling
-from davn.checks import STATE_NAMES, build_state
+from davn.factory import STATE_NAMES, build_state
 from davn.factory import build_psi4_qubit, build_psi_1234
 from davn.sampling import GENERATOR_ID, sample_outcomes
 from davn.states import StateVector
