@@ -11,19 +11,27 @@ Commands:
   derivation, honouring the discrepancy allowlist
 
 Exit codes are a stable contract: 0 all checks pass, 1 a verification
-failed, 2 usage or input error.
+failed, 2 usage or input error.  ``COMMANDS`` declares every option; a
+well-formed command line is parsed without argparse, which is imported
+only for help, usage errors and unusual syntax.
 """
 
 from __future__ import annotations
 
 import sys
 from importlib import import_module
+from types import SimpleNamespace
 
 from .factory import (
     STATE_NAMES, TABLE_ALIASES, TABLE_BLOCKS, TABLE_LABELS, build_state,
     canonical_table_label,
 )
 from .states import BasisKet
+
+# Type checkers take any TYPE_CHECKING as true; run time skips the block.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
 
 #: Home module of each name a command imports on first use, so that a
 #: command loads only the modules it runs.  ``reports`` is the module.
@@ -83,7 +91,7 @@ def _parse_outcome(text: str, n_sites: int) -> BasisKet:
     return outcome
 
 
-def cmd_verify_state(args: argparse.Namespace) -> int:
+def cmd_verify_state(args: argparse.Namespace | SimpleNamespace) -> int:
     name = args.state
     _load("run_state_checks", "reports")
     _, checks = run_state_checks(name)
@@ -94,7 +102,7 @@ def cmd_verify_state(args: argparse.Namespace) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
+def cmd_tables(args: argparse.Namespace | SimpleNamespace) -> int:
     label = canonical_table_label(args.table)
     _load("table_for_outcome", "reports")
     state = build_state("psi1234")
@@ -112,7 +120,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_paradox(args: argparse.Namespace) -> int:
+def cmd_paradox(args: argparse.Namespace | SimpleNamespace) -> int:
     state = build_state(args.state)
     outcome = _parse_outcome(args.outcome, state.n_sites)
     if outcome not in state.phases:
@@ -131,7 +139,7 @@ def cmd_paradox(args: argparse.Namespace) -> int:
     return 0 if report.is_paradox else 1
 
 
-def cmd_davn(args: argparse.Namespace) -> int:
+def cmd_davn(args: argparse.Namespace | SimpleNamespace) -> int:
     state = build_state(args.state)
     _load("verify_davn", "reports")
     report = verify_davn(state)
@@ -142,7 +150,7 @@ def cmd_davn(args: argparse.Namespace) -> int:
     return 0 if report.verdict == "DAVN" else 1
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
+def cmd_sample(args: argparse.Namespace | SimpleNamespace) -> int:
     from .sampling import sample_outcomes
 
     state = build_state(args.state)
@@ -164,7 +172,7 @@ def _fixture_dir(path: str | None):
     return resources.files("davn") / "fixtures"
 
 
-def cmd_fixtures_diff(args: argparse.Namespace) -> int:
+def cmd_fixtures_diff(args: argparse.Namespace | SimpleNamespace) -> int:
     _load("parse_fixture_text", "check_table_shape", "parse_allowlist",
           "diff_fixture_rows", "reports")
     fixdir = _fixture_dir(args.dir)
@@ -198,6 +206,49 @@ def cmd_fixtures_diff(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+#: The options every command takes after its own.
+_COMMON = (
+    (("--format",), {
+        "choices": ("text", "markdown", "md", "json"), "default": "text",
+        "help": "output format (markdown falls back to text where a "
+        "table layout does not apply)",
+    }),
+    (("-o", "--output"), {"metavar": "PATH", "help": "write the report here"}),
+)
+_ANY_STATE = (("--state",), {"choices": STATE_NAMES, "default": "psi1234"})
+_DAVN_STATE = (("--state",), {"choices": ("psi1234", "psi4-embedded"),
+                              "default": "psi1234"})
+
+#: Each command's help line, handler and options, in ``--help`` order.
+#: An option is the ``(flags, keywords)`` of its ``add_argument`` call,
+#: long flag last; this is the only place an option is declared.
+COMMANDS = {
+    "verify-state": ("run a state's exact check suite", cmd_verify_state,
+                     [_ANY_STATE]),
+    "tables": ("regenerate a condition table", cmd_tables, [
+        (("--table",), {"required": True, "metavar": "LABEL", "help":
+         "one of: " + ", ".join([*TABLE_LABELS, *sorted(TABLE_ALIASES)])}),
+    ]),
+    "paradox": ("refute the LHV model for one outcome", cmd_paradox, [
+        (("--outcome",), {"required": True, "metavar": "K1,K2,K3,K4", "help":
+         "Z outcomes as phase exponents, e.g. 0,2,3,3 for 1,-1,-i,-i"}),
+        _DAVN_STATE,
+    ]),
+    "davn": ("refute the LHV model on the whole support", cmd_davn,
+             [_DAVN_STATE]),
+    "sample": ("seeded draw from the exact distribution", cmd_sample, [
+        (("--runs",), {"type": int, "required": True}),
+        (("--seed",), {"type": int, "required": True}),
+        _ANY_STATE,
+    ]),
+    "fixtures-diff": ("diff reference tables against the derivation",
+                      cmd_fixtures_diff, [
+        (("--dir",), {"metavar": "PATH", "default": None, "help":
+         "fixture directory (default: the packaged tables)"}),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
@@ -209,73 +260,49 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format",
-            choices=("text", "markdown", "md", "json"),
-            default="text",
-            help="output format (markdown falls back to text where a "
-            "table layout does not apply)",
-        )
-        p.add_argument(
-            "-o", "--output", metavar="PATH", help="write the report here"
-        )
-
-    p = sub.add_parser("verify-state", help="run a state's exact check suite")
-    p.add_argument("--state", choices=STATE_NAMES, default="psi1234")
-    add_common(p)
-    p.set_defaults(func=cmd_verify_state)
-
-    p = sub.add_parser("tables", help="regenerate a condition table")
-    labels = ", ".join(list(TABLE_LABELS) + sorted(TABLE_ALIASES))
-    p.add_argument(
-        "--table", required=True, metavar="LABEL",
-        help=f"one of: {labels}",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("paradox", help="refute the LHV model for one outcome")
-    p.add_argument(
-        "--outcome", required=True, metavar="K1,K2,K3,K4",
-        help="Z outcomes as phase exponents, e.g. 0,2,3,3 for 1,-1,-i,-i",
-    )
-    p.add_argument(
-        "--state", choices=("psi1234", "psi4-embedded"), default="psi1234"
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_paradox)
-
-    p = sub.add_parser("davn", help="refute the LHV model on the whole support")
-    p.add_argument(
-        "--state", choices=("psi1234", "psi4-embedded"), default="psi1234"
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_davn)
-
-    p = sub.add_parser("sample", help="seeded draw from the exact distribution")
-    p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--state", choices=STATE_NAMES, default="psi1234")
-    add_common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser(
-        "fixtures-diff", help="diff reference tables against the derivation"
-    )
-    p.add_argument(
-        "--dir", metavar="PATH", default=None,
-        help="fixture directory (default: the packaged tables)",
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_fixtures_diff)
-
+    for name, (help_line, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flags, keywords in (*options, *_COMMON):
+            p.add_argument(*flags, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """Parse ``COMMAND FLAG VALUE ...``, each flag declared exactly and no
+    value starting with ``-``, as ``build_parser`` would; return None for
+    anything else (help, ``--flag=value``, abbreviations, missing options,
+    bad values), which argparse, the one formatter of errors, then parses.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    by_flag, required = {}, set()
+    for flags, keywords in (*options, *_COMMON):
+        dest = flags[-1][2:]
+        values[dest] = keywords.get("default")
+        by_flag.update(dict.fromkeys(flags, (dest, keywords)))
+        if keywords.get("required"):
+            required.add(dest)
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in by_flag or value.startswith("-"):
+            return None
+        dest, keywords = by_flag[flag]
+        try:
+            value = keywords.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+        required.discard(dest)
+    return None if required else SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -9,6 +9,9 @@ multiply amplitudes as written rather than as exponents.
 
 from __future__ import annotations
 
+import argparse
+
+from davn.factory import STATE_NAMES, TABLE_ALIASES, TABLE_LABELS
 from davn.fixtures import FixtureRow
 from davn.states import phase_str
 from davn.postselect import Constraint, PairSelection, ResidualState
@@ -279,3 +282,76 @@ def render_fixture_row(row: FixtureRow) -> str:
         f" | basic={eigenword(row.basic)}"
         f" | extended={eigenword(row.extended)}"
     )
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The ``davn`` parser as one ``add_argument`` call per option.
+
+    ``davn.cli`` builds its parser from an option table; this is the
+    literal form it replaced, so help text and usage errors can be
+    compared byte for byte on whatever argparse the tests run under.
+    """
+    parser = argparse.ArgumentParser(
+        prog="davn",
+        description=(
+            "Exact verification of a four-ququart deterministic "
+            "all-versus-nothing Bell-nonlocality argument."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--format",
+            choices=("text", "markdown", "md", "json"),
+            default="text",
+            help="output format (markdown falls back to text where a "
+            "table layout does not apply)",
+        )
+        p.add_argument(
+            "-o", "--output", metavar="PATH", help="write the report here"
+        )
+
+    p = sub.add_parser("verify-state", help="run a state's exact check suite")
+    p.add_argument("--state", choices=STATE_NAMES, default="psi1234")
+    add_common(p)
+
+    p = sub.add_parser("tables", help="regenerate a condition table")
+    labels = ", ".join(list(TABLE_LABELS) + sorted(TABLE_ALIASES))
+    p.add_argument(
+        "--table", required=True, metavar="LABEL",
+        help=f"one of: {labels}",
+    )
+    add_common(p)
+
+    p = sub.add_parser("paradox", help="refute the LHV model for one outcome")
+    p.add_argument(
+        "--outcome", required=True, metavar="K1,K2,K3,K4",
+        help="Z outcomes as phase exponents, e.g. 0,2,3,3 for 1,-1,-i,-i",
+    )
+    p.add_argument(
+        "--state", choices=("psi1234", "psi4-embedded"), default="psi1234"
+    )
+    add_common(p)
+
+    p = sub.add_parser("davn", help="refute the LHV model on the whole support")
+    p.add_argument(
+        "--state", choices=("psi1234", "psi4-embedded"), default="psi1234"
+    )
+    add_common(p)
+
+    p = sub.add_parser("sample", help="seeded draw from the exact distribution")
+    p.add_argument("--runs", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--state", choices=STATE_NAMES, default="psi1234")
+    add_common(p)
+
+    p = sub.add_parser(
+        "fixtures-diff", help="diff reference tables against the derivation"
+    )
+    p.add_argument(
+        "--dir", metavar="PATH", default=None,
+        help="fixture directory (default: the packaged tables)",
+    )
+    add_common(p)
+    return parser

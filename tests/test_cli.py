@@ -1,12 +1,17 @@
 """CLI behaviour: exit codes, formats, determinism, file output."""
 
+import argparse
+import importlib.util
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+import types
+import typing
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -16,7 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import davn
+from davn import cli
 from davn.cli import main
+from reference import reference_parser
+from test_goldens import GOLDENS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -666,6 +676,9 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
         assert "json" not in loaded
 
 
+NO_ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize(
     ("code", "argv", "absent"),
     [
@@ -679,8 +692,183 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
         # A table renders its constraints through postselect: no lhv.
         (RUN_MAIN, ["tables", "--table", "I"], {"davn.lhv", "fractions", "typing"}),
         (RUN_MAIN, ["fixtures-diff"], {"fractions"}),
+        # A well-formed command line is parsed without argparse, whose
+        # first message lookup imports gettext and locale.
+        (RUN_MAIN, ["paradox", "--outcome", "0,2,3,3"], NO_ARGPARSE),
+        (RUN_MAIN, ["tables", "--table", "I"], NO_ARGPARSE),
+        (RUN_MAIN, ["sample", "--runs", "0", "--seed", "1"], NO_ARGPARSE),
+        (RUN_MAIN, ["fixtures-diff"], NO_ARGPARSE),
     ],
-    ids=["import-cli", "verify-state", "davn", "tables", "fixtures-diff"],
+    ids=["import-cli", "verify-state", "davn", "tables", "fixtures-diff",
+         "paradox-parse", "tables-parse", "sample-invalid-parse",
+         "fixtures-diff-parse"],
 )
 def test_each_command_skips_the_modules_it_never_calls(code, argv, absent):
     assert not absent & loaded_modules(code, *argv)
+
+
+#: Runs ``main()``, which reads ``sys.argv`` as the console script does,
+#: and prints, as JSON, its exit code, stdout and stderr and the modules
+#: the process then holds.
+RUN_MAIN_REPORT = """\
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from davn.cli import main
+out, err = io.StringIO(), io.StringIO()
+try:
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main()
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, out.getvalue(), err.getvalue(), sorted(sys.modules)]))"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["tables"],
+        ["tables", "--help"],
+        ["sample", "--runs", "x", "--seed", "1"],
+        ["davn", "--state", "psi4-qubit"],
+    ],
+    ids=["help", "missing-option", "command-help", "bad-int", "bad-choice"],
+)
+def test_help_and_usage_errors_still_go_through_argparse(monkeypatch, argv):
+    # In a fresh process, help and usage errors build the argparse parser
+    # and read byte for byte as the literal add_argument form prints them
+    # under the same argparse.
+    env = {
+        **os.environ, "COLUMNS": "80",
+        "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(davn.__file__).parent.parent), os.environ.get("PYTHONPATH"),
+        ])),
+    }
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_MAIN_REPORT, *argv],
+        capture_output=True, check=True, text=True, env=env,
+    )
+    code, out, err, modules = json.loads(result.stdout)
+    assert "argparse" in modules
+    monkeypatch.setenv("COLUMNS", "80")
+    expected_out, expected_err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        with redirect_stdout(expected_out), redirect_stderr(expected_err):
+            reference_parser().parse_args(argv)
+    assert exc.value.code == (0 if "--help" in argv else 2)
+    assert (code, out, err) == (
+        exc.value.code, expected_out.getvalue(), expected_err.getvalue()
+    )
+
+
+#: Values a generated command line gives an option, by the option's kind:
+#: declared choices are extended with bad ones, and every list holds values
+#: argparse reads differently from a plain parser if either is careless
+#: (empty, signed, non-ASCII digits, leading dash, embedded ``=``).
+INT_VALUES = ("1000", "0", "7", "-5", "+7", " 7", "7_0", "1e3", "x", "",
+              "٣", "-")
+TEXT_VALUES = ("I", "VI-B", "IX", "0,2,3,3", "٠,٢,٣,٣",
+               "out.txt", "a=b", "a b", "", "-x", "-1,0,0,0", "--")
+BAD_CHOICES = ("psi0", "JSON", "", "-")
+#: Tokens inserted anywhere: every flag, help, ``--`` and strays.
+STRAY_TOKENS = ("-h", "--help", "--", "-", "--state", "--format", "-o",
+                "--output", "--runs", "--table", "--dir", "--outcome",
+                "json", "psi1234", "tables", "davn", "7", "")
+
+
+def option_values(keywords):
+    if "choices" in keywords:
+        return (*keywords["choices"], *BAD_CHOICES)
+    return INT_VALUES if keywords.get("type") is int else TEXT_VALUES
+
+
+def generated_command_line(rng):
+    """A command line from the option table, then up to three mutations."""
+    name = rng.choice(list(cli.COMMANDS))
+    _, _, options = cli.COMMANDS[name]
+    options = [*options, *cli._COMMON]
+    pairs = []
+    for flags, keywords in options:
+        if keywords.get("required") or rng.random() < 0.5:
+            pairs.append([rng.choice(flags), rng.choice(option_values(keywords))])
+    rng.shuffle(pairs)
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        kind = rng.choice((
+            "drop", "repeat", "join", "abbreviate", "glue", "negative",
+            "insert", "command",
+        ))
+        at = rng.randrange(len(pairs)) if pairs else None
+        if kind == "drop" and pairs:
+            del pairs[at]
+        elif kind == "repeat":
+            flags, keywords = rng.choice(options)
+            pairs.insert(rng.randrange(len(pairs) + 1),
+                         [rng.choice(flags), rng.choice(option_values(keywords))])
+        elif kind == "join" and pairs:
+            pairs[at] = ["=".join(pairs[at])]
+        elif kind == "abbreviate" and pairs and pairs[at][0][:2] == "--":
+            flag = pairs[at][0]
+            pairs[at][0] = flag[: rng.randrange(3, max(4, len(flag)))]
+        elif kind == "glue":
+            pairs.append(["-o" + rng.choice(("json", "out.txt", "", "-x"))])
+        elif kind == "negative":
+            pairs.append([rng.choice(("--runs", "--seed")), str(-rng.randrange(9))])
+        elif kind == "insert":
+            pairs.insert(rng.randrange(len(pairs) + 1), [rng.choice(STRAY_TOKENS)])
+        elif kind == "command":
+            name = rng.choice(("", "fix", "table", "--help", "-h", name[:3]))
+    argv = [token for pair in pairs for token in pair]
+    return [name, *argv] if name else argv
+
+
+def test_plain_parser_accepts_a_strict_subset_of_argparse():
+    # Whatever the plain parser accepts, argparse parses to the same
+    # namespace; whatever argparse rejects or answers with help, the
+    # plain parser declines, so argparse alone prints help and errors.
+    rng = random.Random(20)
+    corpus = [generated_command_line(rng) for _ in range(6000)]
+    parser = cli.build_parser()
+    plain_count = 0
+    for argv in corpus:
+        plain = cli._parse_plain(argv)
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                expected = vars(parser.parse_args(argv))
+        except SystemExit:
+            assert plain is None, argv
+            continue
+        if plain is not None:
+            assert vars(plain) == expected, argv
+            plain_count += 1
+    # At least a tenth of the corpus takes each path.
+    assert len(corpus) // 10 < plain_count < len(corpus) * 9 // 10
+
+
+def test_goldens_and_benchmark_command_lines_take_the_plain_path(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses looks the module up while it builds the classes.
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        inputs = workloads.Inputs(20, tmp_path)
+        ops = inputs.traced_pass_ops() + [
+            op for name in workloads.WORKLOADS for op in inputs.round_ops(name, 0)
+        ]
+    finally:
+        del sys.modules[spec.name]
+    argvs = [list(op.argv) for op in ops] + [list(g[0]) for g in GOLDENS]
+    assert {argv[0] for argv in argvs} == set(cli.COMMANDS)
+    for argv in argvs:
+        assert cli._parse_plain(argv) is not None, argv
+
+
+def test_command_annotations_admit_both_namespaces():
+    # argparse is bound only for type checkers, so it is supplied here.
+    for _, func, _ in cli.COMMANDS.values():
+        hints = typing.get_type_hints(func, localns={"argparse": argparse})
+        assert hints == {
+            "args": argparse.Namespace | types.SimpleNamespace, "return": int,
+        }
