@@ -2,7 +2,8 @@
 all-versus-nothing Bell-nonlocality argument.
 
 Everything is integer arithmetic: every amplitude is a unit i**t held
-as its phase exponent t mod 4, and probabilities are rationals.  See the README for the
+as its phase exponent t mod 4, and probabilities are pairs of ints
+(numerator, norm_sq).  See the README for the
 module map and the CLI (``davn``) for the runnable verification suites.
 
 ``import davn`` loads no submodule: each name in ``__all__`` is imported

@@ -11,11 +11,10 @@ digit-sum rule, and the support census.  ``build_state`` is
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .factory import build_state, joint_z_probability, z_support
-from .states import BasisKet, StateVector
+from .states import BasisKet, StateVector, ratio_str
 
 
 class DensityMatrix:
@@ -23,7 +22,8 @@ class DensityMatrix:
 
     Entry (r, c) is (re + im*i) / denominator for the int pair
     numerators[r][c] = (re, im), so Hermiticity and trace are checked by
-    integer equality.
+    integer equality; the diagonal and the trace are (numerator,
+    denominator) pairs.
     """
 
     __slots__ = ("dim", "denominator", "numerators")
@@ -38,14 +38,13 @@ class DensityMatrix:
         self.denominator = denominator
         self.numerators = numerators
 
-    def diagonal(self) -> tuple[Fraction, ...]:
+    def diagonal(self) -> tuple[tuple[int, int], ...]:
         return tuple(
-            Fraction(self.numerators[k][k][0], self.denominator)
-            for k in range(self.dim)
+            (self.numerators[k][k][0], self.denominator) for k in range(self.dim)
         )
 
-    def trace(self) -> Fraction:
-        return sum(self.diagonal(), Fraction(0))
+    def trace(self) -> tuple[int, int]:
+        return sum(num for num, _ in self.diagonal()), self.denominator
 
     def is_hermitian(self) -> bool:
         return all(
@@ -199,49 +198,41 @@ class Check:
         self.detail = detail
 
 
-def _density_checks(state: StateVector, expected_site1: tuple[Fraction, ...]) -> list[Check]:
+def _density_checks(state: StateVector, expected_site1: tuple[int, ...]) -> list[Check]:
+    """``expected_site1`` holds the site-1 diagonal's numerators over
+    ``norm_sq``, the denominator of every reduced density."""
     verdict = nonstabilizer_test(state)
-    checks = [
+    n = state.norm_sq
+    return [
         Check(
             "reduced densities hermitian with trace 1",
-            all(
-                rho.is_hermitian() and rho.trace() == 1
-                for rho in verdict.densities
-            ),
+            all(r.is_hermitian() and r.trace() == (n, n) for r in verdict.densities),
             "exact partial traces over the integer amplitudes",
         ),
         Check(
             "site-1 reduced density diagonal",
-            verdict.densities[0].diagonal() == expected_site1,
-            "diag(" + ", ".join(str(f) for f in expected_site1) + ")",
+            verdict.densities[0].diagonal() == tuple((k, n) for k in expected_site1),
+            "diag(" + ", ".join(ratio_str(k, n) for k in expected_site1) + ")",
         ),
         Check(
             "not a stabilizer state",
             verdict.is_nonstabilizer,
             "sites deviating from maximally mixed: "
-            + (
-                ", ".join(str(s + 1) for s in verdict.deviating_sites)
-                or "none"
-            ),
+            + (", ".join(str(s + 1) for s in verdict.deviating_sites) or "none"),
         ),
     ]
-    return checks
 
 
 def _support_checks(state: StateVector) -> list[Check]:
     support = z_support(state)
-    total = sum(
-        (joint_z_probability(state, ket) for ket in support), Fraction(0)
-    )
-    uniform = all(
-        joint_z_probability(state, ket) == Fraction(1, len(support))
-        for ket in support
-    )
+    n = state.norm_sq
+    total = sum(joint_z_probability(state, ket)[0] for ket in support)
+    uniform = all(joint_z_probability(state, k) == (1, len(support)) for k in support)
     return [
         Check(
             "support probabilities sum to 1",
-            total == 1,
-            f"{len(support)} outcomes, total probability {total}",
+            total == n,
+            f"{len(support)} outcomes, total probability {ratio_str(total, n)}",
         ),
         Check(
             "uniform support",
@@ -271,25 +262,20 @@ def checks_psi1234(state: StateVector) -> list[Check]:
             "exact amplitude-for-amplitude equality",
         ),
     ]
-    checks += _density_checks(
-        state,
-        (Fraction(2, 7), Fraction(3, 14), Fraction(2, 7), Fraction(3, 14)),
-    )
+    # diag(2/7, 3/14, 2/7, 3/14) over norm_sq = 56.
+    checks += _density_checks(state, (16, 12, 16, 12))
     checks += _support_checks(state)
     # Of the 64 outcome tuples whose eigenvalue product is 1 (digit sum
     # 0 mod 4), only 56 are supported; the other 8 must have exactly
     # zero probability.
     support = set(z_support(state))
-    zero_tuples = [
-        ket
-        for ket in product(range(4), repeat=4)
-        if sum(ket) % 4 == 0 and ket not in support
-    ]
+    zero_tuples = [ket for ket in product(range(4), repeat=4)
+                   if sum(ket) % 4 == 0 and ket not in support]
     checks.append(
         Check(
             "product-1 outcomes outside the support",
             len(zero_tuples) == 8
-            and all(joint_z_probability(state, k) == 0 for k in zero_tuples),
+            and all(joint_z_probability(state, k)[0] == 0 for k in zero_tuples),
             "8 tuples with eigenvalue product 1 carry probability exactly "
             "0: " + ", ".join("".join(map(str, k)) for k in sorted(zero_tuples)),
         )
@@ -311,7 +297,8 @@ def checks_psi4_qubit(state: StateVector) -> list[Check]:
             "every component has an even number of down spins",
         ),
     ]
-    checks += _density_checks(state, (Fraction(4, 7), Fraction(3, 7)))
+    # diag(4/7, 3/7) over norm_sq = 7.
+    checks += _density_checks(state, (4, 3))
     checks += _support_checks(state)
     return checks
 
@@ -339,15 +326,8 @@ def checks_psi4_embedded(state: StateVector) -> list[Check]:
             "does not carry over",
         ),
     ]
-    checks += _density_checks(
-        state,
-        (
-            Fraction(4, 7),
-            Fraction(3, 7),
-            Fraction(0, 1),
-            Fraction(0, 1),
-        ),
-    )
+    # diag(4/7, 3/7, 0, 0) over norm_sq = 7.
+    checks += _density_checks(state, (4, 3, 0, 0))
     checks += _support_checks(state)
     return checks
 

@@ -10,7 +10,8 @@ group the same 56 components by family, so their outcome lists are read
 off the component text too.
 
 States carry phase exponents (amplitude i**t), so every supported
-ket weighs 1: probabilities are exact `Fraction` values 1 / norm_sq.
+ket weighs 1: a probability is an exact pair ``(count, norm_sq)`` of
+ints, the number of supported kets over the ket count, left unreduced.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from __future__ import annotations
 from itertools import combinations
 
 from .states import BasisKet, StateVector, parse_phase
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # The 56 components, written as <digits>:<amplitude>.  One row per
 # component family: the two +1 kets, then six families each headed by a
@@ -166,18 +163,17 @@ def build_state(name: str) -> StateVector:
     raise ValueError(f"unknown state {name!r}; expected one of {STATE_NAMES}")
 
 
-def joint_z_probability(state: StateVector, outcome: BasisKet) -> Fraction:
+def joint_z_probability(state: StateVector, outcome: BasisKet) -> tuple[int, int]:
     """Probability of the joint Z outcome i**k_j on each site j.
 
     Measuring every Z projectively is measurement in the computational
-    basis, so this is |amplitude|**2 / norm_sq: 1 / norm_sq on the
-    support, since every amplitude is a unit, and 0 off it.
+    basis, so this is |amplitude|**2 / norm_sq: the pair (1, norm_sq) on
+    the support, since every amplitude is a unit, and (0, norm_sq) off
+    it.  A state of zero norm has no distribution and raises.
     """
-    # Imported here: fractions (with decimal and numbers) is compiled
-    # only by the commands that compute a probability.
-    from fractions import Fraction
-
-    return Fraction(1, state.norm_sq) if outcome in state.phases else Fraction(0)
+    if state.is_zero():
+        raise ValueError("a state of zero norm has no outcome distribution")
+    return (1 if outcome in state.phases else 0, state.norm_sq)
 
 
 def z_support(state: StateVector) -> list[BasisKet]:

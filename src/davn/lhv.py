@@ -18,7 +18,6 @@ byte-reproducible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, product
 from operator import and_
@@ -112,7 +111,7 @@ class ParadoxReport:
         self,
         outcome: BasisKet,
         type_label: str | None,
-        probability: Fraction,
+        probability: tuple[int, int],
         rows: tuple[ConstraintRow, ...],
         constraints_basic: tuple[Constraint, ...],
         constraints_extended: tuple[Constraint, ...],
@@ -136,7 +135,7 @@ class ParadoxReport:
 
     @property
     def is_paradox(self) -> bool:
-        return self.probability > 0 and not self.satisfiable
+        return self.probability[0] > 0 and not self.satisfiable
 
 
 def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
@@ -180,7 +179,7 @@ class DavnReport:
     The verdict is DAVN exactly when the supported outcomes exhaust the
     distribution (probabilities sum to 1) and every one of them is
     LHV-unsatisfiable, i.e. any run of the experiment lands in a refuted
-    outcome.
+    outcome.  ``probability_sum`` is (sum of their numerators, norm_sq).
     """
 
     __slots__ = (
@@ -192,7 +191,7 @@ class DavnReport:
         self,
         reports: tuple[ParadoxReport, ...],
         support_size: int,
-        probability_sum: Fraction,
+        probability_sum: tuple[int, int],
         verdict: str,
         failing_outcomes: tuple[BasisKet, ...],
     ) -> None:
@@ -221,17 +220,17 @@ class DavnReport:
 
 def verify_davn(state: StateVector) -> DavnReport:
     """Run verify_paradox over the whole support, in outcome order."""
+    if state.is_zero():
+        raise ValueError("a state of zero norm has no outcome distribution")
     outcomes = z_support(state)
     reports = tuple(verify_paradox(state, o) for o in outcomes)
-    probability_sum = sum(
-        (r.probability for r in reports), Fraction(0)
-    )
+    covered = sum(r.probability[0] for r in reports)
     failing = tuple(r.outcome for r in reports if r.satisfiable)
-    verdict = "DAVN" if probability_sum == 1 and not failing else "NOT-DAVN"
+    verdict = "DAVN" if covered == state.norm_sq and not failing else "NOT-DAVN"
     return DavnReport(
         reports=reports,
         support_size=len(outcomes),
-        probability_sum=probability_sum,
+        probability_sum=(covered, state.norm_sq),
         verdict=verdict,
         failing_outcomes=failing,
     )

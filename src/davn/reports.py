@@ -8,18 +8,15 @@ the non-sampling commands.  The schemas are documented in the README.
 
 from __future__ import annotations
 
-import json
 from functools import cache
-from json.encoder import encode_basestring_ascii
 from math import isqrt
 
-from .states import BasisKet, StateVector, phase_str
+from .states import BasisKet, StateVector, phase_str, ratio_str
 
 # Type checkers take any TYPE_CHECKING as true; at run time the block is
 # skipped, so rendering a report does not import typing.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from fractions import Fraction
     from typing import Any
 
     from .checks import Check
@@ -36,7 +33,8 @@ def to_json(payload: dict[str, Any]) -> str:
     memoized on the value's id and depth for this call, while the payload
     keeps every value alive, so a subtree shared across the payload (a
     constraint cited by many outcomes) is encoded once.  Scalars go
-    through ``json.dumps``; keys must be strings.
+    through `_scalar`, keys through `_quote`; a float, or a key that is
+    not a string, raises TypeError.
     """
     memo: dict[tuple[int, int], str] = {}
 
@@ -46,17 +44,46 @@ def to_json(payload: dict[str, Any]) -> str:
         if text is None:
             if isinstance(value, dict):
                 text = _block("{}", depth, [
-                    encode_basestring_ascii(k) + ": " + render(v, depth + 1)
+                    _quote(k) + ": " + render(v, depth + 1)
                     for k, v in value.items()
                 ])
             elif isinstance(value, (list, tuple)):
                 text = _block("[]", depth, [render(v, depth + 1) for v in value])
             else:
-                text = json.dumps(value)
+                text = _scalar(value)
             memo[key] = text
         return text
 
     return render(payload, 0) + "\n"
+
+
+#: JSON's short escapes; other characters outside ' '..'~' become \uXXXX.
+_ESCAPES = {c: "\\" + e for c, e in zip('"\\\n\r\t\b\f', '"\\nrtbf')}
+
+
+def _escape(char: str) -> str:
+    if " " <= char <= "~" or char in _ESCAPES:
+        return _ESCAPES.get(char, char)
+    # One escape per UTF-16 unit: a surrogate pair above U+FFFF.
+    units = char.encode("utf-16-be", "surrogatepass").hex(" ", 2)
+    return "\\u" + units.replace(" ", "\\u")
+
+
+def _quote(text: str) -> str:
+    """A JSON string, as ``json.dumps`` writes it.  Anything but a str
+    raises TypeError, from ``str.isascii``."""
+    if str.isascii(text) and text.isprintable() and not ('"' in text or "\\" in text):
+        return '"' + text + '"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def _scalar(value: object) -> str:
+    """A JSON scalar, as ``json.dumps`` writes it; a float raises TypeError."""
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _quote(value)
 
 
 def _block(brackets: str, depth: int, items: list[str]) -> str:
@@ -222,20 +249,15 @@ def paradox_json(report: ParadoxReport, include_rows: bool = False) -> dict[str,
     payload: dict[str, Any] = {
         "outcome": outcome_json(report.outcome),
         "type": report.type_label,
-        "probability": str(report.probability),
+        "probability": ratio_str(*report.probability),
         "constraints": {
             "basic": [constraint_json(c) for c in report.constraints_basic],
-            "extended": [
-                constraint_json(c) for c in report.constraints_extended
-            ],
+            "extended": [constraint_json(c) for c in report.constraints_extended],
         },
         "lhv_satisfiable": report.satisfiable,
         "witness": list(report.witness) if report.witness else None,
-        "minimal_core": (
-            [constraint_json(c) for c in report.minimal_core]
-            if report.minimal_core is not None
-            else None
-        ),
+        "minimal_core": None if report.minimal_core is None
+        else [constraint_json(c) for c in report.minimal_core],
         "extended_only_unsatisfiable": report.extended_only_unsatisfiable,
     }
     if include_rows:
@@ -248,7 +270,7 @@ def render_paradox_text(report: ParadoxReport) -> str:
         f"outcome {outcome_digits(report.outcome)} "
         f"(Z = {outcome_eigenvalues(report.outcome)})",
         f"type: {report.type_label or 'unclassified'}    "
-        f"probability: {report.probability}",
+        f"probability: {ratio_str(*report.probability)}",
         "",
         "pair conditions:",
     ]
@@ -277,14 +299,10 @@ def davn_json(report: DavnReport) -> str:
             "schema": "davn.report/1",
             "verdict": report.verdict,
             "support_size": report.support_size,
-            "probability_sum": str(report.probability_sum),
+            "probability_sum": ratio_str(*report.probability_sum),
             "type_counts": report.type_counts,
-            "unsatisfiable_outcomes": sum(
-                1 for r in report.reports if not r.satisfiable
-            ),
-            "failing_outcomes": [
-                outcome_json(o) for o in report.failing_outcomes
-            ],
+            "unsatisfiable_outcomes": sum(not r.satisfiable for r in report.reports),
+            "failing_outcomes": [outcome_json(o) for o in report.failing_outcomes],
             "outcomes": [paradox_json(r) for r in report.reports],
         }
     )
@@ -294,18 +312,14 @@ def render_davn_text(report: DavnReport) -> str:
     lines = [
         f"verdict: {report.verdict}",
         f"supported outcomes: {report.support_size}",
-        f"probability covered: {report.probability_sum}",
+        f"probability covered: {ratio_str(*report.probability_sum)}",
         "refuted outcomes: "
-        f"{sum(1 for r in report.reports if not r.satisfiable)}"
-        f"/{report.support_size}",
+        f"{sum(not r.satisfiable for r in report.reports)}/{report.support_size}",
         "type census: "
         + ", ".join(f"{k}: {v}" for k, v in report.type_counts.items()),
         "extended-only refutation everywhere: "
-        + (
-            "yes"
-            if all(r.extended_only_unsatisfiable for r in report.reports)
-            else "no"
-        ),
+        + ("yes" if all(r.extended_only_unsatisfiable for r in report.reports)
+           else "no"),
     ]
     if report.failing_outcomes:
         lines.append(
@@ -360,7 +374,7 @@ def sample_json(state_name: str, summary: SampleSummary) -> str:
             "seed": summary.seed,
             "runs": summary.runs,
             "generator": summary.generator,
-            "max_abs_deviation": str(summary.max_abs_deviation),
+            "max_abs_deviation": ratio_str(*summary.max_abs_deviation),
             "counts": [
                 {"outcome": outcome_json(ket), "count": count}
                 for ket, count in sorted(summary.counts.items())
@@ -369,22 +383,26 @@ def sample_json(state_name: str, summary: SampleSummary) -> str:
     )
 
 
-def two_decimals(x: Fraction) -> str:
-    """A non-negative ``x`` rounded half-even to two decimals, exactly.
+def two_decimals(num: int, den: int) -> str:
+    """A non-negative ``num / den`` rounded half-even to two decimals, exactly.
 
-    ``format(float(x), ".2f")`` rounds the nearest double instead, so it
+    ``format(num / den, ".2f")`` rounds the nearest double instead, so it
     gives 2.67 for 107/40 = 2.675.
     """
-    whole, hundredths = divmod(round(x * 100), 100)
+    cents, rest = divmod(100 * num, den)
+    if 2 * rest > den or 2 * rest == den and cents % 2:
+        cents += 1
+    whole, hundredths = divmod(cents, 100)
     return f"{whole}.{hundredths:02d}"
 
 
 def render_sample_text(state_name: str, summary: SampleSummary) -> str:
+    deviation = summary.max_abs_deviation
     lines = [
         f"state: {state_name}   runs: {summary.runs}   seed: {summary.seed}",
         f"generator: {summary.generator}",
-        f"max deviation from expectation: {summary.max_abs_deviation} "
-        f"(= {two_decimals(summary.max_abs_deviation)})",
+        f"max deviation from expectation: {ratio_str(*deviation)} "
+        f"(= {two_decimals(*deviation)})",
         "counts:",
     ]
     for ket, count in sorted(summary.counts.items()):

@@ -37,7 +37,6 @@ of a bit per output, instead of ``n`` passes.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .states import BasisKet, StateVector
 
@@ -53,6 +52,8 @@ _BLOCK = 1 << 16
 class SampleSummary:
     """Counts of sampled outcomes plus the reproduction parameters.
 
+    ``max_abs_deviation`` is the largest ``|count - runs / n|`` over the
+    ``n`` outcomes, as the pair ``(max |n * count - runs|, n)``.
     Summaries compare equal when every field does, so two runs can be
     checked for reproducibility.
     """
@@ -65,7 +66,7 @@ class SampleSummary:
         runs: int,
         generator: str,
         counts: dict[BasisKet, int],
-        max_abs_deviation: Fraction,
+        max_abs_deviation: tuple[int, int],
     ) -> None:
         self.seed = seed
         self.runs = runs
@@ -74,10 +75,7 @@ class SampleSummary:
         self.max_abs_deviation = max_abs_deviation
 
     def _fields(self) -> tuple:
-        return (
-            self.seed, self.runs, self.generator, self.counts,
-            self.max_abs_deviation,
-        )
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not SampleSummary:
@@ -114,10 +112,9 @@ def sample_outcomes(state: StateVector, runs: int, seed: int) -> SampleSummary:
         tally = [0] * n
         for _ in range(runs):
             tally[rng.randrange(n)] += 1
-    expected = Fraction(runs, n)
-    max_dev = max(abs(count - expected) for count in tally)
+    max_dev = max(abs(n * count - runs) for count in tally)
     return SampleSummary(
-        seed, runs, GENERATOR_ID, dict(zip(outcomes, tally)), max_dev
+        seed, runs, GENERATOR_ID, dict(zip(outcomes, tally)), (max_dev, n)
     )
 
 

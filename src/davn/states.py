@@ -3,8 +3,8 @@ group Z4 they are written in.
 
 Every amplitude, eigenvalue and Z outcome in this package is a unit
 i**t, so it is carried as its "phase exponent" t, a plain int reduced
-mod 4; the group law is addition mod 4.  Probabilities are
-`fractions.Fraction` values, and all checks downstream are equality
+mod 4; the group law is addition mod 4.  Probabilities are pairs
+(numerator, norm_sq) of ints, and all checks downstream are equality
 tests, never tolerance comparisons.
 
 A state is an unnormalised map from the basis kets of its support
@@ -27,6 +27,8 @@ re-check.
 
 from __future__ import annotations
 
+from math import gcd
+
 #: A basis ket: one digit in 0..level-1 per site.
 BasisKet = tuple[int, ...]
 
@@ -41,6 +43,13 @@ _PHASE_FROM_STRING["+i"] = 1
 def phase_str(t: int) -> str:
     """Render i**t as one of 1, i, -1, -i."""
     return PHASE_STRINGS[t % 4]
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``num / den`` (``den > 0``) as ``str(Fraction)`` writes it: ``1/56``, ``1``."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def parse_phase(text: str) -> int:

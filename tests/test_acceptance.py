@@ -62,16 +62,16 @@ def test_criterion_02_stabilizer_identity():
 
 def test_criterion_03_nonstabilizer_diagnosis():
     rho1 = reduced_density(PSI, 0)
-    assert rho1.diagonal() == (
+    assert tuple(Fraction(*entry) for entry in rho1.diagonal()) == (
         Fraction(2, 7), Fraction(3, 14), Fraction(2, 7), Fraction(3, 14),
     )
     others = []
     for site in (1, 2, 3):
         rho = reduced_density(PSI, site)
-        assert rho.is_hermitian() and rho.trace() == 1
+        assert rho.is_hermitian() and Fraction(*rho.trace()) == 1
         others.append(
             f"site {site + 1}: "
-            + ", ".join(str(f) for f in rho.diagonal())
+            + ", ".join(str(Fraction(*entry)) for entry in rho.diagonal())
         )
     assert nonstabilizer_test(PSI).is_nonstabilizer
     print("\n  " + "\n  ".join(others), end="")
@@ -82,10 +82,10 @@ def test_criterion_04_distribution():
     support = z_support(PSI)
     assert len(support) == 56
     assert all(
-        joint_z_probability(PSI, ket) == Fraction(1, 56) for ket in support
+        joint_z_probability(PSI, ket) == (1, 56) for ket in support
     )
     assert sum(
-        (joint_z_probability(PSI, k) for k in support), Fraction(0)
+        (Fraction(*joint_z_probability(PSI, k)) for k in support), Fraction(0)
     ) == 1
     missing = [
         ket
@@ -98,7 +98,7 @@ def test_criterion_04_distribution():
         (1, 1, 3, 3), (1, 3, 1, 3), (1, 3, 3, 1),
         (3, 3, 1, 1), (3, 1, 3, 1), (3, 1, 1, 3),
     }
-    assert all(joint_z_probability(PSI, ket) == 0 for ket in missing)
+    assert all(joint_z_probability(PSI, ket) == (0, 56) for ket in missing)
     _passed(4, "56 outcomes at exactly 1/56; the 8 product-1 leftovers at 0")
 
 
@@ -197,7 +197,7 @@ def test_criterion_08_hand_argument_reproduction():
 def test_criterion_09_qubit_seed_state():
     qubit = build_psi4_qubit()
     assert qubit.norm_sq == 7
-    assert reduced_density(qubit, 0).diagonal() == (
+    assert tuple(Fraction(*entry) for entry in reduced_density(qubit, 0).diagonal()) == (
         Fraction(4, 7), Fraction(3, 7),
     )
     assert nonstabilizer_test(qubit).is_nonstabilizer

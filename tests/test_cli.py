@@ -615,7 +615,7 @@ def loaded_modules(code: str, *argv: str) -> set[str]:
     path = [str(Path(davn.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe, *argv],
-        capture_output=True, check=True, text=True,
+        capture_output=True, check=True, text=True, encoding="utf-8",
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     return set(result.stdout.split())
@@ -634,6 +634,10 @@ with redirect_stdout(io.StringIO()):
 
 #: What ``import davn.cli`` loads: the modules every command needs.
 CLI_MODULES = {"davn", "davn.cli", "davn.factory", "davn.states"}
+
+#: What no command loads: probabilities are int pairs, and reports
+#: writes its own JSON scalars.
+NO_COMMAND_LOADS = {"decimal", "fractions", "json", "numbers"}
 
 
 @pytest.mark.parametrize(
@@ -671,6 +675,7 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
     loaded = loaded_modules(RUN_MAIN, *argv)
     expected = CLI_MODULES | {f"davn.{name}" for name in added}
     assert {m for m in loaded if m.split(".")[0] == "davn"} == expected
+    assert not NO_COMMAND_LOADS & loaded
     if argv[:3] == ["sample", "--runs", "0"]:
         # A rejected run stops before any report is rendered.
         assert "json" not in loaded
@@ -682,7 +687,7 @@ NO_ARGPARSE = {"argparse", "gettext", "locale"}
 @pytest.mark.parametrize(
     ("code", "argv", "absent"),
     [
-        # The parser is built in main, and only a probability needs
+        # The parser is built in main, and no probability needs
         # fractions (with decimal and numbers).
         ("import davn.cli", [], {"argparse", "fractions"}),
         # reports imports typing only for type checkers; fixtures-diff
@@ -746,7 +751,7 @@ def test_help_and_usage_errors_still_go_through_argparse(monkeypatch, argv):
     }
     result = subprocess.run(
         [sys.executable, "-S", "-c", RUN_MAIN_REPORT, *argv],
-        capture_output=True, check=True, text=True, env=env,
+        capture_output=True, check=True, text=True, encoding="utf-8", env=env,
     )
     code, out, err, modules = json.loads(result.stdout)
     assert "argparse" in modules

@@ -146,11 +146,13 @@ def test_stabilizer_audit_rejects_other_levels_and_zero_states():
 def test_reduced_density_site1_exact():
     psi = build_psi_1234()
     rho = reduced_density(psi, 0)
-    assert rho.diagonal() == (
+    # 2/7, 3/14, 2/7, 3/14 over norm_sq = 56.
+    assert rho.diagonal() == ((16, 56), (12, 56), (16, 56), (12, 56))
+    assert tuple(Fraction(*entry) for entry in rho.diagonal()) == (
         Fraction(2, 7), Fraction(3, 14), Fraction(2, 7), Fraction(3, 14),
     )
     assert rho.is_hermitian()
-    assert rho.trace() == 1
+    assert rho.trace() == (56, 56)
     # Off-diagonal entries vanish exactly.
     assert all(
         rho.numerators[r][c] == (0, 0)
@@ -190,7 +192,7 @@ def test_reduced_density_matches_the_brute_force_oracle(state, site):
     rho = reduced_density(state, site)
     assert rho.denominator == state.norm_sq
     assert [list(row) for row in rho.numerators] == brute_force_density(state, site)
-    assert rho.is_hermitian() and rho.trace() == 1
+    assert rho.is_hermitian() and rho.trace() == (state.norm_sq, state.norm_sq)
 
 
 def test_density_predicates_read_the_int_pairs():
@@ -219,18 +221,26 @@ def test_nonstabilizer_verdicts():
 
 def test_joint_probabilities():
     psi = build_psi_1234()
-    assert joint_z_probability(psi, (0, 0, 0, 0)) == Fraction(1, 56)
-    assert joint_z_probability(psi, (0, 0, 0, 1)) == 0
-    assert joint_z_probability(psi, (1, 1, 1, 1)) == 0
+    assert joint_z_probability(psi, (0, 0, 0, 0)) == (1, 56)
+    assert joint_z_probability(psi, (0, 0, 0, 1)) == (0, 56)
+    assert joint_z_probability(psi, (1, 1, 1, 1)) == (0, 56)
     # |amplitude|**2 / norm_sq, by the oracle's norm.
     for ket, t in psi.phases.items():
         weight = GaussInt.from_phase(t).norm_sq()
-        assert joint_z_probability(psi, ket) == Fraction(weight, psi.norm_sq)
+        assert joint_z_probability(psi, ket) == (weight, psi.norm_sq)
     total = sum(
-        (joint_z_probability(psi, ket) for ket in product(range(4), repeat=4)),
+        (
+            Fraction(*joint_z_probability(psi, ket))
+            for ket in product(range(4), repeat=4)
+        ),
         Fraction(0),
     )
     assert total == 1
+
+
+def test_a_state_of_zero_norm_has_no_distribution():
+    with pytest.raises(ValueError, match="zero norm"):
+        joint_z_probability(StateVector(4, {}), (0, 0, 0, 0))
 
 
 def test_z_support_sizes():
@@ -250,9 +260,7 @@ def test_qubit_seed_state():
     ups = sum(1 for ket in q.phases if ket[0] == 0)
     downs = sum(1 for ket in q.phases if ket[0] == 1)
     assert (ups, downs) == (4, 3)
-    assert reduced_density(q, 0).diagonal() == (
-        Fraction(4, 7), Fraction(3, 7),
-    )
+    assert reduced_density(q, 0).diagonal() == ((4, 7), (3, 7))
 
 
 def test_embedding_preserves_structure():

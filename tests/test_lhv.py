@@ -289,12 +289,13 @@ def test_davn_on_the_main_state():
     report = verify_davn(PSI)
     assert report.verdict == "DAVN"
     assert report.support_size == 56
-    assert report.probability_sum == 1
+    assert report.probability_sum == (56, 56)
     assert report.failing_outcomes == ()
     assert report.type_counts == {
         "I": 2, "II": 6, "III": 12, "IV": 12, "V": 12, "VI": 12,
     }
     assert all(not r.satisfiable for r in report.reports)
+    assert all(r.probability == (1, 56) and r.is_paradox for r in report.reports)
     assert all(r.extended_only_unsatisfiable for r in report.reports)
     # Reports come back sorted by outcome.
     outcomes = [r.outcome for r in report.reports]
@@ -306,6 +307,11 @@ def test_davn_not_awarded_to_product_state():
     report = verify_davn(single)
     assert report.verdict == "NOT-DAVN"
     assert report.failing_outcomes == ((0, 0, 0, 0),)
+
+
+def test_davn_refuses_a_state_of_zero_norm():
+    with pytest.raises(ValueError, match="zero norm"):
+        verify_davn(StateVector(4, {}))
 
 
 def neighbours_of_psi():
@@ -333,7 +339,7 @@ def test_census_of_the_neighbours_of_psi():
             report = verify_davn(state)
             assert report.verdict == "NOT-DAVN"
             assert report.support_size == len(state.phases)
-            assert report.probability_sum == 1
+            assert report.probability_sum == (state.norm_sq, state.norm_sq)
             counts.append(len(report.failing_outcomes))
         census[kind] = dict(sorted(Counter(counts).items()))
     assert census == {

@@ -1,11 +1,15 @@
 """Tripwire: no float or complex arithmetic enters the package.
 
 Every amplitude and eigenvalue is a phase exponent (an int), every
-probability a Fraction, and every check is exact equality.  This walks the syntax tree
-of each module and fails on anything that would bring floating point in:
-a float or complex literal, a call to ``float`` or ``complex``, an import
-of ``cmath``, or a name from ``math`` other than ``isqrt``.  True
-division is not flagged: the package's ``/`` operators are ``Path`` joins.
+probability a pair of ints (numerator, denominator), and every check is
+exact equality.  This walks the syntax tree of each module and fails on
+anything that would bring floating point in: a float or complex literal,
+a call to ``float`` or ``complex``, an import of ``cmath``, or a name
+from ``math`` other than ``isqrt`` and ``gcd``.  True division is not
+flagged: the package's ``/`` operators are ``Path`` joins.  No module
+imports ``fractions``, ``decimal``, ``numbers`` or ``json`` either, not
+even for type checkers: ratios are int pairs and ``reports`` writes its
+own JSON.
 """
 
 import ast
@@ -16,7 +20,8 @@ import pytest
 import davn
 
 MODULES = sorted(Path(davn.__file__).parent.glob("*.py"))
-MATH_ALLOWED = {"isqrt"}
+MATH_ALLOWED = {"gcd", "isqrt"}
+NOT_IMPORTED = {"decimal", "fractions", "json", "numbers"}
 
 
 def float_uses(tree: ast.AST) -> list[str]:
@@ -62,6 +67,31 @@ def test_every_module_is_walked():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_float_enters_the_package(path):
     assert float_uses(ast.parse(path.read_text(encoding="utf-8"), str(path))) == []
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """The top-level package of every module the tree imports."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_json_or_fractions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert not imported_modules(tree) & NOT_IMPORTED
+
+
+def test_the_import_walk_sees_guarded_and_nested_imports():
+    source = (
+        "if TYPE_CHECKING:\n    from fractions import Fraction\n"
+        "def f():\n    import json.encoder\n    from . import lhv\n"
+    )
+    assert imported_modules(ast.parse(source)) == {"fractions", "json"}
 
 
 @pytest.mark.parametrize(

@@ -1,27 +1,40 @@
-"""The JSON writer and the shared constraint fragments of reports."""
+"""The JSON writer, the ratio helpers and the shared constraint
+fragments of reports."""
 
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from davn.postselect import Constraint
-from davn.reports import constraint_json, to_json, two_decimals
+from davn.reports import constraint_json, ratio_str, to_json, two_decimals
+
+#: Every code point, lone surrogates included, weighted towards the ones
+#: JSON escapes: the C0 controls, DEL, the short escapes and astral
+#: characters, which are written as surrogate pairs.
+characters = st.characters(
+    min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=()
+) | st.sampled_from(
+    [chr(c) for c in range(0x20)]
+    + ["\x7f", '"', "\\", "/", "\ud800", "\udfff", "\U0001f600", "\U0010ffff"]
+)
+strings = st.text(characters, max_size=12)
 
 scalars = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=2**64, max_value=2**256)
-    | st.floats()
-    | st.text()
+    | st.integers(min_value=-(2**256), max_value=-(2**64))
+    | strings
 )
 
 json_trees = st.recursive(
     scalars,
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text(), children, max_size=4),
+    | st.dictionaries(strings, children, max_size=4),
     max_leaves=20,
 )
 
@@ -31,7 +44,7 @@ def trees_sharing_a_subtree(draw):
     """A tree holding one container at two nesting depths."""
     shared = draw(
         st.lists(json_trees, min_size=1, max_size=3)
-        | st.dictionaries(st.text(), json_trees, min_size=1, max_size=3)
+        | st.dictionaries(strings, json_trees, min_size=1, max_size=3)
     )
     return {"shallow": shared, "deep": [draw(json_trees), {"here": shared}]}
 
@@ -43,10 +56,63 @@ SHARED = {"word": "X1", "exponents": [1, 0, 0, 0]}
 @example({"a": SHARED, "b": [[SHARED], SHARED]})
 @example({})
 @example([[], {}, [{}], {"": []}])
-@example([True, 1, False, 0, None, 1.0, -(2**100)])
-@example({"kéy\n": "vâl\u0000ue ", "\U0001f600": "\t\x7f\""})
+@example([True, 1, False, 0, None, -(2**100)])
+@example({"kéy\n": "vâl\u0000ue ", "\U0001f600": "\t\x7f\""})
 def test_to_json_matches_json_dumps(payload):
     assert to_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@given(scalars)
+@example("")
+@example("\ud800\udc00\udbff")
+@example("".join(map(chr, range(0x20))) + "\x7f\x80\u2028\ufeff")
+@example(-(2**300))
+def test_each_scalar_and_key_is_written_as_json_dumps_writes_it(value):
+    assert to_json({"v": value}) == json.dumps({"v": value}, indent=2) + "\n"
+    if isinstance(value, str):
+        assert to_json({value: 0}) == json.dumps({value: 0}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"v": 1.0}, {"v": [0, 2.5]}, {"v": float("nan")}, {"v": 1j}, {"v": b"x"}],
+)
+def test_to_json_refuses_a_value_that_is_no_json_scalar(payload):
+    with pytest.raises(TypeError):
+        to_json(payload)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+def test_to_json_refuses_a_key_that_is_not_a_string(key):
+    # json.dumps would write 1, 1.5, None and True as strings; a report
+    # has only string keys, so anything else is a fault.
+    with pytest.raises(TypeError):
+        to_json({"ok": 0, key: 0})
+
+
+def fraction_two_decimals(num, den):
+    """The rendering that two_decimals replaced, on a Fraction."""
+    whole, hundredths = divmod(round(Fraction(num, den) * 100), 100)
+    return f"{whole}.{hundredths:02d}"
+
+
+@given(st.integers(), st.integers(1, 10**30))
+@example(0, 56)
+@example(56, 56)
+@example(-3, 6)
+@example(12, 1)
+def test_ratio_str_reads_as_the_fraction(num, den):
+    assert ratio_str(num, den) == str(Fraction(num, den))
+
+
+@given(st.integers(0, 10**30), st.integers(1, 10**12))
+@example(107, 40)
+@example(1, 200)
+@example(3, 200)
+@example(5, 1000)
+@example(15, 1000)
+def test_two_decimals_matches_the_fraction_rendering(num, den):
+    assert two_decimals(num, den) == fraction_two_decimals(num, den)
 
 
 def test_constraint_json_is_shared_per_constraint():
@@ -62,11 +128,11 @@ def test_two_decimals_rounds_the_exact_value():
     # 2.675 is 2.67499999999999982236431605997495353221893310546875 as a
     # double, so the float rendering rounds it down.
     assert format(float(Fraction(107, 40)), ".2f") == "2.67"
-    assert two_decimals(Fraction(107, 40)) == "2.68"
-    assert two_decimals(Fraction(1, 200)) == "0.00"
-    assert two_decimals(Fraction(3, 200)) == "0.02"
-    assert two_decimals(Fraction(0)) == "0.00"
-    assert two_decimals(Fraction(12345, 1)) == "12345.00"
+    assert two_decimals(107, 40) == "2.68"
+    assert two_decimals(1, 200) == "0.00"
+    assert two_decimals(3, 200) == "0.02"
+    assert two_decimals(0, 1) == "0.00"
+    assert two_decimals(12345, 1) == "12345.00"
 
 
 @given(st.integers(0, 5_600_000), st.sampled_from([1, 2, 4, 7, 8, 14, 28, 56]))
@@ -76,5 +142,4 @@ def test_two_decimals_agrees_with_the_float_rendering_of_sample_deviations(a, d)
     # Deviations of the built-in states have denominators dividing 56 or 7:
     # a tie (2k + 1)/200 with such a denominator is m/8, held exactly by a
     # double, so both renderings agree there.
-    x = Fraction(a, d)
-    assert two_decimals(x) == format(float(x), ".2f")
+    assert two_decimals(a, d) == format(float(Fraction(a, d)), ".2f")

@@ -68,7 +68,8 @@ def test_counts_cover_exactly_the_support():
 def test_deviation_bookkeeping_is_exact():
     summary = sample_outcomes(PSI, 56, 5)
     expected = Fraction(56, 56)
-    assert summary.max_abs_deviation == max(
+    assert summary.max_abs_deviation[1] == 56
+    assert Fraction(*summary.max_abs_deviation) == max(
         abs(Fraction(count) - expected) for count in summary.counts.values()
     )
 
