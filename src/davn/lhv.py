@@ -13,13 +13,14 @@ bit k is ASSIGNMENTS[k], a set's truth set is the AND of its members'
 masks, and the lexicographically first witness is the lowest set bit.
 Minimal unsatisfiable cores are found by increasing-size subset
 enumeration with lexicographic tie-breaking, which makes every report
-byte-reproducible.
+byte-reproducible.  verify_davn refutes each distinct constraint set of
+its outcomes once, in a memo that lives for that one call.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import combinations, product
+from itertools import product
 from operator import and_
 
 from .factory import TABLE_LABELS, TABLE_OF_OUTCOME, joint_z_probability, z_support
@@ -43,17 +44,19 @@ ALL_ASSIGNMENTS = (1 << len(ASSIGNMENTS)) - 1
 def truth_mask(constraint: Constraint) -> int:
     """Bit k set iff ASSIGNMENTS[k] meets sum_j e_j * v_j == target (mod 4).
 
-    Built by one pass over the 256 assignments, once per distinct
-    constraint; there are at most 255 * 4 = 1020 of them (nonzero
-    exponent words times targets), which bounds the cache.
+    Built blockwise: bit 4*v3 + v4 of low[r] is set iff e3*v3 + e4*v4 == r
+    (mod 4), and the 16-bit block 4*v1 + v2 is low[target - e1*v1 - e2*v2].
+    It is built once per distinct constraint; there are at most
+    255 * 4 = 1020 of them (nonzero exponent words times targets), which
+    bounds the cache.
     """
-    e1, e2, e3, e4 = constraint.exps
-    target = constraint.target
-    return sum(
-        1 << k
-        for k, (v1, v2, v3, v4) in enumerate(ASSIGNMENTS)
-        if (e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4) % 4 == target
-    )
+    (e1, e2, e3, e4), target = constraint.exps, constraint.target
+    low, mask = [0, 0, 0, 0], 0
+    for k, (_, _, v3, v4) in enumerate(ASSIGNMENTS[:16]):
+        low[(e3 * v3 + e4 * v4) % 4] |= 1 << k
+    for k, (_, _, v1, v2) in enumerate(ASSIGNMENTS[:16]):
+        mask |= low[(target - e1 * v1 - e2 * v2) % 4] << 16 * k
+    return mask
 
 
 def satisfiable(constraints: list[Constraint]) -> Assignment | None:
@@ -69,18 +72,29 @@ def satisfiable(constraints: list[Constraint]) -> Assignment | None:
 def minimal_unsat_core(constraints: list[Constraint]) -> list[Constraint]:
     """Smallest-first, lexicographically-first unsatisfiable subset.
 
-    Because subsets are enumerated by increasing size, the first
-    unsatisfiable subset found has every proper subset satisfiable, so it
-    is a minimal core.  Input must be unsatisfiable.
+    Subsets are tried by increasing size, each size in combinations
+    order, so the first unsatisfiable one found has every proper subset
+    satisfiable: it is a minimal core.  The walk is depth first and
+    carries the AND of each prefix's masks, so a prefix is ANDed once
+    for all the subsets that extend it.  Input must be unsatisfiable.
     """
-    if satisfiable(constraints) is not None:
-        raise ValueError("constraint set is satisfiable; no unsat core")
     masks = [truth_mask(c) for c in constraints]
-    for size in range(1, len(constraints) + 1):
-        for combo in combinations(range(len(constraints)), size):
-            if not reduce(and_, (masks[index] for index in combo)):
-                return [constraints[index] for index in combo]
-    raise AssertionError("unsatisfiable set must contain an unsat core")
+    if reduce(and_, masks, ALL_ASSIGNMENTS):
+        raise ValueError("constraint set is satisfiable; no unsat core")
+
+    def walk(start: int, left: int, joint: int) -> list[Constraint] | None:
+        for index in range(start, len(masks) - left + 1):
+            rest = joint & masks[index]
+            if left == 1 and not rest:
+                return [constraints[index]]
+            if left > 1 and (tail := walk(index + 1, left - 1, rest)):
+                return [constraints[index], *tail]
+        return None
+
+    for size in range(1, len(masks)):
+        if core := walk(0, size, ALL_ASSIGNMENTS):
+            return core
+    return list(constraints)
 
 
 def classify_type(outcome: BasisKet) -> str:
@@ -108,15 +122,11 @@ class ParadoxReport:
     )
 
     def __init__(
-        self,
-        outcome: BasisKet,
-        type_label: str | None,
-        probability: tuple[int, int],
-        rows: tuple[ConstraintRow, ...],
+        self, outcome: BasisKet, type_label: str | None,
+        probability: tuple[int, int], rows: tuple[ConstraintRow, ...],
         constraints_basic: tuple[Constraint, ...],
         constraints_extended: tuple[Constraint, ...],
-        witness: Assignment | None,
-        minimal_core: tuple[Constraint, ...] | None,
+        witness: Assignment | None, minimal_core: tuple[Constraint, ...] | None,
         extended_only_unsatisfiable: bool,
     ) -> None:
         self.outcome = outcome
@@ -144,32 +154,38 @@ def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
     The set is every basic constraint plus every extended constraint of
     the outcome's six rows (extended ones are implied by basics but the
     hand arguments use them, so they are kept; duplicates are dropped
-    with first occurrence preserved).
+    with first occurrence preserved).  The outcome may be any sequence of
+    four digits.
     """
-    rows = table_for_outcome(state, outcome)
-    basics = [
-        constraint_from_row(row.residual.sites, row.basic)
-        for row in rows
-        if row.basic is not None
-    ]
-    extendeds = [
-        constraint_from_row(row.residual.sites, row.extended)
-        for row in rows
-        if row.extended is not None
-    ]
+    return _paradox(state, tuple(outcome), {})
+
+
+def _paradox(state: StateVector, outcome: BasisKet, refuted: dict) -> ParadoxReport:
+    """verify_paradox, with the refutation of each distinct pair of merged
+    and extended sets kept in ``refuted`` for the later outcomes."""
+    rows, lift = table_for_outcome(state, outcome), constraint_from_row
+    basics = [lift(r.residual.sites, r.basic) for r in rows if r.basic]
+    extendeds = [lift(r.residual.sites, r.extended) for r in rows if r.extended]
     merged = list(dict.fromkeys(basics + extendeds))
-    witness = satisfiable(merged)
-    core = None if witness is not None else tuple(minimal_unsat_core(merged))
+    key = (tuple(merged), tuple(extendeds))
+    if (found := refuted.get(key)) is None:
+        witness = satisfiable(merged)
+        core = None if witness else tuple(minimal_unsat_core(merged))
+        # The extended constraints are among the merged ones, so only a
+        # refuted set needs them checked alone.
+        flag = core is not None and satisfiable(extendeds) is None
+        found = refuted[key] = witness, core, flag
+    witness, core, extended_only = found
     return ParadoxReport(
-        outcome=tuple(outcome),
-        type_label=TABLE_OF_OUTCOME.get(tuple(outcome)),
+        outcome=outcome,
+        type_label=TABLE_OF_OUTCOME.get(outcome),
         probability=joint_z_probability(state, outcome),
         rows=rows,
         constraints_basic=tuple(basics),
         constraints_extended=tuple(extendeds),
         witness=witness,
         minimal_core=core,
-        extended_only_unsatisfiable=satisfiable(extendeds) is None,
+        extended_only_unsatisfiable=extended_only,
     )
 
 
@@ -188,11 +204,8 @@ class DavnReport:
     )
 
     def __init__(
-        self,
-        reports: tuple[ParadoxReport, ...],
-        support_size: int,
-        probability_sum: tuple[int, int],
-        verdict: str,
+        self, reports: tuple[ParadoxReport, ...], support_size: int,
+        probability_sum: tuple[int, int], verdict: str,
         failing_outcomes: tuple[BasisKet, ...],
     ) -> None:
         self.reports = reports
@@ -219,11 +232,12 @@ class DavnReport:
 
 
 def verify_davn(state: StateVector) -> DavnReport:
-    """Run verify_paradox over the whole support, in outcome order."""
+    """Run verify_paradox over the whole support, in outcome order; each
+    distinct pair of merged and extended sets is refuted once per call."""
     if state.is_zero():
         raise ValueError("a state of zero norm has no outcome distribution")
-    outcomes = z_support(state)
-    reports = tuple(verify_paradox(state, o) for o in outcomes)
+    outcomes, refuted = z_support(state), {}
+    reports = tuple(_paradox(state, o, refuted) for o in outcomes)
     covered = sum(r.probability[0] for r in reports)
     failing = tuple(r.outcome for r in reports if r.satisfiable)
     verdict = "DAVN" if covered == state.norm_sq and not failing else "NOT-DAVN"

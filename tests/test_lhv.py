@@ -3,9 +3,10 @@
 import random
 from collections import Counter
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from davn import lhv
@@ -13,6 +14,7 @@ from davn.factory import build_psi_1234
 from davn.lhv import (
     ASSIGNMENTS,
     Constraint,
+    ParadoxReport,
     classify_type,
     constraint_from_row,
     minimal_unsat_core,
@@ -103,6 +105,82 @@ def test_verify_paradox_drops_repeated_constraints(monkeypatch):
     (merged,) = seen
     assert len(set(merged)) == len(merged) < len(everything)
     assert set(merged) == set(everything)
+
+
+def row_fields(row):
+    return (
+        row.pair, row.residual.sites, row.residual.state, row.eigenwords,
+        row.basic, row.extended,
+    )
+
+
+def report_fields(report):
+    """Every field of a paradox report by name, each row by its fields."""
+    return {
+        name: [row_fields(row) for row in report.rows] if name == "rows"
+        else getattr(report, name)
+        for name in ParadoxReport.__slots__
+    }
+
+
+def test_verify_paradox_takes_an_outcome_as_a_list():
+    report = verify_paradox(PSI, [0, 0, 2, 2])
+    assert report.outcome == (0, 0, 2, 2) and report.type_label == "II"
+    assert report_fields(report) == report_fields(verify_paradox(PSI, (0, 0, 2, 2)))
+
+
+def spy_on_core_searches(monkeypatch):
+    seen = []
+    core = lhv.minimal_unsat_core
+    monkeypatch.setattr(
+        lhv, "minimal_unsat_core", lambda cs: seen.append(list(cs)) or core(cs)
+    )
+    return seen
+
+
+def test_davn_searches_each_distinct_constraint_set_once(monkeypatch):
+    # The 56 outcomes of PSI hold 28 distinct pairs of merged and extended
+    # sets; the memo lives for one call, so a second call repeats the
+    # same searches.
+    seen = spy_on_core_searches(monkeypatch)
+    first = verify_davn(PSI)
+    assert len(seen) == 28
+    assert len({tuple(merged) for merged in seen}) == 28
+    calls = list(seen)
+    second = verify_davn(PSI)
+    assert seen[28:] == calls
+    assert [report_fields(r) for r in first.reports] == [
+        report_fields(r) for r in second.reports
+    ]
+
+
+def test_the_extended_only_flag_is_kept_per_extended_set(monkeypatch):
+    # No derived table tells this key from the merged set alone: every
+    # extended constraint is even and each even basic is its own
+    # extended, so the merged set fixes the extended set.  These made-up
+    # rows break that: both outcomes merge to X2 = 1, X1^2 = 1,
+    # X1^2 = -1, but only the first cites X1^2 = 1 as extended.
+    x, z, y = ((0, 1), 0), ((2, 0), 0), ((2, 0), 2)
+    rows = {(0, 0, 0, 0): [(x, y), (z, z)], (1, 1, 1, 1): [(x, None), (z, y)]}
+    monkeypatch.setattr(lhv, "table_for_outcome", lambda state, outcome: tuple(
+        SimpleNamespace(residual=SimpleNamespace(sites=(0, 1)), basic=b, extended=e)
+        for b, e in rows[outcome]
+    ))
+    first, second = verify_davn(StateVector(4, dict.fromkeys(rows, 0))).reports
+    merged = (c((0, 1, 0, 0), 0), c((2, 0, 0, 0), 0), c((2, 0, 0, 0), 2))
+    for report in (first, second):
+        everything = report.constraints_basic + report.constraints_extended
+        assert tuple(dict.fromkeys(everything)) == merged
+    assert first.minimal_core == second.minimal_core == merged[1:]
+    assert first.extended_only_unsatisfiable
+    assert not second.extended_only_unsatisfiable
+
+
+def test_verify_paradox_searches_its_own_set_every_call(monkeypatch):
+    seen = spy_on_core_searches(monkeypatch)
+    verify_paradox(PSI, (0, 0, 0, 0))
+    verify_paradox(PSI, (0, 0, 0, 0))
+    assert len(seen) == 2 and seen[0] == seen[1]
 
 
 @pytest.mark.parametrize(
@@ -328,6 +406,17 @@ def neighbours_of_psi():
     return {"phase shift": shifts, "ket drop": drops}
 
 
+def test_davn_reports_equal_the_reports_of_each_outcome():
+    # The per-call memo of verify_davn must hand each outcome exactly
+    # what verify_paradox builds for it alone.
+    states = [PSI] + [s for kind in neighbours_of_psi().values() for s in kind]
+    for state in states:
+        for report in verify_davn(state).reports:
+            assert report_fields(report) == report_fields(
+                verify_paradox(state, report.outcome)
+            )
+
+
 def test_census_of_the_neighbours_of_psi():
     # Tripwire on the wiring from selections to verdicts: every state one
     # ket away from PSI is NOT-DAVN, and how many of its outcomes admit
@@ -425,6 +514,46 @@ def test_minimal_core_matches_reference_on_contradictions(constraints, extra):
     assert minimal_unsat_core(constraints) == reference_core(constraints)
 
 
+@st.composite
+def refuted_by_a_product(draw):
+    """Up to 12 constraints: up to 11 met by a hidden assignment, and one
+    whose word is a product of powers of theirs but whose target is not
+    the matching product, so the core may hold many of them."""
+    hidden = draw(st.sampled_from(ASSIGNMENTS))
+    exps_list = draw(st.lists(exps_strategy, min_size=1, max_size=11))
+    constraints = [
+        c(e, sum(a * v for a, v in zip(e, hidden)) % 4) for e in exps_list
+    ]
+    powers = draw(st.lists(
+        st.integers(0, 3), min_size=len(constraints), max_size=len(constraints)
+    ))
+    exps = [
+        sum(y * k.exps[j] for y, k in zip(powers, constraints)) % 4
+        for j in range(4)
+    ]
+    assume(any(exps))
+    target = sum(y * k.target for y, k in zip(powers, constraints))
+    contradiction = c(exps, (target + draw(st.integers(1, 3))) % 4)
+    constraints.insert(draw(st.integers(0, len(constraints))), contradiction)
+    return constraints
+
+
+@settings(max_examples=100, deadline=None)
+@given(refuted_by_a_product())
+def test_minimal_core_matches_reference_on_sets_of_up_to_twelve(constraints):
+    assert satisfiable(constraints) is None
+    assert minimal_unsat_core(constraints) == reference_core(constraints)
+
+
+def test_minimal_core_matches_reference_on_every_set_of_psi(monkeypatch):
+    # The 28 distinct merged sets of PSI hold 4 to 12 constraints.
+    seen = spy_on_core_searches(monkeypatch)
+    verify_davn(PSI)
+    assert sorted({len(merged) for merged in seen}) == [4, 6, 8, 9, 12]
+    for merged in seen:
+        assert minimal_unsat_core(merged) == reference_core(merged)
+
+
 # ---------------------------------------------------------------------------
 # The whole pipeline against the oracles: selection by sweep, eigenwords by
 # the general eigen test, refutation by holds, on near neighbours of PSI.
@@ -481,6 +610,15 @@ def oracle_paradox(state, outcome):
     }
 
 
+def assert_matches_the_oracles(report, expected):
+    assert [row_fields(row) for row in report.rows] == expected["rows"]
+    assert report.constraints_basic == expected["basic"]
+    assert report.constraints_extended == expected["extended"]
+    assert report.witness == expected["witness"]
+    assert report.minimal_core == expected["core"]
+    assert report.extended_only_unsatisfiable == expected["extended only"]
+
+
 def test_paradox_reports_of_neighbours_match_the_oracles():
     # Pins the wiring from selections to verdicts: which rows feed an
     # outcome's set, the order repeats are dropped in, the extended-only
@@ -496,19 +634,40 @@ def test_paradox_reports_of_neighbours_match_the_oracles():
     for state in sample:
         for outcome in sorted(state.phases):
             report = verify_paradox(state, outcome)
-            expected = oracle_paradox(state, outcome)
-            assert [
-                (
-                    row.pair, row.residual.sites, row.residual.state,
-                    row.eigenwords, row.basic, row.extended,
-                )
-                for row in report.rows
-            ] == expected["rows"]
-            assert report.constraints_basic == expected["basic"]
-            assert report.constraints_extended == expected["extended"]
-            assert report.witness == expected["witness"]
-            assert report.minimal_core == expected["core"]
-            assert report.extended_only_unsatisfiable == expected["extended only"]
+            assert_matches_the_oracles(report, oracle_paradox(state, outcome))
             refuted += report.witness is None
             satisfied += report.witness is not None
     assert refuted and satisfied
+
+
+#: The drops of two kets of PSI, by index into its sorted kets, whose
+#: states hold an outcome that is refuted while its extended constraints
+#: alone are satisfiable: 17 of the 1540 drops, found by a sweep of all of
+#: them (too slow for this suite).  Drop (2, 36) holds two such outcomes.
+SPLIT_FLAG_DROPS = (
+    (1, 26), (1, 36), (1, 48), (2, 26), (2, 36), (2, 37), (2, 39), (2, 48),
+    (3, 26), (3, 36), (3, 48), (27, 36), (27, 37), (27, 39), (36, 49),
+    (37, 49), (39, 49),
+)
+
+
+def test_two_ket_drops_that_split_the_extended_only_flag_match_the_oracles():
+    # On every one-ket neighbour of PSI the extended-only flag equals
+    # "refuted", so those states cannot tell the flag from the verdict;
+    # these can.  Each runs through verify_davn, whose memo shares the
+    # flag between outcomes, and is checked outcome by outcome.
+    kets = sorted(PSI.phases)
+    split = []
+    for i, j in SPLIT_FLAG_DROPS:
+        phases = {k: t for k, t in PSI.phases.items() if k not in (kets[i], kets[j])}
+        state = StateVector(4, phases)
+        reports = verify_davn(state).reports
+        assert [r.outcome for r in reports] == sorted(phases)
+        for report in reports:
+            assert_matches_the_oracles(report, oracle_paradox(state, report.outcome))
+            if report.witness is None and not report.extended_only_unsatisfiable:
+                split.append(((i, j), report.outcome))
+    assert len(split) == 18 and {drop for drop, _ in split} == set(SPLIT_FLAG_DROPS)
+    assert Counter(outcome for _, outcome in split) == {
+        (0, 0, 0, 0): 9, (2, 2, 2, 2): 9,
+    }
