@@ -13,7 +13,9 @@ Commands:
 Exit codes are a stable contract: 0 all checks pass, 1 a verification
 failed, 2 usage or input error.  ``COMMANDS`` declares every option; a
 well-formed command line is parsed without argparse, which is imported
-only for help, usage errors and unusual syntax.
+only for help, usage errors and unusual syntax.  ``main`` is the
+in-process API; a ``davn`` process enters through ``run``, which
+freezes the heap after ``main`` so that shutdown does not collect it.
 """
 
 from __future__ import annotations
@@ -310,5 +312,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> int:
+    """``main()`` on ``sys.argv``, then ``gc.freeze()``: the entry of
+    ``python -m davn``, ``python -m davn.cli`` and the console script.
+    Shutdown still flushes the streams and runs atexit handlers, but no
+    longer collects the frozen heap (nothing here has a ``__del__``, and
+    every file written is closed).  Help and argparse usage errors leave
+    ``main`` by ``SystemExit``, before any freeze."""
+    code = main()
+    import gc  # a process that only imports davn.cli never loads it
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

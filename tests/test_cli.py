@@ -1,6 +1,8 @@
 """CLI behaviour: exit codes, formats, determinism, file output."""
 
 import argparse
+import gc
+import hashlib
 import importlib.util
 import io
 import json
@@ -33,6 +35,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env(**variables):
+    """This environment plus ``variables``, with the davn under test first
+    on PYTHONPATH, for a fresh process."""
+    path = [str(Path(davn.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    return {**os.environ, **variables,
+            "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def test_verify_state_passes(capsys):
@@ -511,7 +521,81 @@ def test_files_are_read_and_written_as_utf8(tmp_path):
     command = [*davn, "davn", "--format", "json", "-o", str(target)]
     report = subprocess.run(command, capture_output=True)
     assert (report.returncode, report.stdout, report.stderr) == (0, b"", b"")
-    assert json.loads(target.read_bytes())["verdict"] == "DAVN"
+    # The process exits with a frozen heap; the file must still be whole.
+    digests = {argv: digest for argv, _, digest in GOLDENS}
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digests[
+        ("davn", "--format", "json")
+    ]
+
+
+def in_process(argv):
+    """``main(argv)``'s exit code, stdout and stderr, a ``SystemExit``
+    from argparse included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+#: Runs ``python -m MODULE`` (the first argument) on the remaining ones,
+#: and at exit writes the heap's freeze count to stderr as its last line.
+RUN_MODULE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))
+module = sys.argv.pop(1)
+runpy.run_module(module, run_name="__main__", alter_sys=True)"""
+
+
+@pytest.mark.parametrize("module", ["davn", "davn.cli"])
+@pytest.mark.parametrize(
+    ("argv", "frozen"),
+    [
+        (["tables", "--table", "I"], True),
+        (["davn", "--state", "psi4-embedded"], True),
+        (["sample", "--runs", "0", "--seed", "1"], True),
+        # Help and usage errors leave main by SystemExit: no freeze.
+        (["--help"], False),
+        (["tables"], False),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "help", "usage-error"],
+)
+def test_a_davn_process_exits_with_its_heap_frozen(monkeypatch, module, argv, frozen):
+    # Shutdown skips collecting a frozen heap; every path on which main
+    # returns a code freezes it, and output and exit code stay the same.
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_MODULE_PROBE, module, *argv],
+        capture_output=True, text=True, encoding="utf-8",
+        env=child_env(COLUMNS="80"),
+    )
+    *err, freeze_count = result.stderr.splitlines(keepends=True)
+    assert (int(freeze_count) > 0) == frozen
+    monkeypatch.setenv("COLUMNS", "80")
+    assert (result.returncode, result.stdout, "".join(err)) == in_process(argv)
+
+
+def test_main_in_process_leaves_the_heap_unfrozen():
+    # Tests and the benchmark's traced passes call main in process.
+    before = gc.get_freeze_count()
+    for argv in (["tables", "--table", "I"], ["davn", "--state", "psi4-embedded"],
+                 ["sample", "--runs", "0", "--seed", "1"]):
+        in_process(argv)
+    assert gc.get_freeze_count() == before
+
+
+def test_run_freezes_once_after_main_returns(monkeypatch):
+    calls = []
+
+    def fake_main():
+        calls.append("main")
+        return 1
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.run() == 1
+    assert calls == ["main", "freeze"]
 
 
 #: The packaged fixture files by name, read once for the mutation fuzz.
@@ -612,11 +696,10 @@ def loaded_modules(code: str, *argv: str) -> set[str]:
     the davn under test instead.
     """
     probe = f"{code}\nimport sys\nprint(*sys.modules)"
-    path = [str(Path(davn.__file__).parent.parent), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe, *argv],
         capture_output=True, check=True, text=True, encoding="utf-8",
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
+        env=child_env(),
     )
     return set(result.stdout.split())
 
@@ -712,9 +795,9 @@ def test_each_command_skips_the_modules_it_never_calls(code, argv, absent):
     assert not absent & loaded_modules(code, *argv)
 
 
-#: Runs ``main()``, which reads ``sys.argv`` as the console script does,
-#: and prints, as JSON, its exit code, stdout and stderr and the modules
-#: the process then holds.
+#: Runs ``main()``, which reads ``sys.argv`` (the console script calls
+#: ``run()``, and ``run()`` calls ``main()``), and prints, as JSON, its
+#: exit code, stdout and stderr and the modules the process then holds.
 RUN_MAIN_REPORT = """\
 import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -743,15 +826,10 @@ def test_help_and_usage_errors_still_go_through_argparse(monkeypatch, argv):
     # In a fresh process, help and usage errors build the argparse parser
     # and read byte for byte as the literal add_argument form prints them
     # under the same argparse.
-    env = {
-        **os.environ, "COLUMNS": "80",
-        "PYTHONPATH": os.pathsep.join(filter(None, [
-            str(Path(davn.__file__).parent.parent), os.environ.get("PYTHONPATH"),
-        ])),
-    }
     result = subprocess.run(
         [sys.executable, "-S", "-c", RUN_MAIN_REPORT, *argv],
-        capture_output=True, check=True, text=True, encoding="utf-8", env=env,
+        capture_output=True, check=True, text=True, encoding="utf-8",
+        env=child_env(COLUMNS="80"),
     )
     code, out, err, modules = json.loads(result.stdout)
     assert "argparse" in modules

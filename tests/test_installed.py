@@ -4,11 +4,13 @@ Each command imports its engine modules on first use, so a module left
 out of a build fails only the commands that import it.  This builds the
 package with setuptools' ``build_py`` from a copy of the project, checks
 that every module and fixture file is in the build, and runs each of the
-six commands once with only the build importable.
+six commands once with only the build importable, and the console
+script's entry function on a passing and a failing verdict.
 """
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -77,3 +79,25 @@ def test_each_command_runs_from_the_build_alone(build, tmp_path, argv):
     digests = {golden: digest for golden, _, digest in GOLDENS}
     if argv in digests:
         assert hashlib.sha256(result.stdout).hexdigest() == digests[argv]
+
+
+def console_script():
+    """The body of the ``davn`` script an installer writes from
+    ``[project.scripts]``."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    module, function = re.search(r'^davn = "(.+):(.+)"$', text, re.M).groups()
+    return f"import sys\nfrom {module} import {function}\nsys.exit({function}())"
+
+
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [(("davn", "--format", "json"), 0),
+     (("davn", "--state", "psi4-embedded", "--format", "json"), 1)],
+    ids=["exit-0", "exit-1"],
+)
+def test_the_console_script_runs_from_the_build(build, tmp_path, argv, code):
+    assert "from davn.cli import run\n" in console_script()
+    result = run_from_build(build, tmp_path, "-c", console_script(), *argv)
+    assert (result.returncode, result.stderr) == (code, b"")
+    digests = {golden: digest for golden, _, digest in GOLDENS}
+    assert hashlib.sha256(result.stdout).hexdigest() == digests[argv]
