@@ -2,7 +2,7 @@
 only they run.
 
 Each suite is a list of named exact checks (no tolerances anywhere); the
-CLI renders them and fails on the first false one.  The expected values
+CLI renders every check and exits 1 if any fails.  The expected values
 asserted here are the package's ground truths: norms, the reduced-density
 diagonals (whose deviation from I/d marks a nonstabilizer state), the
 digit-sum rule, and the support census.  ``build_state`` is

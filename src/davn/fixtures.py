@@ -225,7 +225,7 @@ def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
         reasons = ["selection has empty projection"]
     else:
         reasons = []
-        if phase_between(row.residual, derived.residual.state.phases) is None:
+        if phase_between(row.residual, derived.residual.phases) is None:
             reasons.append("residual differs beyond a global phase")
         if row.basic is None and derived.eigenwords:
             reasons.append("reference row lists no constraint but eigenwords exist")

@@ -164,8 +164,8 @@ def _paradox(state: StateVector, outcome: BasisKet, refuted: dict) -> ParadoxRep
     """verify_paradox, with the refutation of each distinct pair of merged
     and extended sets kept in ``refuted`` for the later outcomes."""
     rows, lift = table_for_outcome(state, outcome), constraint_from_row
-    basics = [lift(r.residual.sites, r.basic) for r in rows if r.basic]
-    extendeds = [lift(r.residual.sites, r.extended) for r in rows if r.extended]
+    basics = [lift(r.sites, r.basic) for r in rows if r.basic]
+    extendeds = [lift(r.sites, r.extended) for r in rows if r.extended]
     merged = list(dict.fromkeys(basics + extendeds))
     key = (tuple(merged), tuple(extendeds))
     if (found := refuted.get(key)) is None:

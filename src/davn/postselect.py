@@ -21,6 +21,8 @@ one, as the square of an odd basic word such as X_k X_l**2.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
+from operator import itemgetter
 
 from .states import BasisKet, StateVector, phase_between, phase_str
 
@@ -59,30 +61,23 @@ class PairSelection:
         )
 
 
-class ResidualState:
-    """State of the remaining sites after a pair selection."""
-
-    __slots__ = ("sites", "state")
-
-    def __init__(self, sites: tuple[int, ...], state: StateVector) -> None:
-        self.sites = sites
-        self.state = state
-
-
 class ConstraintRow:
-    """One table row: a pair selection and what it forces on the rest."""
+    """One table row: a pair selection, the two sites it keeps, their
+    residual state and what that state forces on them."""
 
-    __slots__ = ("pair", "residual", "eigenwords", "basic", "extended")
+    __slots__ = ("pair", "sites", "residual", "eigenwords", "basic", "extended")
 
     def __init__(
         self,
         pair: PairSelection,
-        residual: ResidualState,
+        sites: tuple[int, int],
+        residual: StateVector,
         eigenwords: tuple[Eigenword, ...],
         basic: Eigenword | None,
         extended: Eigenword | None,
     ) -> None:
         self.pair = pair
+        self.sites = sites
         self.residual = residual
         self.eigenwords = eigenwords
         self.basic = basic
@@ -155,52 +150,47 @@ def constraint_from_row(
     return Constraint(tuple(exps), t)
 
 
-def postselect_pair(state: StateVector, pair: PairSelection) -> ResidualState:
-    """Project two sites onto given Z outcomes; keep the rest.
+def postselect_pair(state: StateVector, pair: PairSelection) -> StateVector:
+    """Project two sites onto given Z outcomes: the state of the rest.
 
     The residual keeps the phases of all matching kets re-indexed to
     the remaining sites in ascending order, kets in lexicographic order;
     the global phase is whatever the state carries (comparisons
     downstream are phase-insensitive).  Raises if a site is out of range
-    or the selection has probability zero.  Both steps are memos keyed
-    on the state's value: the first selection on a site pair sweeps the
-    kets once and files them by the pair's outcomes, and each residual
-    is cut on its first selection, without re-checking the kets it takes
-    from the validated state, and shared by every later one, as is its
-    scan: `derive_constraints` is the third memo, keyed on the residual.
+    or the selection has probability zero.  Each selection is read from
+    the state's table, with the sites in either order, so equal
+    residuals of one state are one object.
     """
-    residual = _residual(state, pair.site_i, pair.site_j, pair.m_i, pair.m_j)
+    i, j = pair.site_i, pair.site_j
+    for site in (i, j):
+        if not 0 <= site < state.n_sites:
+            raise ValueError(f"site {site + 1} out of range")
+    key = (i, j, pair.m_i, pair.m_j) if i < j else (j, i, pair.m_j, pair.m_i)
+    residual = _selections(state).get(key)
     if residual is None:
         raise ValueError(f"selection {pair.describe()} has probability zero")
     return residual
 
 
-@lru_cache(maxsize=64)
-def _sweep(
-    state: StateVector, site_i: int, site_j: int
-) -> dict[tuple[int, int], dict[BasisKet, int]]:
-    """The kets of ``state``, in lexicographic order, by their outcomes
-    on the two sites."""
-    for site in (site_i, site_j):
-        if not 0 <= site < state.n_sites:
-            raise ValueError(f"site {site + 1} out of range")
-    kets_by_outcome: dict[tuple[int, int], dict[BasisKet, int]] = {}
-    for ket, t in sorted(state.phases.items()):
-        kets_by_outcome.setdefault((ket[site_i], ket[site_j]), {})[ket] = t
-    return kets_by_outcome
-
-
-@lru_cache(maxsize=1024)
-def _residual(
-    state: StateVector, site_i: int, site_j: int, m_i: int, m_j: int
-) -> ResidualState | None:
-    """postselect_pair, or None for a selection of probability zero."""
-    kets = _sweep(state, site_i, site_j).get((m_i, m_j))
-    if kets is None:
-        return None
-    keep = tuple(s for s in range(state.n_sites) if s not in (site_i, site_j))
-    phases = {tuple(ket[s] for s in keep): t for ket, t in kets.items()}
-    return ResidualState(keep, StateVector._cut(len(keep), phases, state.level))
+@lru_cache(maxsize=32)
+def _selections(state: StateVector) -> dict[tuple[int, ...], StateVector]:
+    """Every residual of ``state`` by its selection (i, j, m_i, m_j), i < j:
+    one sweep of the sorted kets per site pair, each residual cut with no
+    re-check of its kets, and equal residuals filed as one object."""
+    n, kets = state.n_sites, sorted(state.phases.items())
+    table, shared = {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            # Each ket's two selected digits first, then the rest.
+            reorder = itemgetter(i, j, *(s for s in range(n) if s not in (i, j)))
+            by_outcome: dict[tuple[int, ...], dict[BasisKet, int]] = {}
+            for ket, t in kets:
+                ket = reorder(ket)
+                by_outcome.setdefault(ket[:2], {})[ket[2:]] = t
+            for (m_i, m_j), phases in by_outcome.items():
+                cut = StateVector._cut(n - 2, phases, state.level)
+                table[i, j, m_i, m_j] = shared.setdefault(cut, cut)
+    return table
 
 
 def _shift_eigenvalue(phases: dict, u: int, v: int) -> int | None:
@@ -225,8 +215,8 @@ def derive_constraints(
     even-exponent form, which is itself an eigen-relation (squaring an
     eigen-relation squares the eigenvalue).  The scan is a pure function
     of the phases, so the function is its own memo, keyed on the
-    residual state (hashed once, when it is cut); the memo keeps no
-    exception, so an invalid residual raises on every call.
+    residual (one object per distinct residual of a state); the memo
+    keeps no exception, so an invalid residual raises on every call.
     """
     if residual.n_sites != 2:
         raise ValueError("constraints are derived from two-site residuals")
@@ -259,15 +249,23 @@ def derive_constraints(
 
 SITE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
+#: The sites a four-site row keeps, by its two selected sites in either order.
+_KEPT_SITES = {
+    pair: tuple(s for s in range(4) if s not in pair)
+    for pair in permutations(range(4), 2)
+}
+
 
 def _constraint_row(state: StateVector, pair: PairSelection) -> ConstraintRow:
     """Select the pair and derive its constraints: one table row.
 
-    Raises ValueError, as postselect_pair does, for a selection of
-    probability zero.
+    Raises ValueError, as postselect_pair and derive_constraints do.
     """
     residual = postselect_pair(state, pair)
-    return ConstraintRow(pair, residual, *derive_constraints(residual.state))
+    # Derived first: it rejects all but four-site states, whose pairs
+    # _KEPT_SITES holds.
+    scan = derive_constraints(residual)
+    return ConstraintRow(pair, _KEPT_SITES[pair.site_i, pair.site_j], residual, *scan)
 
 
 def table_for_outcome(

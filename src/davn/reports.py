@@ -151,7 +151,7 @@ def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
 
     out = []
     for row in rows:
-        sites = row.residual.sites
+        sites = row.sites
         basic, extended = (
             constraint_json(constraint_from_row(sites, word)) if word else None
             for word in (row.basic, row.extended)
@@ -159,7 +159,7 @@ def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
         out.append(
             {
                 "pair": row.pair.describe(),
-                "residual": render_state(row.residual.state),
+                "residual": render_state(row.residual),
                 "basic": basic,
                 "extended": extended,
                 "eigenwords": [
@@ -174,10 +174,10 @@ def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
 def _row_cells(row: ConstraintRow) -> tuple[str, str, str, str]:
     from .postselect import constraint_from_row
 
-    sites = row.residual.sites
+    sites = row.sites
     return (
         row.pair.describe(),
-        render_state(row.residual.state),
+        render_state(row.residual),
         str(constraint_from_row(sites, row.basic)) if row.basic else "---",
         str(constraint_from_row(sites, row.extended)) if row.extended else "---",
     )

@@ -14,7 +14,7 @@ import argparse
 from davn.factory import STATE_NAMES, TABLE_ALIASES, TABLE_LABELS
 from davn.fixtures import FixtureRow
 from davn.states import phase_str
-from davn.postselect import Constraint, PairSelection, ResidualState
+from davn.postselect import Constraint, PairSelection
 from davn.states import BasisKet, StateVector
 
 
@@ -241,7 +241,7 @@ def holds(constraint: Constraint, values: tuple[int, ...]) -> bool:
     )
 
 
-def postselect_pair_sweep(state: StateVector, pair: PairSelection) -> ResidualState:
+def postselect_pair_sweep(state: StateVector, pair: PairSelection) -> StateVector:
     """postselect_pair by one sweep of the kets per selection."""
     for site in (pair.site_i, pair.site_j):
         if not 0 <= site < state.n_sites:
@@ -260,7 +260,7 @@ def postselect_pair_sweep(state: StateVector, pair: PairSelection) -> ResidualSt
         raise ValueError(
             f"selection {pair.describe()} has probability zero"
         )
-    return ResidualState(tuple(keep), residual)
+    return residual
 
 
 def render_fixture_row(row: FixtureRow) -> str:

@@ -5,7 +5,8 @@
 and its set-up child runs ``from davn.checks import build_state``.  A
 move of one of those names between modules would break only the
 benchmark, which tier-1 does not run, so this loads the tracer by path
-(it imports only the standard library) and checks its hooks here.
+(it imports only the standard library) and checks its hooks here, and
+the work counts the benchmark pins per command.
 """
 
 import importlib
@@ -71,3 +72,29 @@ def test_a_traced_command_calls_through_the_wrappers(tracing, argv, spans):
     assert set(spans) <= {span.name for span in tracer.spans}
     # The tracer restores what it replaced.
     assert davn.cli.run_state_checks is davn.checks.run_state_checks
+
+
+@pytest.mark.parametrize(
+    ("argv", "counts"),
+    [
+        (["davn"], {}),
+        (["fixtures-diff"],
+         {"postselect.rows_diffed": 336, "postselect.rows_failed": 0}),
+    ],
+)
+def test_a_traced_command_does_the_pinned_work(tracing, argv, counts):
+    # The per-command counts that `pytest perfbench` pins: one selection
+    # and one derivation per table row, 96 of the selections distinct.
+    tracer = tracing.Tracer()
+    modules = {name: importlib.import_module(name)
+               for name, _, _, _ in tracing.WRAPPED}
+    with tracing.installed(tracer, modules), redirect_stdout(io.StringIO()):
+        assert davn.cli.main(argv) == 0
+    expected = {
+        "postselect.postselect_pair.calls": 336,
+        "postselect.derive_constraints.calls": 336,
+        "postselect.candidates_tested": 3024,
+        "postselect.distinct_selections": 96,
+        **counts,
+    }
+    assert {name: tracer.counts[name] for name in expected} == expected

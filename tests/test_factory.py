@@ -22,8 +22,10 @@ from davn.checks import (
 )
 from davn.factory import (
     PSI_1234_TERMS,
+    _parse_components,
     build_psi4_qubit,
     build_psi_1234,
+    build_state,
     embed_qubit_state,
     joint_z_probability,
     z_support,
@@ -58,6 +60,11 @@ def test_component_table_matches_second_transcription():
             assert ket not in expected, f"duplicate {digits}"
             expected[ket] = phase
     assert expected == PSI_1234_TERMS
+
+
+def test_component_parser_rejects_a_repeated_ket():
+    with pytest.raises(ValueError, match="duplicate component 0013"):
+        _parse_components("0013:+i 2222:1 0013:-i")
 
 
 def test_psi1234_shape():
@@ -186,6 +193,12 @@ def test_reduced_density_brute_force_oracle():
     assert [list(row) for row in rho.numerators] == brute_force_density(psi, 2)
 
 
+@pytest.mark.parametrize("site", [-1, 4])
+def test_reduced_density_rejects_a_site_out_of_range(site):
+    with pytest.raises(ValueError, match=f"site {site} out of range 0..3"):
+        reduced_density(build_psi_1234(), site)
+
+
 @given(unit_states(4) | unit_states(2), st.integers(0, 3))
 def test_reduced_density_matches_the_brute_force_oracle(state, site):
     site %= state.n_sites
@@ -261,6 +274,11 @@ def test_qubit_seed_state():
     downs = sum(1 for ket in q.phases if ket[0] == 1)
     assert (ups, downs) == (4, 3)
     assert reduced_density(q, 0).diagonal() == ((4, 7), (3, 7))
+
+
+def test_build_state_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown state 'psi9'; expected one of"):
+        build_state("psi9")
 
 
 def test_embedding_preserves_structure():

@@ -4,6 +4,7 @@ The package keeps amplitudes as phase exponents; the oracles in
 ``reference`` compute with Gaussian integers, checked here.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -78,6 +79,12 @@ def test_phase_strings_round_trip():
     for t in range(4):
         assert parse_phase(phase_str(t)) == t
     assert parse_phase("+i") == 1
+
+
+@pytest.mark.parametrize("text", ["2", "-+1", "1+i", "", "j"])
+def test_parse_phase_rejects_a_non_unit(text):
+    with pytest.raises(ValueError, match="not a fourth root of unity"):
+        parse_phase(text)
 
 
 def test_equal_values_hash_equal():

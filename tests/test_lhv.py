@@ -109,7 +109,7 @@ def test_verify_paradox_drops_repeated_constraints(monkeypatch):
 
 def row_fields(row):
     return (
-        row.pair, row.residual.sites, row.residual.state, row.eigenwords,
+        row.pair, row.sites, row.residual, row.eigenwords,
         row.basic, row.extended,
     )
 
@@ -163,7 +163,7 @@ def test_the_extended_only_flag_is_kept_per_extended_set(monkeypatch):
     x, z, y = ((0, 1), 0), ((2, 0), 0), ((2, 0), 2)
     rows = {(0, 0, 0, 0): [(x, y), (z, z)], (1, 1, 1, 1): [(x, None), (z, y)]}
     monkeypatch.setattr(lhv, "table_for_outcome", lambda state, outcome: tuple(
-        SimpleNamespace(residual=SimpleNamespace(sites=(0, 1)), basic=b, extended=e)
+        SimpleNamespace(sites=(0, 1), basic=b, extended=e)
         for b, e in rows[outcome]
     ))
     first, second = verify_davn(StateVector(4, dict.fromkeys(rows, 0))).reports
@@ -566,17 +566,16 @@ def oracle_row(state, pair):
     eigenwords = []
     for u, v in product(range(1, 4), repeat=2):
         word = PauliWord.from_exponents(2, x_exps={0: u, 1: v})
-        t = eigenvalue_of(word, residual.state)
+        t = eigenvalue_of(word, residual)
         if t is not None:
             eigenwords.append(((u, v), t))
     basic = extended = eigenwords[0] if eigenwords else None
     if basic is not None and (basic[0][0] % 2 or basic[0][1] % 2):
         u, v = 2 * basic[0][0] % 4, 2 * basic[0][1] % 4
         square = PauliWord.from_exponents(2, x_exps={0: u, 1: v})
-        extended = ((u, v), eigenvalue_of(square, residual.state))
-    return (
-        pair, residual.sites, residual.state, tuple(eigenwords), basic, extended,
-    )
+        extended = ((u, v), eigenvalue_of(square, residual))
+    sites = tuple(s for s in range(4) if s not in (pair.site_i, pair.site_j))
+    return pair, sites, residual, tuple(eigenwords), basic, extended
 
 
 def oracle_paradox(state, outcome):
