@@ -21,17 +21,17 @@ one, as the square of an odd basic word such as X_k X_l**2.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from operator import itemgetter
 
-from .states import BasisKet, StateVector, phase_between, phase_str
+from .states import BasisKet, StateVector, phase_str
 
 #: An eigen-relation of a two-site residual: ((u, v), eigenvalue exponent).
 Eigenword = tuple[tuple[int, int], int]
 
 #: Candidate eigenwords X_k**u X_l**v as exponent pairs (u, v), in
 #: row-major scan order.
-CANDIDATE_WORDS = tuple((u, v) for u in range(1, 4) for v in range(1, 4))
+CANDIDATE_WORDS = tuple(product(range(1, 4), repeat=2))
 
 
 class PairSelection:
@@ -89,14 +89,22 @@ class Constraint:
 
     ``exps`` holds one X exponent per site and ``target`` the phase
     exponent, all in 0..3; nothing reduces them mod 4, so construction
-    rejects anything else.  A constraint is a value: both slots are set
-    at construction, and constraints compare and hash by (exps, target),
-    so verify_paradox can drop repeats with ``dict.fromkeys``.
+    rejects anything else.  A constraint is a value, and it is interned:
+    once the arguments are validated, ``Constraint(exps, target)``
+    returns the one object of that value, so equal constraints are the
+    same object and every memo or dedupe keyed on one (``lhv.truth_mask``,
+    ``reports.constraint_json``, verify_paradox's ``dict.fromkeys``)
+    hashes and compares by identity.  There are 255 * 4 = 1020 valid
+    constraints (nonzero exponent words times targets), which bounds the
+    table.  Copies and unpickled constraints come back through the
+    constructor, so they are the interned object too.
     """
 
     __slots__ = ("exps", "target")
 
-    def __init__(self, exps: tuple[int, int, int, int], target: int) -> None:
+    def __new__(cls, exps: tuple[int, int, int, int], target: int) -> Constraint:
+        # Validated before the lookup: (True, 0, 0, 0) == (1, 0, 0, 0),
+        # so a bool exponent would otherwise find the int-keyed object.
         if type(exps) is not tuple or len(exps) != 4 or not all(
             type(e) is int and 0 <= e <= 3 for e in exps
         ):
@@ -105,16 +113,16 @@ class Constraint:
             raise ValueError("constraint must involve at least one site")
         if type(target) is not int or not 0 <= target <= 3:
             raise ValueError(f"target {target!r} is not an int in 0..3")
-        self.exps = exps
-        self.target = target
+        key = exps, target
+        if key not in _CONSTRAINTS:
+            constraint = object.__new__(cls)
+            constraint.exps, constraint.target = key
+            # Two threads that race here still keep one object.
+            _CONSTRAINTS.setdefault(key, constraint)
+        return _CONSTRAINTS[key]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Constraint:
-            return NotImplemented
-        return self.exps == other.exps and self.target == other.target
-
-    def __hash__(self) -> int:
-        return hash((self.exps, self.target))
+    def __reduce__(self):
+        return Constraint, (self.exps, self.target)
 
     def __repr__(self) -> str:
         return f"Constraint(exps={self.exps}, target={self.target})"
@@ -131,17 +139,20 @@ class Constraint:
         return f"{self.word_str()} = {phase_str(self.target)}"
 
 
+#: The interned constraints, by (exps, target): at most 1020 entries.
+_CONSTRAINTS = {}
+
+
 @lru_cache(maxsize=512)
 def constraint_from_row(
     sites: tuple[int, ...], eigenword: Eigenword
 ) -> Constraint:
     """Lift a two-site eigenword onto the four-site constraint form.
 
-    Each distinct (sites, eigenword) gives one shared Constraint, so the
-    memos keyed on it (``lhv.truth_mask``, ``reports.constraint_json``)
-    find it by identity.  Rows name one of six site pairs, an exponent
-    pair in 0..3 and an eigenvalue mod 4: 384 keys, within the bound, so
-    no entry is evicted.
+    Constraints are interned, so equal lifts are one object; the memo
+    saves each repeated row the build and the validation.  Rows name one
+    of six site pairs, an exponent pair in 0..3 and an eigenvalue mod 4:
+    384 keys, within the bound, so no entry is evicted.
     """
     (u, v), t = eigenword
     exps = [0, 0, 0, 0]
@@ -198,10 +209,19 @@ def _shift_eigenvalue(phases: dict, u: int, v: int) -> int | None:
 
     The word sends |a,b> to |a+u, b+v> with no phase, so the relation
     holds exactly when the shifted kets are the support and
-    phases[k] == phases[k + (u, v)] + c (mod 4) with one common c.
+    phases[k] == phases[k + (u, v)] + c (mod 4) with one common c.  The
+    shift is a bijection, so every ket's partner lying in the support
+    makes the supports equal; the scan stops at the first missing
+    partner or the first phase that disagrees.  ``phases`` must not be
+    empty.
     """
-    image = {((a + u) % 4, (b + v) % 4): t for (a, b), t in phases.items()}
-    return phase_between(image, phases)
+    c = None
+    for (a, b), t in phases.items():
+        partner = phases.get(((a + u) % 4, (b + v) % 4))
+        if partner is None or c is not None and c != (t - partner) % 4:
+            return None
+        c = (t - partner) % 4
+    return c
 
 
 @lru_cache(maxsize=1024)

@@ -8,7 +8,7 @@ the non-sampling commands.  The schemas are documented in the README.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from math import isqrt
 
 from .states import BasisKet, StateVector, phase_str, ratio_str
@@ -32,9 +32,10 @@ def to_json(payload: dict[str, Any]) -> str:
     Each value is rendered once per nesting depth: fragments are
     memoized on the value's id and depth for this call, while the payload
     keeps every value alive, so a subtree shared across the payload (a
-    constraint cited by many outcomes) is encoded once.  Scalars go
-    through `_scalar`, keys through `_quote`; a float, or a key that is
-    not a string, raises TypeError.
+    constraint cited by many outcomes) is encoded once.  Each container
+    is one parts list and one join.  Scalars go through `_scalar`, keys
+    through `_quote`; a float, or a key that is not a string, raises
+    TypeError.
     """
     memo: dict[tuple[int, int], str] = {}
 
@@ -42,15 +43,23 @@ def to_json(payload: dict[str, Any]) -> str:
         key = (id(value), depth)
         text = memo.get(key)
         if text is None:
+            # Each item is led by a comma, a newline and its indent.
+            inner, parts = ",\n" + "  " * (depth + 1), []
             if isinstance(value, dict):
-                text = _block("{}", depth, [
-                    _quote(k) + ": " + render(v, depth + 1)
-                    for k, v in value.items()
-                ])
+                for k, v in value.items():
+                    parts += inner, _quote(k), ": ", render(v, depth + 1)
+                text = "{}"
             elif isinstance(value, (list, tuple)):
-                text = _block("[]", depth, [render(v, depth + 1) for v in value])
+                for v in value:
+                    parts += inner, render(v, depth + 1)
+                text = "[]"
             else:
                 text = _scalar(value)
+            if parts:
+                # The first comma becomes the opening bracket.
+                parts[0] = text[0] + inner[1:]
+                parts.append("\n" + "  " * depth + text[1])
+                text = "".join(parts)
             memo[key] = text
         return text
 
@@ -86,29 +95,18 @@ def _scalar(value: object) -> str:
     return _quote(value)
 
 
-def _block(brackets: str, depth: int, items: list[str]) -> str:
-    """A JSON object or array of rendered items, laid out as indent=2."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return (
-        brackets[0] + inner + ("," + inner).join(items)
-        + "\n" + "  " * depth + brackets[1]
-    )
-
-
 def outcome_digits(outcome: BasisKet) -> str:
     return "".join(map(str, outcome))
 
 
 def outcome_eigenvalues(outcome: BasisKet) -> str:
-    return ",".join(phase_str(k) for k in outcome)
+    return ",".join(map(phase_str, outcome))
 
 
 def outcome_json(outcome: BasisKet) -> dict[str, Any]:
     return {
         "exponents": list(outcome),
-        "eigenvalues": [phase_str(k) for k in outcome],
+        "eigenvalues": list(map(phase_str, outcome)),
     }
 
 
@@ -141,6 +139,24 @@ def constraint_json(constraint: Constraint) -> dict[str, Any]:
         "value": phase_str(constraint.target),
         "value_exponent": constraint.target,
     }
+
+
+@lru_cache(maxsize=256)
+def _constraint_list(constraints: tuple[Constraint, ...]) -> list[dict[str, Any]]:
+    """One shared list per distinct constraint tuple; callers must not
+    mutate it.  At most 256 are kept (a davn report of psi1234 and one of
+    psi4-embedded need 57 together); an evicted list is rebuilt equal,
+    so the bound changes only how much `to_json` can share."""
+    return list(map(constraint_json, constraints))
+
+
+@lru_cache(maxsize=256)
+def _constraints_json(
+    basic: tuple[Constraint, ...], extended: tuple[Constraint, ...]
+) -> dict[str, Any]:
+    """One shared ``constraints`` dict per distinct (basic, extended)
+    pair; callers must not mutate it.  Bounded as `_constraint_list`."""
+    return {"basic": _constraint_list(basic), "extended": _constraint_list(extended)}
 
 
 # --- condition tables -----------------------------------------------------
@@ -205,9 +221,6 @@ def render_table_text(
 def render_table_markdown(
     label: str, blocks: list[tuple[BasisKet, tuple[ConstraintRow, ...]]]
 ) -> str:
-    def escape(cell: str) -> str:
-        return cell.replace("|", "\\|")
-
     lines = [f"## Condition table {label}"]
     for number, (outcome, rows) in enumerate(blocks, start=1):
         lines.append(
@@ -217,9 +230,8 @@ def render_table_markdown(
         lines.append("| pair | residual | basic | extended |")
         lines.append("|---|---|---|---|")
         for row in rows:
-            lines.append(
-                "| " + " | ".join(escape(c) for c in _row_cells(row)) + " |"
-            )
+            cells = (c.replace("|", "\\|") for c in _row_cells(row))
+            lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -250,14 +262,13 @@ def paradox_json(report: ParadoxReport, include_rows: bool = False) -> dict[str,
         "outcome": outcome_json(report.outcome),
         "type": report.type_label,
         "probability": ratio_str(*report.probability),
-        "constraints": {
-            "basic": [constraint_json(c) for c in report.constraints_basic],
-            "extended": [constraint_json(c) for c in report.constraints_extended],
-        },
+        "constraints": _constraints_json(
+            report.constraints_basic, report.constraints_extended
+        ),
         "lhv_satisfiable": report.satisfiable,
         "witness": list(report.witness) if report.witness else None,
         "minimal_core": None if report.minimal_core is None
-        else [constraint_json(c) for c in report.minimal_core],
+        else _constraint_list(report.minimal_core),
         "extended_only_unsatisfiable": report.extended_only_unsatisfiable,
     }
     if include_rows:

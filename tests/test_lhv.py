@@ -1,5 +1,7 @@
 """Hidden-variable refutation: satisfiability, cores, classification."""
 
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from davn import lhv
+from davn import lhv, postselect
 from davn.factory import build_psi_1234
 from davn.lhv import (
     ASSIGNMENTS,
@@ -86,7 +88,7 @@ def test_constraint_requires_a_site():
 
 def test_equal_constraints_hash_equal():
     a, b = c((0, 2, 0, 2), 0), c((0, 2, 0, 2), 0)
-    assert a == b and a is not b
+    assert a == b and a is b
     assert hash(a) == hash(b)
     assert a != c((0, 2, 0, 2), 2) and a != c((2, 0, 2, 0), 0)
     assert list(dict.fromkeys([a, c((1, 0, 0, 0), 1), b])) == [a, c((1, 0, 0, 0), 1)]
@@ -202,6 +204,39 @@ def test_verify_paradox_searches_its_own_set_every_call(monkeypatch):
 def test_constraint_rejects_unreduced_or_misshapen_input(exps, target, message):
     with pytest.raises(ValueError, match=message):
         Constraint(exps, target)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_pickled_constraints_come_back_interned(protocol):
+    constraint = c((0, 3, 1, 2), 3)
+    assert pickle.loads(pickle.dumps(constraint, protocol)) is constraint
+
+
+def test_copied_constraints_are_the_interned_object():
+    constraint = c((2, 0, 0, 1), 0)
+    assert copy.copy(constraint) is constraint
+    assert copy.deepcopy(constraint) is constraint
+    assert copy.deepcopy([constraint, constraint]) == [constraint, constraint]
+
+
+def test_the_intern_table_holds_each_valid_constraint_once():
+    table = postselect._CONSTRAINTS
+    every = [
+        Constraint(exps, target) for exps in ASSIGNMENTS[1:] for target in range(4)
+    ]
+    assert len(table) == len(set(map(id, every))) == 255 * 4
+    assert all(Constraint(x.exps, x.target) is x for x in every)
+    # With every valid constraint interned, a rejected input must still
+    # raise: (True, 0, 0, 0) == (1, 0, 0, 0), so only validating before
+    # the table lookup keeps it from returning the int-keyed object.
+    for exps, target in [
+        ((1, 0, 0, 0), 4), ((4, 0, 0, 0), 0), ((True, 0, 0, 0), 1),
+        ([1, 0, 0, 0], 1), ((1, 0, 0), 1), ((0, 0, 0, 0), 0),
+        ((1, 0, 0, 0), True),
+    ]:
+        with pytest.raises(ValueError):
+            Constraint(exps, target)
+    assert len(table) == 255 * 4
 
 
 def test_constraint_text_matches_reference_word_for_every_constraint():

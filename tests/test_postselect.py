@@ -330,6 +330,13 @@ ONE_SITE_SQUARE = unit_state({(0, 0): 1, (1, 2): 1, (2, 0): 1, (3, 2): 1})
     unit_state({(0, 0): 0, (1, 3): 3, (2, 2): 2, (3, 1): 1}),
 ])
 @example([ONE_SITE_SQUARE, ONE_SITE_SQUARE])
+# The scan stops early; each of these breaks a word's relation only at
+# the last ket in dict order, so a scan that stops too soon keeps it.
+# X_k**2 X_l**2 maps the two kets onto each other, with phase
+# differences 3 and then 1:
+@example([unit_state({(0, 0): 0, (2, 2): 1})])
+# X_k X_l shifts each ket onto the next and the last one off the support:
+@example([unit_state({(0, 0): 0, (1, 1): 0, (2, 2): 0})])
 def test_derive_constraints_matches_eigenvalue_of(states):
     # Both states share a support, so a scan remembered by support alone
     # would answer the second with the first one's eigenwords.

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from davn.factory import build_psi_1234
+from davn.lhv import verify_davn
 from davn.postselect import Constraint
-from davn.reports import constraint_json, ratio_str, to_json, two_decimals
+from davn.reports import (
+    constraint_json, paradox_json, ratio_str, to_json, two_decimals,
+)
 
 #: Every code point, lone surrogates included, weighted towards the ones
 #: JSON escapes: the C0 controls, DEL, the short escapes and astral
@@ -122,6 +126,22 @@ def test_constraint_json_is_shared_per_constraint():
         "word": "X1*X4^3", "exponents": [1, 0, 0, 3],
         "value": "-1", "value_exponent": 2,
     }
+
+
+def test_paradox_json_shares_each_distinct_constraint_set():
+    # The 56 outcomes of psi1234 hold 28 distinct (basic, extended)
+    # pairs, so to_json renders 28 constraint blocks, not 56.
+    reports = verify_davn(build_psi_1234()).reports
+    payloads = [paradox_json(r) for r in reports]
+    pairs = {(r.constraints_basic, r.constraints_extended) for r in reports}
+    assert len({id(p["constraints"]) for p in payloads}) == len(pairs) == 28
+    cores = {r.minimal_core for r in reports}
+    assert len({id(p["minimal_core"]) for p in payloads}) == len(cores)
+    a, b = payloads[0], paradox_json(reports[0])
+    assert a["constraints"] is b["constraints"] and a == b
+    assert a["constraints"]["basic"] == [
+        constraint_json(c) for c in reports[0].constraints_basic
+    ]
 
 
 def test_two_decimals_rounds_the_exact_value():
