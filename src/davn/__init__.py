@@ -23,11 +23,10 @@ _EXPORTS = {
     ),
     "factory": (
         "build_psi4_qubit", "build_psi_1234", "embed_qubit_state",
-        "joint_z_probability", "z_support",
+        "joint_z_probability",
     ),
     "lhv": (
-        "classify_type", "minimal_unsat_core", "satisfiable", "verify_davn",
-        "verify_paradox",
+        "minimal_unsat_core", "satisfiable", "verify_davn", "verify_paradox",
     ),
     "postselect": (
         "Constraint", "PairSelection", "derive_constraints", "postselect_pair",

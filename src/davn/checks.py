@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .factory import build_state, joint_z_probability, z_support
-from .states import BasisKet, StateVector, ratio_str
+from .factory import build_state, joint_z_probability
+from .states import BasisKet, StateVector, outcome_digits, ratio_str
 
 
 class DensityMatrix:
@@ -224,7 +224,7 @@ def _density_checks(state: StateVector, expected_site1: tuple[int, ...]) -> list
 
 
 def _support_checks(state: StateVector) -> list[Check]:
-    support = z_support(state)
+    support = state.support()
     n = state.norm_sq
     total = sum(joint_z_probability(state, ket)[0] for ket in support)
     uniform = all(joint_z_probability(state, k) == (1, len(support)) for k in support)
@@ -268,16 +268,15 @@ def checks_psi1234(state: StateVector) -> list[Check]:
     # Of the 64 outcome tuples whose eigenvalue product is 1 (digit sum
     # 0 mod 4), only 56 are supported; the other 8 must have exactly
     # zero probability.
-    support = set(z_support(state))
     zero_tuples = [ket for ket in product(range(4), repeat=4)
-                   if sum(ket) % 4 == 0 and ket not in support]
+                   if sum(ket) % 4 == 0 and ket not in state.phases]
     checks.append(
         Check(
             "product-1 outcomes outside the support",
             len(zero_tuples) == 8
             and all(joint_z_probability(state, k)[0] == 0 for k in zero_tuples),
             "8 tuples with eigenvalue product 1 carry probability exactly "
-            "0: " + ", ".join("".join(map(str, k)) for k in sorted(zero_tuples)),
+            "0: " + ", ".join(map(outcome_digits, sorted(zero_tuples))),
         )
     )
     return checks

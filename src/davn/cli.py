@@ -165,25 +165,20 @@ def cmd_sample(args: argparse.Namespace | SimpleNamespace) -> int:
     return 0
 
 
-def _fixture_dir(path: str | None):
-    from importlib import resources
+def cmd_fixtures_diff(args: argparse.Namespace | SimpleNamespace) -> int:
     from pathlib import Path
 
-    if path is not None:
-        return Path(path)
-    return resources.files("davn") / "fixtures"
-
-
-def cmd_fixtures_diff(args: argparse.Namespace | SimpleNamespace) -> int:
     _load("parse_fixture_text", "check_table_shape", "parse_allowlist",
           "diff_fixture_rows", "reports")
-    fixdir = _fixture_dir(args.dir)
+    packaged = Path(__file__).with_name("fixtures")
+    fixdir = packaged if args.dir is None else Path(args.dir)
     state = build_state("psi1234")
     rows = []
+    # utf-8-sig skips a byte-order mark at the start of a file.
     for label in TABLE_LABELS:
         resource = fixdir / f"table_{label}.txt"
         try:
-            table = parse_fixture_text(resource.read_text(encoding="utf-8"), label)
+            table = parse_fixture_text(resource.read_text(encoding="utf-8-sig"), label)
             check_table_shape(table, label)
         except FileNotFoundError as exc:
             raise ValueError(f"missing fixture table {label}: {exc}") from exc
@@ -195,7 +190,7 @@ def cmd_fixtures_diff(args: argparse.Namespace | SimpleNamespace) -> int:
         # A missing allowlist excuses nothing; an unreadable or
         # undecodable one is an input error that names the file.
         try:
-            allowlist_text = resource.read_text(encoding="utf-8")
+            allowlist_text = resource.read_text(encoding="utf-8-sig")
         except FileNotFoundError:
             allowlist_text = ""
         report = diff_fixture_rows(state, rows, parse_allowlist(allowlist_text))

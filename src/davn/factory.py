@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .states import BasisKet, StateVector, parse_phase
+from .states import BasisKet, StateVector, parse_phase, quote_input
 
 # The 56 components, written as <digits>:<amplitude>.  One row per
 # component family: the two +1 kets, then six families each headed by a
@@ -76,7 +76,11 @@ def _table_blocks(text: str) -> dict[str, tuple[BasisKet, ...]]:
 #: Outcome kets of each table, one block per outcome.
 TABLE_BLOCKS = _table_blocks(_PSI_1234_COMPONENTS)
 
-#: The table each of the 56 outcome kets belongs to.
+#: The table each of the 56 outcome kets belongs to, the label of its
+#: family: I covers the two constant outcomes, II the placements of two
+#: 2s, and the A/B twins of III..VI split each remaining family by the
+#: phase of the originating component.  Each table holds one phase: A is
+#: +i for III, IV and V but -i for VI.  A ket off the support has none.
 TABLE_OF_OUTCOME = {
     ket: label for label, kets in TABLE_BLOCKS.items() for ket in kets
 }
@@ -92,7 +96,7 @@ def canonical_table_label(label: str) -> str:
     name = label.strip().upper()
     name = TABLE_ALIASES.get(name, name)
     if name not in TABLE_BLOCKS:
-        raise ValueError(f"unknown table label: {label!r}")
+        raise ValueError(f"unknown table label: {quote_input(label)}")
     return name
 
 
@@ -174,8 +178,3 @@ def joint_z_probability(state: StateVector, outcome: BasisKet) -> tuple[int, int
     if state.is_zero():
         raise ValueError("a state of zero norm has no outcome distribution")
     return (1 if outcome in state.phases else 0, state.norm_sq)
-
-
-def z_support(state: StateVector) -> list[BasisKet]:
-    """Outcome tuples with nonzero probability, in lexicographic order."""
-    return state.support()

@@ -14,7 +14,9 @@ from functools import lru_cache
 
 from .factory import TABLE_BLOCKS, canonical_table_label
 from .postselect import SITE_PAIRS, Eigenword, PairSelection, _constraint_row
-from .states import BasisKet, StateVector, parse_phase, phase_between
+from .states import (
+    BasisKet, StateVector, outcome_digits, parse_phase, phase_between, quote_input,
+)
 
 # Table files and the allowlist share one line grammar: fields
 # ``key=value`` separated by ``|``, with key and value stripped.  The
@@ -31,7 +33,7 @@ _OUTCOME = ("[0-3]{4}", "4 digits 0..3")
 _PAIR = (f"Z([1-4])={_PHASE},Z([1-4])={_PHASE}", "Z<i>=<phase>,Z<j>=<phase>")
 _RESIDUAL = ("[0-3]{2}:[0-3](?:;[0-3]{2}:[0-3])*", "<ket>:<t>;.. of digits 0..3")
 _EIGENWORD = (f"([0-3]),([0-3]):{_PHASE}|none", "u,v:<phase> or none")
-_ROW = ("-?[0-9]+", "a row number in ASCII digits")
+_ROW = ("-?[0-9]{1,200}", "a row number in at most 200 ASCII digits")
 
 
 def _fields(line: str) -> dict[str, str]:
@@ -47,13 +49,13 @@ def _match(grammar: tuple[str, str], text: str) -> re.Match:
     pattern, shape = grammar
     match = re.fullmatch(pattern, text)
     if match is None:
-        raise ValueError(f"{text!r} is not {shape}")
+        raise ValueError(f"{quote_input(text)} is not {shape}")
     return match
 
 
 def _bad_line(kind: str, line_no: int, raw: str, exc: Exception) -> ValueError:
     reason = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-    return ValueError(f"bad {kind} line {line_no} ({reason}): {raw!r}")
+    return ValueError(f"bad {kind} line {line_no} ({reason}): {quote_input(raw)}")
 
 
 class FixtureRow:
@@ -160,10 +162,6 @@ def parse_fixture_text(text: str, label: str) -> list[FixtureRow]:
     return rows
 
 
-def _digits(ket: BasisKet) -> str:
-    return "".join(map(str, ket))
-
-
 def check_table_shape(rows: list[FixtureRow], label: str) -> None:
     """Raise ValueError unless ``rows`` hold all of table ``label``.
 
@@ -174,14 +172,14 @@ def check_table_shape(rows: list[FixtureRow], label: str) -> None:
     for row in rows:
         pair = (row.pair.site_i, row.pair.site_j)
         blocks.setdefault(row.block_outcome, []).append((min(pair), max(pair)))
-    found = " ".join(map(_digits, blocks)) or "none"
-    expected = " ".join(map(_digits, TABLE_BLOCKS[label]))
+    found = " ".join(map(outcome_digits, blocks)) or "none"
+    expected = " ".join(map(outcome_digits, TABLE_BLOCKS[label]))
     if found != expected:
         raise ValueError(f"blocks {found}, expected {expected}")
     for outcome, pairs in blocks.items():
         if sorted(pairs) != sorted(SITE_PAIRS):
             raise ValueError(
-                f"block {_digits(outcome)} does not hold one row per site pair"
+                f"block {outcome_digits(outcome)} does not hold one row per site pair"
             )
 
 
@@ -217,7 +215,8 @@ def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:
     pair, block = row.pair, row.block_outcome
     if (pair.m_i, pair.m_j) != (block[pair.site_i], block[pair.site_j]):
         failed["block-pair"] = (
-            f"pair {pair.describe()} disagrees with block outcome {_digits(block)}",
+            f"pair {pair.describe()} disagrees with block outcome "
+            f"{outcome_digits(block)}",
         )
     try:
         derived = _constraint_row(state, pair)
@@ -278,7 +277,7 @@ def parse_allowlist(text: str) -> list[AllowlistEntry]:
                 fields.get("note", ""),
             )
             if entry.kind not in ALLOWLIST_KINDS:
-                raise ValueError(f"unknown kind {entry.kind!r}")
+                raise ValueError(f"unknown kind {quote_input(entry.kind)}")
             if entry.index < 1:
                 raise ValueError(f"row {entry.index} is below 1")
         except (KeyError, ValueError) as exc:

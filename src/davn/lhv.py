@@ -23,7 +23,7 @@ from functools import cache, reduce
 from itertools import product
 from operator import and_
 
-from .factory import TABLE_LABELS, TABLE_OF_OUTCOME, joint_z_probability, z_support
+from .factory import TABLE_LABELS, TABLE_OF_OUTCOME, joint_z_probability
 from .postselect import (
     Constraint, ConstraintRow, constraint_from_row, table_for_outcome,
 )
@@ -97,21 +97,6 @@ def minimal_unsat_core(constraints: list[Constraint]) -> list[Constraint]:
     return list(constraints)
 
 
-def classify_type(outcome: BasisKet) -> str:
-    """Family label of a supported outcome: I, II or III..VI with -A/-B.
-
-    Families follow the table blocks: I covers the two constant
-    outcomes, II the placements of two 2s, and the A/B twins of III..VI
-    split each remaining family by the phase of the originating
-    component.  Each table holds one phase: A is +i for III, IV and V
-    but -i for VI.
-    """
-    label = TABLE_OF_OUTCOME.get(tuple(outcome))
-    if label is None:
-        raise ValueError(f"outcome {outcome} is not one of the 56 supported tuples")
-    return label
-
-
 class ParadoxReport:
     """Refutation record for one supported measurement outcome."""
 
@@ -154,8 +139,9 @@ def verify_paradox(state: StateVector, outcome: BasisKet) -> ParadoxReport:
     The set is every basic constraint plus every extended constraint of
     the outcome's six rows (extended ones are implied by basics but the
     hand arguments use them, so they are kept; duplicates are dropped
-    with first occurrence preserved).  The outcome may be any sequence of
-    four digits.
+    with first occurrence preserved).  The outcome must lie on the
+    state's support: one of probability zero has no table, and raises
+    ValueError.
     """
     return _paradox(state, tuple(outcome), {})
 
@@ -236,7 +222,7 @@ def verify_davn(state: StateVector) -> DavnReport:
     distinct pair of merged and extended sets is refuted once per call."""
     if state.is_zero():
         raise ValueError("a state of zero norm has no outcome distribution")
-    outcomes, refuted = z_support(state), {}
+    outcomes, refuted = state.support(), {}
     reports = tuple(_paradox(state, o, refuted) for o in outcomes)
     covered = sum(r.probability[0] for r in reports)
     failing = tuple(r.outcome for r in reports if r.satisfiable)

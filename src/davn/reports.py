@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache, lru_cache
 from math import isqrt
 
-from .states import BasisKet, StateVector, phase_str, ratio_str
+from .states import BasisKet, StateVector, outcome_digits, phase_str, ratio_str
 
 # Type checkers take any TYPE_CHECKING as true; at run time the block is
 # skipped, so rendering a report does not import typing.
@@ -93,10 +93,6 @@ def _scalar(value: object) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     return _quote(value)
-
-
-def outcome_digits(outcome: BasisKet) -> str:
-    return "".join(map(str, outcome))
 
 
 def outcome_eigenvalues(outcome: BasisKet) -> str:

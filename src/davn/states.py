@@ -45,11 +45,23 @@ def phase_str(t: int) -> str:
     return PHASE_STRINGS[t % 4]
 
 
+def outcome_digits(outcome: BasisKet) -> str:
+    """A ket or Z outcome as its digits: (0, 2, 3, 3) -> 0233."""
+    return "".join(map(str, outcome))
+
+
 def ratio_str(num: int, den: int) -> str:
     """``num / den`` (``den > 0``) as ``str(Fraction)`` writes it: ``1/56``, ``1``."""
     g = gcd(num, den)
     num, den = num // g, den // g
     return str(num) if den == 1 else f"{num}/{den}"
+
+
+def quote_input(text: str) -> str:
+    """``repr(text)``, or of its first 200 characters and its length."""
+    if len(text) <= 200:
+        return repr(text)
+    return f"{text[:200]!r}... ({len(text)} characters)"
 
 
 def parse_phase(text: str) -> int:
@@ -107,7 +119,11 @@ class StateVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.equals_exactly(other)
+        return (
+            self.level == other.level
+            and self.n_sites == other.n_sites
+            and self.phases == other.phases
+        )
 
     def __hash__(self) -> int:
         # Equal states have equal phase maps, so this agrees with ==.
@@ -125,13 +141,6 @@ class StateVector:
     def support(self) -> list[BasisKet]:
         """Kets with nonzero amplitude, in lexicographic order."""
         return sorted(self.phases)
-
-    def equals_exactly(self, other: StateVector) -> bool:
-        return (
-            self.level == other.level
-            and self.n_sites == other.n_sites
-            and self.phases == other.phases
-        )
 
 
 def phase_between(a: dict, b: dict) -> int | None:

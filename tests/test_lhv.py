@@ -12,12 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from davn import lhv, postselect
-from davn.factory import build_psi_1234
+from davn.factory import TABLE_OF_OUTCOME, build_psi_1234
 from davn.lhv import (
     ASSIGNMENTS,
     Constraint,
     ParadoxReport,
-    classify_type,
     constraint_from_row,
     minimal_unsat_core,
     satisfiable,
@@ -355,15 +354,14 @@ def test_type_one_core_is_the_three_basic_constraints():
 
 
 def test_classify_type_examples():
-    assert classify_type((0, 0, 0, 0)) == "I"
-    assert classify_type((2, 2, 2, 2)) == "I"
-    assert classify_type((2, 0, 0, 2)) == "II"
-    assert classify_type((0, 2, 3, 3)) == "III-A"
-    assert classify_type((2, 0, 3, 3)) == "III-B"
-    assert classify_type((1, 3, 2, 2)) == "VI-A"
-    assert classify_type((3, 1, 2, 2)) == "VI-B"
-    with pytest.raises(ValueError):
-        classify_type((1, 1, 1, 1))
+    assert TABLE_OF_OUTCOME[(0, 0, 0, 0)] == "I"
+    assert TABLE_OF_OUTCOME[(2, 2, 2, 2)] == "I"
+    assert TABLE_OF_OUTCOME[(2, 0, 0, 2)] == "II"
+    assert TABLE_OF_OUTCOME[(0, 2, 3, 3)] == "III-A"
+    assert TABLE_OF_OUTCOME[(2, 0, 3, 3)] == "III-B"
+    assert TABLE_OF_OUTCOME[(1, 3, 2, 2)] == "VI-A"
+    assert TABLE_OF_OUTCOME[(3, 1, 2, 2)] == "VI-B"
+    assert (1, 1, 1, 1) not in TABLE_OF_OUTCOME
 
 
 def test_verify_paradox_requires_support():
@@ -676,8 +674,9 @@ def test_paradox_reports_of_neighbours_match_the_oracles():
 
 #: The drops of two kets of PSI, by index into its sorted kets, whose
 #: states hold an outcome that is refuted while its extended constraints
-#: alone are satisfiable: 17 of the 1540 drops, found by a sweep of all of
-#: them (too slow for this suite).  Drop (2, 36) holds two such outcomes.
+#: alone are satisfiable: 17 of the 1540 drops, as the sweep of all of
+#: them in test_every_two_ket_drop_matches_the_pinned_census finds.  Drop
+#: (2, 36) holds two such outcomes.
 SPLIT_FLAG_DROPS = (
     (1, 26), (1, 36), (1, 48), (2, 26), (2, 36), (2, 37), (2, 39), (2, 48),
     (3, 26), (3, 36), (3, 48), (27, 36), (27, 37), (27, 39), (36, 49),
@@ -705,3 +704,33 @@ def test_two_ket_drops_that_split_the_extended_only_flag_match_the_oracles():
     assert Counter(outcome for _, outcome in split) == {
         (0, 0, 0, 0): 9, (2, 2, 2, 2): 9,
     }
+
+
+#: How many of the 1540 two-ket drops of PSI have each number of outcomes
+#: that an LHV assignment satisfies.
+DROP_FAILING_COUNTS = {
+    4: 48, 6: 64, 8: 192, 9: 192, 11: 128, 12: 256, 13: 128, 14: 112,
+    15: 160, 16: 80, 17: 24, 18: 24, 19: 64, 20: 24, 21: 8, 22: 32, 28: 1,
+    30: 3,
+}
+
+
+def test_every_two_ket_drop_matches_the_pinned_census():
+    # A tripwire over the whole neighbourhood at distance two, 83 160
+    # outcomes in all: no drop is DAVN, and the extended-only flag splits
+    # on the drops of SPLIT_FLAG_DROPS and on no others.
+    kets = sorted(PSI.phases)
+    verdicts, failing, outcomes, split = Counter(), Counter(), 0, []
+    for i, j in combinations(range(len(kets)), 2):
+        phases = {k: t for k, t in PSI.phases.items() if k not in (kets[i], kets[j])}
+        report = verify_davn(StateVector(4, phases))
+        verdicts[report.verdict] += 1
+        failing[len(report.failing_outcomes)] += 1
+        outcomes += report.support_size
+        if any(r.witness is None and not r.extended_only_unsatisfiable
+               for r in report.reports):
+            split.append((i, j))
+    assert verdicts == {"NOT-DAVN": 1540}
+    assert outcomes == 83_160
+    assert failing == DROP_FAILING_COUNTS
+    assert split == list(SPLIT_FLAG_DROPS)

@@ -14,7 +14,6 @@ from davn.factory import (
     build_psi_1234,
     canonical_table_label,
     joint_z_probability,
-    z_support,
 )
 from davn.fixtures import (
     ALLOWLIST_KINDS,
@@ -358,7 +357,7 @@ def test_derive_constraints_matches_eigenvalue_of(states):
 
 
 def test_every_derived_constraint_verifies_quantum_mechanically():
-    for outcome in z_support(PSI):
+    for outcome in PSI.support():
         for row in table_for_outcome(PSI, outcome):
             for (u, v), t in row.eigenwords:
                 word = PauliWord.from_exponents(2, x_exps={0: u, 1: v})
@@ -404,7 +403,7 @@ def test_table_labels_and_aliases():
     # Block lists cover the full support exactly once.
     seen = [o for blocks in TABLE_BLOCKS.values() for o in blocks]
     assert len(seen) == 56
-    assert set(seen) == set(z_support(PSI))
+    assert set(seen) == set(PSI.support())
 
 
 def test_fixture_block_headers_follow_the_table_blocks():

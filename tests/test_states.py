@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from davn.states import StateVector, phase_between
+from davn.states import StateVector, outcome_digits, phase_between, quote_input
 from reference import (
     PauliWord,
     apply_to_state,
@@ -50,6 +50,17 @@ def test_equal_states_hash_alike():
     assert len({reordered, RESIDUAL, scaled_by_phase(RESIDUAL, 1)}) == 2
 
 
+def test_outcome_digits_writes_one_digit_per_site():
+    assert outcome_digits((0, 2, 3, 3)) == "0233"
+    assert outcome_digits(()) == ""
+
+
+def test_quote_input_keeps_at_most_200_characters_and_the_length():
+    assert quote_input("x" * 200) == repr("x" * 200)
+    cut = repr("'a\n" * 66 + "'a") + "... (300 characters)"
+    assert quote_input("'a\n" * 100) == cut
+
+
 def test_digit_range_is_validated():
     with pytest.raises(ValueError):
         StateVector(1, {(4,): 0})
@@ -83,7 +94,7 @@ def test_apply_preserves_norm():
 
 def test_identity_word_fixes_any_state():
     image = apply_to_state(PauliWord.from_exponents(2), RESIDUAL)
-    assert image.equals_exactly(RESIDUAL)
+    assert image == RESIDUAL
 
 
 def test_eigenvalue_of_residual_word():
@@ -115,7 +126,7 @@ def test_eigen_relation_is_exact_proportionality():
     c = eigenvalue_of(word, RESIDUAL)
     assert c is not None
     image = apply_to_state(word, RESIDUAL)
-    assert image.equals_exactly(scaled_by_phase(RESIDUAL, c))
+    assert image == scaled_by_phase(RESIDUAL, c)
 
 
 def test_phase_relative_to_finds_global_phase():
@@ -142,7 +153,7 @@ def test_x_eigenstate_eigenvalues():
 def reference_eigenvalue(word, state):
     image = apply_to_state(word, state)
     for t in range(4):
-        if image.equals_exactly(scaled_by_phase(state, t)):
+        if image == scaled_by_phase(state, t):
             return t
     return None
 
@@ -151,7 +162,7 @@ def reference_phase(state, other):
     if state.level != other.level or state.n_sites != other.n_sites:
         return None
     for t in range(4):
-        if state.equals_exactly(scaled_by_phase(other, t)):
+        if state == scaled_by_phase(other, t):
             return t
     return None
 
