@@ -175,6 +175,8 @@ def check_table_shape(rows: list[FixtureRow], label: str) -> None:
     found = " ".join(map(outcome_digits, blocks)) or "none"
     expected = " ".join(map(outcome_digits, TABLE_BLOCKS[label]))
     if found != expected:
+        if len(found) > 200:
+            found = f"{found[:200]}... ({len(found)} characters)"
         raise ValueError(f"blocks {found}, expected {expected}")
     for outcome, pairs in blocks.items():
         if sorted(pairs) != sorted(SITE_PAIRS):

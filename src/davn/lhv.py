@@ -204,17 +204,14 @@ class DavnReport:
     def type_counts(self) -> dict[str, int]:
         """Outcome counts per family I..VI (subfamilies merged).
 
-        Families come in table order, then "unclassified".
+        A label is one of ``TABLE_LABELS`` or None, so families come in
+        table order, then "unclassified"; an empty one is left out.
         """
-        counts: dict[str, int] = {}
+        families = (label.split("-")[0] for label in TABLE_LABELS)
+        counts = dict.fromkeys([*families, "unclassified"], 0)
         for report in self.reports:
-            label = report.type_label or "unclassified"
-            roman = label.split("-")[0]
-            counts[roman] = counts.get(roman, 0) + 1
-        families = dict.fromkeys(name.split("-")[0] for name in TABLE_LABELS)
-        order = [r for r in families if r in counts]
-        order += [k for k in sorted(counts) if k not in families]
-        return {k: counts[k] for k in order}
+            counts[(report.type_label or "unclassified").split("-")[0]] += 1
+        return {k: n for k, n in counts.items() if n}
 
 
 def verify_davn(state: StateVector) -> DavnReport:

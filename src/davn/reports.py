@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .checks import Check
     from .fixtures import DiffReport
     from .lhv import DavnReport, ParadoxReport
-    from .postselect import Constraint, ConstraintRow
+    from .postselect import Constraint, ConstraintRow, Eigenword
     from .sampling import SampleSummary
 
 
@@ -106,19 +106,17 @@ def outcome_json(outcome: BasisKet) -> dict[str, Any]:
     }
 
 
-def render_amplitude_term(ket: BasisKet, t: int, first: bool) -> str:
-    sign = {0: "+", 1: "+i", 2: "-", 3: "-i"}[t]
-    if first and t in (0, 1):
-        sign = sign[1:]
-    return f"{sign}|{outcome_digits(ket)}>"
+#: The sign of a ket-sum term, by its phase exponent.
+_SIGNS = ("+", "+i", "-", "-i")
 
 
 def render_state(state: StateVector) -> str:
     """Ket-sum rendering with the exact normalisation as a suffix."""
-    parts = []
-    for index, ket in enumerate(state.support()):
-        parts.append(render_amplitude_term(ket, state.phases[ket], index == 0))
-    body = "(" + "".join(parts) + ")"
+    phases = state.phases
+    terms = "".join(
+        f"{_SIGNS[phases[ket]]}|{outcome_digits(ket)}>" for ket in state.support()
+    )
+    body = "(" + terms.removeprefix("+") + ")"
     n = state.norm_sq
     if n == 1:
         return body
@@ -146,52 +144,39 @@ def _constraint_list(constraints: tuple[Constraint, ...]) -> list[dict[str, Any]
     return list(map(constraint_json, constraints))
 
 
-@lru_cache(maxsize=256)
-def _constraints_json(
-    basic: tuple[Constraint, ...], extended: tuple[Constraint, ...]
-) -> dict[str, Any]:
-    """One shared ``constraints`` dict per distinct (basic, extended)
-    pair; callers must not mutate it.  Bounded as `_constraint_list`."""
-    return {"basic": _constraint_list(basic), "extended": _constraint_list(extended)}
-
-
 # --- condition tables -----------------------------------------------------
 
 
-def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
+def _lift(row: ConstraintRow, *words: Eigenword | None) -> list[Constraint | None]:
+    """Each of ``row``'s words as its four-site constraint; None stays None."""
     from .postselect import constraint_from_row
 
+    return [constraint_from_row(row.sites, word) if word else None for word in words]
+
+
+def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
     out = []
     for row in rows:
-        sites = row.sites
-        basic, extended = (
-            constraint_json(constraint_from_row(sites, word)) if word else None
-            for word in (row.basic, row.extended)
-        )
+        basic, extended, *words = _lift(row, row.basic, row.extended, *row.eigenwords)
         out.append(
             {
                 "pair": row.pair.describe(),
                 "residual": render_state(row.residual),
-                "basic": basic,
-                "extended": extended,
-                "eigenwords": [
-                    constraint_json(constraint_from_row(sites, word))
-                    for word in row.eigenwords
-                ],
+                "basic": basic and constraint_json(basic),
+                "extended": extended and constraint_json(extended),
+                "eigenwords": list(map(constraint_json, words)),
             }
         )
     return out
 
 
 def _row_cells(row: ConstraintRow) -> tuple[str, str, str, str]:
-    from .postselect import constraint_from_row
-
-    sites = row.sites
+    basic, extended = _lift(row, row.basic, row.extended)
     return (
         row.pair.describe(),
         render_state(row.residual),
-        str(constraint_from_row(sites, row.basic)) if row.basic else "---",
-        str(constraint_from_row(sites, row.extended)) if row.extended else "---",
+        str(basic) if basic else "---",
+        str(extended) if extended else "---",
     )
 
 
@@ -258,9 +243,10 @@ def paradox_json(report: ParadoxReport, include_rows: bool = False) -> dict[str,
         "outcome": outcome_json(report.outcome),
         "type": report.type_label,
         "probability": ratio_str(*report.probability),
-        "constraints": _constraints_json(
-            report.constraints_basic, report.constraints_extended
-        ),
+        "constraints": {
+            "basic": _constraint_list(report.constraints_basic),
+            "extended": _constraint_list(report.constraints_extended),
+        },
         "lhv_satisfiable": report.satisfiable,
         "witness": list(report.witness) if report.witness else None,
         "minimal_core": None if report.minimal_core is None

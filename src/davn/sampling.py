@@ -20,8 +20,7 @@ counts, because CPython's generator guarantees three facts.
   outputs ``m``, ``m + 8``, ``m + 16``, ...
 
 So a top byte ``t`` is the draw ``t >> (8 - k)``, rejected when that is
-``n`` or more.  The per-draw ``randrange`` loop is kept for ``n >= 256``
-and is the reference the tests compare the tally against.
+``n`` or more.  The per-draw ``randrange`` loop serves ``n >= 256``.
 
 The draws are counted by bit planes rather than by one pass per
 outcome.  Plane ``b`` is a Python int whose bit ``i`` is bit ``b`` of

@@ -16,6 +16,7 @@ import types
 import typing
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -361,24 +362,36 @@ def test_fixtures_diff_json_lists_an_unused_allowlist_entry(tmp_path, capsys):
 
 MEGABYTE = 1 << 20
 
+#: Table I's first row under each of the 256 four-digit block outcomes.
+EVERY_BLOCK = "".join(
+    f"# block {number} outcome={''.join(map(str, outcome))}\n"
+    "table=I | pair=Z1=1,Z2=1 | residual=00:0;13:1;22:2;31:3 | basic=1,3:-i"
+    " | extended=2,2:-1\n"
+    for number, outcome in enumerate(product(range(4), repeat=4), start=1)
+)
+
 
 @pytest.mark.parametrize(
-    ("name", "old", "new"),
+    ("name", "old", "new", "message", "tail"),
     [
         # A line, a value, a table label and an allowlist kind, each of
-        # 1 MB, and a row number of as many digits as int() reads: every
-        # echo of the input is cut to its first 200 characters.
+        # 1 MB, a row number of as many digits as int() reads, and the
+        # found block outcomes of a table with 256 blocks: every echo of
+        # the input is cut to its first 200 characters.
         ("table_I.txt", "# block 1 outcome=0000\n",
-         "# block 1 outcome=0000\n" + "x" * MEGABYTE + "\n"),
-        ("table_I.txt", "pair=Z1=1,Z2=1", "pair=" + "Z" * MEGABYTE),
-        ("table_I.txt", "table=I |", "table=" + "I" * MEGABYTE + " |"),
-        ("allowlist.txt", "| kind=derivation |", "| kind=" + "k" * MEGABYTE + " |"),
-        ("allowlist.txt", "| row=28 |", "| row=" + "9" * 4300 + " |"),
+         "# block 1 outcome=0000\n" + "x" * MEGABYTE + "\n", "bad ", ""),
+        ("table_I.txt", "pair=Z1=1,Z2=1", "pair=" + "Z" * MEGABYTE, "bad ", ""),
+        ("table_I.txt", "table=I |", "table=" + "I" * MEGABYTE + " |", "bad ", ""),
+        ("allowlist.txt", "| kind=derivation |", "| kind=" + "k" * MEGABYTE + " |",
+         "bad ", ""),
+        ("allowlist.txt", "| row=28 |", "| row=" + "9" * 4300 + " |", "bad ", ""),
+        ("table_I.txt", "# block 1 outcome=0000\n", EVERY_BLOCK,
+         "blocks 0000 0001 ", ", expected 0000 2222"),
     ],
-    ids=["line", "value", "label", "kind", "row"],
+    ids=["line", "value", "label", "kind", "row", "blocks"],
 )
 def test_fixtures_diff_echoes_a_long_line_in_under_a_kilobyte(
-    tmp_path, capsys, name, old, new
+    tmp_path, capsys, name, old, new, message, tail
 ):
     path = copy_fixtures(tmp_path) / name
     text = path.read_text(encoding="utf-8")
@@ -387,8 +400,8 @@ def test_fixtures_diff_echoes_a_long_line_in_under_a_kilobyte(
     code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
     assert (code, out) == (2, "")
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: bad ")
-    assert len(err) < 1024 and err.endswith(" characters)\n")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {name}: {message}")
+    assert len(err) < 1024 and err.endswith(f" characters){tail}\n")
 
 
 def test_fixtures_diff_skips_a_byte_order_mark(tmp_path, capsys):
@@ -719,6 +732,85 @@ def test_fixtures_diff_exit_code_contract_under_mutation(case):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     table = name.removeprefix("table_").removesuffix(".txt")
     assert name in lines[0] or f"table {table} " in lines[0]
+
+
+def assert_exit_contract(code, err):
+    """Exit 0, 1 or 2 with no traceback; exit 2 writes one ``error:``
+    line of under a kilobyte."""
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(err) < 1024
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(PACKAGED)), st.binary())
+def test_fixtures_diff_exit_code_contract_for_any_file_bytes(name, data):
+    # Any bytes in place of one fixture file: invalid UTF-8, NUL bytes,
+    # an empty file or a stray fragment of a line.
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, text in PACKAGED.items():
+            (Path(tmp) / file_name).write_text(text, encoding="utf-8")
+        (Path(tmp) / name).write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["fixtures-diff", "--dir", tmp, "--format", "json"])
+    assert_exit_contract(code, err.getvalue())
+    if code != 2:
+        json.loads(out.getvalue())
+        return
+    table = name.removeprefix("table_").removesuffix(".txt")
+    assert name in err.getvalue() or f"table {table} " in err.getvalue()
+
+
+def test_fixtures_diff_dir_naming_a_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "fixtures"
+    path.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(path))
+    assert (code, out) == (2, "")
+    assert_exit_contract(code, err)
+
+
+def test_fixtures_diff_symlink_loop_is_an_input_error(tmp_path, capsys):
+    table = copy_fixtures(tmp_path) / "table_I.txt"
+    table.unlink()
+    table.symlink_to(table)
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert_exit_contract(code, err)
+    assert err.startswith("error: table_I.txt: ")
+
+
+@pytest.mark.parametrize(
+    "target", ["directory", "missing/report.json", "/dev/full"],
+    ids=["directory", "missing parent", "full device"],
+)
+def test_unwritable_output_file_is_an_input_error(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()
+    if target == "/dev/full" and not os.path.exists(target):
+        pytest.skip("no /dev/full on this host")
+    output = str(tmp_path / target)  # an absolute target stays as it is
+    code, out, err = run_cli(capsys, "tables", "--table", "I", "-o", output)
+    assert (code, out) == (2, "")
+    assert_exit_contract(code, err)
+
+
+def test_a_stdout_with_no_reader_is_an_input_error():
+    # The pipe's read end is closed before the child starts, so its first
+    # write fails whatever the timing.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "davn", "davn", "--format", "json"],
+            stdout=write, stderr=subprocess.PIPE, env=child_env(), timeout=60,
+        )
+    finally:
+        os.close(write)
+    err = result.stderr.decode("utf-8")
+    assert_exit_contract(result.returncode, err)
+    assert (result.returncode, err) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 def test_import_pulls_in_neither_dataclasses_nor_inspect():

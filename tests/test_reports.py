@@ -12,8 +12,10 @@ from davn.factory import build_psi_1234
 from davn.lhv import verify_davn
 from davn.postselect import Constraint
 from davn.reports import (
-    constraint_json, paradox_json, ratio_str, to_json, two_decimals,
+    constraint_json, paradox_json, ratio_str, render_state, to_json,
+    two_decimals,
 )
+from davn.states import StateVector
 
 #: Every code point, lone surrogates included, weighted towards the ones
 #: JSON escapes: the C0 controls, DEL, the short escapes and astral
@@ -129,19 +131,36 @@ def test_constraint_json_is_shared_per_constraint():
 
 
 def test_paradox_json_shares_each_distinct_constraint_set():
-    # The 56 outcomes of psi1234 hold 28 distinct (basic, extended)
-    # pairs, so to_json renders 28 constraint blocks, not 56.
+    # The 56 outcomes of psi1234 hold 28 distinct basic tuples, 20
+    # distinct extended tuples and 28 distinct cores, each rendered as
+    # one shared list, so to_json renders each constraint list once.
     reports = verify_davn(build_psi_1234()).reports
     payloads = [paradox_json(r) for r in reports]
-    pairs = {(r.constraints_basic, r.constraints_extended) for r in reports}
-    assert len({id(p["constraints"]) for p in payloads}) == len(pairs) == 28
+    for kind, attribute, count in (
+        ("basic", "constraints_basic", 28),
+        ("extended", "constraints_extended", 20),
+    ):
+        distinct = {getattr(r, attribute) for r in reports}
+        lists = {id(p["constraints"][kind]) for p in payloads}
+        assert len(lists) == len(distinct) == count
     cores = {r.minimal_core for r in reports}
-    assert len({id(p["minimal_core"]) for p in payloads}) == len(cores)
+    assert len({id(p["minimal_core"]) for p in payloads}) == len(cores) == 28
     a, b = payloads[0], paradox_json(reports[0])
-    assert a["constraints"] is b["constraints"] and a == b
+    assert a["constraints"]["basic"] is b["constraints"]["basic"] and a == b
+    assert a["constraints"]["extended"] is b["constraints"]["extended"]
     assert a["constraints"]["basic"] == [
         constraint_json(c) for c in reports[0].constraints_basic
     ]
+
+
+def test_render_state_writes_the_norm_the_goldens_miss():
+    # A norm of 1 has no suffix, a non-square norm is a square root, and
+    # the empty state is an empty sum over a zero norm.
+    one = StateVector(4, {(0, 1, 2, 3): 3})
+    three = StateVector(4, {(0, 0, 0, 0): 0, (1, 1, 1, 1): 1, (2, 2, 2, 2): 2})
+    assert render_state(one) == "(-i|0123>)"
+    assert render_state(three) == "(|0000>+i|1111>-|2222>)/sqrt(3)"
+    assert render_state(StateVector(4, {})) == "()/0"
 
 
 def test_two_decimals_rounds_the_exact_value():
