@@ -36,7 +36,9 @@ if TYPE_CHECKING:
     import argparse
 
 #: Home module of each name a command imports on first use, so that a
-#: command loads only the modules it runs.  ``reports`` is the module.
+#: command loads only the modules it runs.  ``reports`` is the module;
+#: each command imports its text renderer from ``text`` in its non-JSON
+#: branch, so a JSON report compiles none of them.
 _LAZY = {
     "reports": "reports",
     "run_state_checks": "checks",
@@ -100,7 +102,9 @@ def cmd_verify_state(args: argparse.Namespace | SimpleNamespace) -> int:
     if args.format == "json":
         _emit(reports.checks_json(name, checks), args.output)
     else:
-        _emit(reports.render_checks_text(name, checks), args.output)
+        from .text import render_checks_text
+
+        _emit(render_checks_text(name, checks), args.output)
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -115,9 +119,13 @@ def cmd_tables(args: argparse.Namespace | SimpleNamespace) -> int:
     if args.format == "json":
         text = reports.render_table_json(label, blocks)
     elif args.format in ("markdown", "md"):
-        text = reports.render_table_markdown(label, blocks)
+        from .text import render_table_markdown
+
+        text = render_table_markdown(label, blocks)
     else:
-        text = reports.render_table_text(label, blocks)
+        from .text import render_table_text
+
+        text = render_table_text(label, blocks)
     _emit(text, args.output)
     return 0
 
@@ -137,7 +145,9 @@ def cmd_paradox(args: argparse.Namespace | SimpleNamespace) -> int:
         payload = {"schema": "davn.paradox/1", "state": args.state, **payload}
         _emit(reports.to_json(payload), args.output)
     else:
-        _emit(reports.render_paradox_text(report), args.output)
+        from .text import render_paradox_text
+
+        _emit(render_paradox_text(report), args.output)
     return 0 if report.is_paradox else 1
 
 
@@ -148,7 +158,9 @@ def cmd_davn(args: argparse.Namespace | SimpleNamespace) -> int:
     if args.format == "json":
         _emit(reports.davn_json(report), args.output)
     else:
-        _emit(reports.render_davn_text(report), args.output)
+        from .text import render_davn_text
+
+        _emit(render_davn_text(report), args.output)
     return 0 if report.verdict == "DAVN" else 1
 
 
@@ -161,7 +173,9 @@ def cmd_sample(args: argparse.Namespace | SimpleNamespace) -> int:
     if args.format == "json":
         _emit(reports.sample_json(args.state, summary), args.output)
     else:
-        _emit(reports.render_sample_text(args.state, summary), args.output)
+        from .text import render_sample_text
+
+        _emit(render_sample_text(args.state, summary), args.output)
     return 0
 
 
@@ -199,7 +213,9 @@ def cmd_fixtures_diff(args: argparse.Namespace | SimpleNamespace) -> int:
     if args.format == "json":
         _emit(reports.diff_json(report), args.output)
     else:
-        _emit(reports.render_diff_text(report), args.output)
+        from .text import render_diff_text
+
+        _emit(render_diff_text(report), args.output)
     return 0 if report.ok else 1
 
 

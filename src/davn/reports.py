@@ -1,9 +1,11 @@
-"""Rendering of derived objects as text, markdown and JSON.
+"""Rendering of derived objects as JSON.
 
 JSON output is schema-stable: every dict is built in a fixed key order,
 rationals are rendered as strings like ``1/56``, and nothing
 time-dependent is included, so byte-identical reruns are guaranteed for
 the non-sampling commands.  The schemas are documented in the README.
+Text and markdown reports live in `davn.text`, which a ``--format
+json`` command does not import.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ def to_json(payload: dict[str, Any]) -> str:
     memoized on the value's id and depth for this call, while the payload
     keeps every value alive, so a subtree shared across the payload (a
     constraint cited by many outcomes) is encoded once.  Each container
-    is one parts list and one join.  Scalars go through `_scalar`, keys
-    through `_quote`; a float, or a key that is not a string, raises
-    TypeError.
+    is one parts list and one join.  Scalars go through `_scalar`, and
+    each distinct key through `_quote` once per call; a float, or a key
+    that is not a string, raises TypeError.
     """
     memo: dict[tuple[int, int], str] = {}
+    quoted: dict[str, str] = {}
 
     def render(value: Any, depth: int) -> str:
         key = (id(value), depth)
@@ -47,7 +50,10 @@ def to_json(payload: dict[str, Any]) -> str:
             inner, parts = ",\n" + "  " * (depth + 1), []
             if isinstance(value, dict):
                 for k, v in value.items():
-                    parts += inner, _quote(k), ": ", render(v, depth + 1)
+                    q = quoted.get(k)
+                    if q is None:
+                        q = quoted[k] = _quote(k)
+                    parts += inner, q, ": ", render(v, depth + 1)
                 text = "{}"
             elif isinstance(value, (list, tuple)):
                 for v in value:
@@ -95,10 +101,6 @@ def _scalar(value: object) -> str:
     return _quote(value)
 
 
-def outcome_eigenvalues(outcome: BasisKet) -> str:
-    return ",".join(map(phase_str, outcome))
-
-
 def outcome_json(outcome: BasisKet) -> dict[str, Any]:
     return {
         "exponents": list(outcome),
@@ -111,8 +113,11 @@ _SIGNS = ("+", "+i", "-", "-i")
 
 
 def render_state(state: StateVector) -> str:
-    """Ket-sum rendering with the exact normalisation as a suffix."""
+    """Ket-sum rendering with the exact normalisation as a suffix.  A
+    state of zero norm has no normalisation and raises ValueError."""
     phases = state.phases
+    if not phases:
+        raise ValueError("a state of zero norm has no normalisation")
     terms = "".join(
         f"{_SIGNS[phases[ket]]}|{outcome_digits(ket)}>" for ket in state.support()
     )
@@ -170,52 +175,6 @@ def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
     return out
 
 
-def _row_cells(row: ConstraintRow) -> tuple[str, str, str, str]:
-    basic, extended = _lift(row, row.basic, row.extended)
-    return (
-        row.pair.describe(),
-        render_state(row.residual),
-        str(basic) if basic else "---",
-        str(extended) if extended else "---",
-    )
-
-
-def render_table_text(
-    label: str, blocks: list[tuple[BasisKet, tuple[ConstraintRow, ...]]]
-) -> str:
-    lines = [f"condition table {label}"]
-    for number, (outcome, rows) in enumerate(blocks, start=1):
-        lines.append(
-            f"\nblock {number}: outcome {outcome_digits(outcome)} "
-            f"(Z = {outcome_eigenvalues(outcome)})"
-        )
-        cells = [_row_cells(row) for row in rows]
-        widths = [max(len(c[i]) for c in cells) for i in range(4)]
-        for c in cells:
-            lines.append(
-                "  "
-                + "   ".join(c[i].ljust(widths[i]) for i in range(4)).rstrip()
-            )
-    return "\n".join(lines) + "\n"
-
-
-def render_table_markdown(
-    label: str, blocks: list[tuple[BasisKet, tuple[ConstraintRow, ...]]]
-) -> str:
-    lines = [f"## Condition table {label}"]
-    for number, (outcome, rows) in enumerate(blocks, start=1):
-        lines.append(
-            f"\n### Block {number}: outcome {outcome_digits(outcome)} "
-            f"(Z = {outcome_eigenvalues(outcome)})"
-        )
-        lines.append("| pair | residual | basic | extended |")
-        lines.append("|---|---|---|---|")
-        for row in rows:
-            cells = (c.replace("|", "\\|") for c in _row_cells(row))
-            lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
 def render_table_json(
     label: str, blocks: list[tuple[BasisKet, tuple[ConstraintRow, ...]]]
 ) -> str:
@@ -258,34 +217,6 @@ def paradox_json(report: ParadoxReport, include_rows: bool = False) -> dict[str,
     return payload
 
 
-def render_paradox_text(report: ParadoxReport) -> str:
-    lines = [
-        f"outcome {outcome_digits(report.outcome)} "
-        f"(Z = {outcome_eigenvalues(report.outcome)})",
-        f"type: {report.type_label or 'unclassified'}    "
-        f"probability: {ratio_str(*report.probability)}",
-        "",
-        "pair conditions:",
-    ]
-    for cells in map(_row_cells, report.rows):
-        lines.append(f"  {cells[0]}  ->  {cells[2]}   [extended: {cells[3]}]")
-    lines.append("")
-    if report.satisfiable:
-        values = ",".join(map(str, report.witness))
-        lines.append(f"LHV model EXISTS: X values i^({values})")
-        lines.append("no paradox for this outcome")
-    else:
-        lines.append("LHV model: none (all 256 assignments violate a constraint)")
-        lines.append("minimal unsatisfiable core:")
-        for constraint in report.minimal_core:
-            lines.append(f"  {constraint}")
-        lines.append(
-            "extended-only constraints already unsatisfiable: "
-            + ("yes" if report.extended_only_unsatisfiable else "no")
-        )
-    return "\n".join(lines) + "\n"
-
-
 def davn_json(report: DavnReport) -> str:
     return to_json(
         {
@@ -299,35 +230,6 @@ def davn_json(report: DavnReport) -> str:
             "outcomes": [paradox_json(r) for r in report.reports],
         }
     )
-
-
-def render_davn_text(report: DavnReport) -> str:
-    lines = [
-        f"verdict: {report.verdict}",
-        f"supported outcomes: {report.support_size}",
-        f"probability covered: {ratio_str(*report.probability_sum)}",
-        "refuted outcomes: "
-        f"{sum(not r.satisfiable for r in report.reports)}/{report.support_size}",
-        "type census: "
-        + ", ".join(f"{k}: {v}" for k, v in report.type_counts.items()),
-        "extended-only refutation everywhere: "
-        + ("yes" if all(r.extended_only_unsatisfiable for r in report.reports)
-           else "no"),
-    ]
-    if report.failing_outcomes:
-        lines.append(
-            "outcomes with an LHV model: "
-            + ", ".join(outcome_digits(o) for o in report.failing_outcomes)
-        )
-    lines.append("")
-    lines.append("per-outcome summary (outcome, type, core size):")
-    for r in report.reports:
-        core = len(r.minimal_core) if r.minimal_core is not None else "-"
-        lines.append(
-            f"  {outcome_digits(r.outcome)}  {r.type_label or '?':6}  "
-            f"{'unsat' if not r.satisfiable else 'SAT':5}  core={core}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # --- state checks, sampling, fixtures diff --------------------------------
@@ -347,18 +249,6 @@ def checks_json(name: str, checks: list[Check]) -> str:
     )
 
 
-def render_checks_text(name: str, checks: list[Check]) -> str:
-    lines = [f"state: {name}"]
-    for c in checks:
-        mark = "PASS" if c.passed else "FAIL"
-        lines.append(f"[{mark}] {c.name}")
-        lines.append(f"       {c.detail}")
-    lines.append(
-        "result: " + ("PASS" if all(c.passed for c in checks) else "FAIL")
-    )
-    return "\n".join(lines) + "\n"
-
-
 def sample_json(state_name: str, summary: SampleSummary) -> str:
     return to_json(
         {
@@ -374,33 +264,6 @@ def sample_json(state_name: str, summary: SampleSummary) -> str:
             ],
         }
     )
-
-
-def two_decimals(num: int, den: int) -> str:
-    """A non-negative ``num / den`` rounded half-even to two decimals, exactly.
-
-    ``format(num / den, ".2f")`` rounds the nearest double instead, so it
-    gives 2.67 for 107/40 = 2.675.
-    """
-    cents, rest = divmod(100 * num, den)
-    if 2 * rest > den or 2 * rest == den and cents % 2:
-        cents += 1
-    whole, hundredths = divmod(cents, 100)
-    return f"{whole}.{hundredths:02d}"
-
-
-def render_sample_text(state_name: str, summary: SampleSummary) -> str:
-    deviation = summary.max_abs_deviation
-    lines = [
-        f"state: {state_name}   runs: {summary.runs}   seed: {summary.seed}",
-        f"generator: {summary.generator}",
-        f"max deviation from expectation: {ratio_str(*deviation)} "
-        f"(= {two_decimals(*deviation)})",
-        "counts:",
-    ]
-    for ket, count in sorted(summary.counts.items()):
-        lines.append(f"  {outcome_digits(ket)}: {count}")
-    return "\n".join(lines) + "\n"
 
 
 def diff_json(report: DiffReport) -> str:
@@ -436,32 +299,3 @@ def diff_json(report: DiffReport) -> str:
             ],
         }
     )
-
-
-def render_diff_text(report: DiffReport) -> str:
-    lines = [
-        f"rows checked: {report.total_rows}",
-        f"fully matched: {report.matched_rows}",
-        f"known discrepancies (allowlisted): {len(report.allowlisted)}",
-    ]
-    for verdict, entry in report.allowlisted:
-        lines.append(
-            f"  [{entry.tag}] table {verdict.row.table} row "
-            f"{verdict.row.index} ({entry.kind}): {entry.note}"
-        )
-    if report.failures:
-        lines.append(f"FAILURES: {len(report.failures)}")
-        for verdict in report.failures:
-            lines.append(
-                f"  table {verdict.row.table} row {verdict.row.index} "
-                f"pair {verdict.row.pair.describe()}: "
-                + "; ".join(verdict.reasons)
-            )
-    if report.unused_allowlist:
-        lines.append("allowlist entries that no longer fire:")
-        for entry in report.unused_allowlist:
-            lines.append(
-                f"  table {entry.table} row {entry.index} kind {entry.kind}"
-            )
-    lines.append("result: " + ("PASS" if report.ok else "FAIL"))
-    return "\n".join(lines) + "\n"

@@ -876,13 +876,24 @@ def test_import_loads_only_what_every_command_needs(code, expected):
     ("argv", "added"),
     [
         (["--help"], set()),
-        (["verify-state"], {"checks", "reports"}),
-        (["sample", "--runs", "10", "--seed", "1"], {"reports", "sampling"}),
+        (["verify-state"], {"checks", "reports", "text"}),
+        (["sample", "--runs", "10", "--seed", "1"], {"reports", "sampling", "text"}),
         (["sample", "--runs", "0", "--seed", "1"], {"sampling"}),
-        (["davn"], {"lhv", "postselect", "reports"}),
-        (["paradox", "--outcome", "0,2,3,3"], {"lhv", "postselect", "reports"}),
-        (["tables", "--table", "I"], {"postselect", "reports"}),
-        (["fixtures-diff"], {"fixtures", "postselect", "reports"}),
+        (["davn"], {"lhv", "postselect", "reports", "text"}),
+        (["paradox", "--outcome", "0,2,3,3"],
+         {"lhv", "postselect", "reports", "text"}),
+        (["tables", "--table", "I"], {"postselect", "reports", "text"}),
+        (["fixtures-diff"], {"fixtures", "postselect", "reports", "text"}),
+        # A JSON report compiles no text or markdown renderer.
+        (["verify-state", "--format", "json"], {"checks", "reports"}),
+        (["sample", "--runs", "10", "--seed", "1", "--format", "json"],
+         {"reports", "sampling"}),
+        (["davn", "--format", "json"], {"lhv", "postselect", "reports"}),
+        (["paradox", "--outcome", "0,2,3,3", "--format", "json"],
+         {"lhv", "postselect", "reports"}),
+        (["tables", "--table", "I", "--format", "json"], {"postselect", "reports"}),
+        (["fixtures-diff", "--format", "json"],
+         {"fixtures", "postselect", "reports"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, added):

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import davn.reports
 from davn.factory import build_psi_1234
 from davn.lhv import verify_davn
 from davn.postselect import Constraint
 from davn.reports import (
     constraint_json, paradox_json, ratio_str, render_state, to_json,
-    two_decimals,
 )
 from davn.states import StateVector
+from davn.text import two_decimals
 
 #: Every code point, lone surrogates included, weighted towards the ones
 #: JSON escapes: the C0 controls, DEL, the short escapes and astral
@@ -96,6 +97,21 @@ def test_to_json_refuses_a_key_that_is_not_a_string(key):
         to_json({"ok": 0, key: 0})
 
 
+def test_to_json_quotes_each_distinct_key_once(monkeypatch):
+    # A davn report repeats 16 key strings about 900 times; each is
+    # quoted once per call, and a key that needs escapes still matches.
+    calls, quote = [], davn.reports._quote
+
+    def counting_quote(text):
+        calls.append(text)
+        return quote(text)
+
+    payload = {"rows": [{"k": n, 'q"é': -n} for n in range(50)], "k": 0}
+    monkeypatch.setattr(davn.reports, "_quote", counting_quote)
+    assert to_json(payload) == json.dumps(payload, indent=2) + "\n"
+    assert sorted(calls) == sorted(["rows", "k", 'q"é'])
+
+
 def fraction_two_decimals(num, den):
     """The rendering that two_decimals replaced, on a Fraction."""
     whole, hundredths = divmod(round(Fraction(num, den) * 100), 100)
@@ -155,12 +171,13 @@ def test_paradox_json_shares_each_distinct_constraint_set():
 
 def test_render_state_writes_the_norm_the_goldens_miss():
     # A norm of 1 has no suffix, a non-square norm is a square root, and
-    # the empty state is an empty sum over a zero norm.
+    # the empty state has no normalisation to write.
     one = StateVector(4, {(0, 1, 2, 3): 3})
     three = StateVector(4, {(0, 0, 0, 0): 0, (1, 1, 1, 1): 1, (2, 2, 2, 2): 2})
     assert render_state(one) == "(-i|0123>)"
     assert render_state(three) == "(|0000>+i|1111>-|2222>)/sqrt(3)"
-    assert render_state(StateVector(4, {})) == "()/0"
+    with pytest.raises(ValueError, match="zero norm"):
+        render_state(StateVector(4, {}))
 
 
 def test_two_decimals_rounds_the_exact_value():
