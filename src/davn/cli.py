@@ -14,8 +14,10 @@ Exit codes are a stable contract: 0 all checks pass, 1 a verification
 failed, 2 usage or input error.  ``COMMANDS`` declares every option; a
 well-formed command line is parsed without argparse, which is imported
 only for help, usage errors and unusual syntax.  ``main`` is the
-in-process API; a ``davn`` process enters through ``run``, which
-freezes the heap after ``main`` so that shutdown does not collect it.
+in-process API; a ``davn`` process enters through ``run``, which ends it
+by ``os._exit`` after flushing stdout and running the atexit handlers,
+so no module teardown runs.  A report that cannot reach stdout (closed,
+full or with no reader) exits 2.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .states import BasisKet
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import NoReturn
 
 #: Home module of each name a command imports on first use, so that a
 #: command loads only the modules it runs.  ``reports`` is the module;
@@ -76,6 +79,8 @@ def _emit(text: str, output: str | None) -> None:
         from pathlib import Path
 
         Path(output).write_text(text, encoding="utf-8")
+    elif sys.stdout is None:
+        raise OSError("standard output is closed; name a file with -o")
     else:
         sys.stdout.write(text)
 
@@ -89,22 +94,21 @@ def _parse_outcome(text: str, n_sites: int) -> BasisKet:
         raise ValueError(
             f"outcome must be {n_sites} comma-separated digits, e.g. 0,2,3,3"
         )
-    outcome = tuple(int(p) for p in parts)
-    if any(not 0 <= k <= 3 for k in outcome):
+    outcome = tuple(map(int, parts))
+    if max(outcome) > 3:  # the digits are ASCII, so no exponent is negative
         raise ValueError("outcome exponents must be in 0..3 (i^k per site)")
     return outcome
 
 
 def cmd_verify_state(args: argparse.Namespace | SimpleNamespace) -> int:
-    name = args.state
     _load("run_state_checks", "reports")
-    _, checks = run_state_checks(name)
+    _, checks = run_state_checks(args.state)
     if args.format == "json":
-        _emit(reports.checks_json(name, checks), args.output)
+        _emit(reports.checks_json(args.state, checks), args.output)
     else:
         from .text import render_checks_text
 
-        _emit(render_checks_text(name, checks), args.output)
+        _emit(render_checks_text(args.state, checks), args.output)
     return 0 if all(c.passed for c in checks) else 1
 
 
@@ -287,7 +291,7 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     anything else (help, ``--flag=value``, abbreviations, missing options,
     bad values), which argparse, the one formatter of errors, then parses.
     """
-    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
         return None
     _, func, options = COMMANDS[argv[0]]
     values = {"command": argv[0], "func": func}
@@ -323,18 +327,30 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def run() -> int:
-    """``main()`` on ``sys.argv``, then ``gc.freeze()``: the entry of
-    ``python -m davn``, ``python -m davn.cli`` and the console script.
-    Shutdown still flushes the streams and runs atexit handlers, but no
-    longer collects the frozen heap (nothing here has a ``__del__``, and
-    every file written is closed).  Help and argparse usage errors leave
-    ``main`` by ``SystemExit``, before any freeze."""
-    code = main()
-    import gc  # a process that only imports davn.cli never loads it
-    gc.freeze()
-    return code
+def run() -> NoReturn:
+    """``main()`` on ``sys.argv``, ended by ``os._exit`` after a checked
+    flush of stdout and the atexit handlers: the one way out of
+    ``python -m davn``, ``python -m davn.cli`` and the console script."""
+    import atexit
+    import os
+
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    atexit._run_exitfuncs()
+    try:
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, formats, determinism, file output."""
 
 import argparse
+import atexit
 import gc
 import hashlib
 import importlib.util
@@ -578,7 +579,7 @@ def test_files_are_read_and_written_as_utf8(tmp_path):
     command = [*davn, "davn", "--format", "json", "-o", str(target)]
     report = subprocess.run(command, capture_output=True)
     assert (report.returncode, report.stdout, report.stderr) == (0, b"", b"")
-    # The process exits with a frozen heap; the file must still be whole.
+    # The process ends by os._exit; the file must still be whole.
     digests = {argv: digest for argv, _, digest in GOLDENS}
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digests[
         ("davn", "--format", "json")
@@ -598,41 +599,39 @@ def in_process(argv):
 
 
 #: Runs ``python -m MODULE`` (the first argument) on the remaining ones,
-#: and at exit writes the heap's freeze count at start and at exit to
-#: stderr as its last line.  The count at start need not be 0: some
-#: interpreters (CPython 3.12.1) start with objects already frozen.
+#: with an atexit handler that writes ``atexit ran`` to stderr as its
+#: last line.
 RUN_MODULE_PROBE = """\
-import atexit, gc, runpy, sys
-start = gc.get_freeze_count()
-atexit.register(lambda: print(start, gc.get_freeze_count(), file=sys.stderr))
+import atexit, runpy, sys
+atexit.register(lambda: print("atexit ran", file=sys.stderr))
 module = sys.argv.pop(1)
 runpy.run_module(module, run_name="__main__", alter_sys=True)"""
 
 
 @pytest.mark.parametrize("module", ["davn", "davn.cli"])
 @pytest.mark.parametrize(
-    ("argv", "frozen"),
+    "argv",
     [
-        (["tables", "--table", "I"], True),
-        (["davn", "--state", "psi4-embedded"], True),
-        (["sample", "--runs", "0", "--seed", "1"], True),
-        # Help and usage errors leave main by SystemExit: no freeze.
-        (["--help"], False),
-        (["tables"], False),
+        ["tables", "--table", "I"],
+        ["davn", "--state", "psi4-embedded"],
+        ["sample", "--runs", "0", "--seed", "1"],
+        # Help and usage errors leave main by SystemExit.
+        ["--help"],
+        ["tables"],
     ],
     ids=["exit-0", "exit-1", "exit-2", "help", "usage-error"],
 )
-def test_a_davn_process_exits_with_its_heap_frozen(monkeypatch, module, argv, frozen):
-    # Shutdown skips collecting a frozen heap; every path on which main
-    # returns a code freezes it, and output and exit code stay the same.
+def test_a_davn_process_exits_with_its_heap_frozen(monkeypatch, module, argv):
+    # run ends the process by os._exit, which leaves the heap as it
+    # stands: no collection, no module teardown.  The atexit handlers
+    # (coverage, say) still run, and output and exit code are main's.
     result = subprocess.run(
         [sys.executable, "-S", "-c", RUN_MODULE_PROBE, module, *argv],
         capture_output=True, text=True, encoding="utf-8",
         env=child_env(COLUMNS="80"),
     )
-    *err, freeze_counts = result.stderr.splitlines(keepends=True)
-    start, end = map(int, freeze_counts.split())
-    assert (end > start) == frozen
+    *err, last = result.stderr.splitlines(keepends=True)
+    assert last == "atexit ran\n"
     monkeypatch.setenv("COLUMNS", "80")
     assert (result.returncode, result.stdout, "".join(err)) == in_process(argv)
 
@@ -646,17 +645,51 @@ def test_main_in_process_leaves_the_heap_unfrozen():
     assert gc.get_freeze_count() == before
 
 
-def test_run_freezes_once_after_main_returns(monkeypatch):
-    calls = []
+class Exited(Exception):
+    """Raised by a stand-in for ``os._exit``, which never returns."""
+
+
+@pytest.mark.parametrize(
+    ("outcome", "flush", "calls", "err"),
+    [
+        (1, None, ["main", "flush", "atexit", "exit 1"], ""),
+        (SystemExit(2), None, ["main", "flush", "atexit", "exit 2"], ""),
+        (0, BrokenPipeError(32, "Broken pipe"), ["main", "flush", "atexit", "exit 2"],
+         "error: [Errno 32] Broken pipe\n"),
+        # fd 1 closed: nothing to flush, and _emit reports a lost report.
+        (0, "closed", ["main", "atexit", "exit 0"], ""),
+    ],
+    ids=["main-returns", "main-exits", "flush-fails", "stdout-closed"],
+)
+def test_run_flushes_stdout_then_runs_atexit_then_exits(
+    monkeypatch, capsys, outcome, flush, calls, err
+):
+    log = []
 
     def fake_main():
-        calls.append("main")
-        return 1
+        log.append("main")
+        if isinstance(outcome, SystemExit):
+            raise outcome
+        return outcome
+
+    def fake_flush():
+        log.append("flush")
+        if flush is not None:
+            raise flush
+
+    def fake_exit(code):
+        log.append(f"exit {code}")
+        raise Exited
 
     monkeypatch.setattr(cli, "main", fake_main)
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-    assert cli.run() == 1
-    assert calls == ["main", "freeze"]
+    stdout = None if flush == "closed" else types.SimpleNamespace(flush=fake_flush)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: log.append("atexit"))
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Exited):
+        cli.run()
+    assert log == calls
+    assert capsys.readouterr().err == err
 
 
 #: The packaged fixture files by name, read once for the mutation fuzz.
@@ -811,6 +844,61 @@ def test_a_stdout_with_no_reader_is_an_input_error():
     err = result.stderr.decode("utf-8")
     assert_exit_contract(result.returncode, err)
     assert (result.returncode, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+#: Reports that fit in stdout's buffer, which only the flush at exit writes.
+SMALL_REPORTS = {
+    "paradox": ["paradox", "--outcome", "0,2,3,3"],
+    "verify-state": ["verify-state"],
+    "help": ["--help"],
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "sink", "unbuffered"),
+    [(command, sink, unbuffered) for command in SMALL_REPORTS
+     for sink in ("no-reader", "/dev/full") for unbuffered in (False, True)
+     # argparse ignores a failed write of the help, which PYTHONUNBUFFERED
+     # makes fail at once instead of at the flush.
+     if not (unbuffered and command == "help")],
+    ids=lambda value: {False: "buffered", True: "unbuffered",
+                       "/dev/full": "dev-full"}.get(value, value),
+)
+def test_a_stdout_that_takes_no_bytes_is_an_input_error(command, sink, unbuffered):
+    # Users and CI leave PYTHONUNBUFFERED unset, so a small report waits
+    # in the buffer and only the flush at exit can fail.
+    env = child_env(PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full on this host")
+        write = os.open(sink, os.O_WRONLY)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "davn", *SMALL_REPORTS[command]],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    err = result.stderr.decode("utf-8")
+    assert_exit_contract(result.returncode, err)
+    assert result.returncode == 2
+
+
+def test_a_closed_stdout_is_an_input_error():
+    # fd 1 is closed before the interpreter starts, so sys.stdout is None.
+    result = subprocess.run(
+        [sys.executable, "-m", "davn", *SMALL_REPORTS["paradox"]],
+        stderr=subprocess.PIPE, env=child_env(), timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    err = result.stderr.decode("utf-8")
+    assert_exit_contract(result.returncode, err)
+    assert result.returncode == 2
 
 
 def test_import_pulls_in_neither_dataclasses_nor_inspect():
