@@ -168,25 +168,19 @@ def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
     return StabilizerAudit(z_word_fixes(state, p), digit_rule_holds)
 
 
-
 def commutation_phase_audit(d: int) -> int:
     """Sign relating X**(d/2) Z**(d/2) and Z**(d/2) X**(d/2) for even d.
 
     Swapping the halves multiplies by omega**((d/2)**2) with
-    omega = exp(2*pi*i/d), which is +1 or -1 for even d; the value is -1
-    (anticommuting, qubit-like) exactly when d/2 is odd.  Returned as
-    +1 or -1.
+    omega = exp(2*pi*i/d); (d/2)**2 mod d is 0 for even d/2 and d/2 for
+    odd d/2, so the sign is -1 (anticommuting, qubit-like) exactly when
+    d/2 is odd, and +1 otherwise.
     """
     if d % 2 or d < 2:
         raise ValueError("d must be a positive even integer")
     if d > 64:
         raise ValueError("audit supports d up to 64")
-    exponent = (d // 2) ** 2 % d
-    if exponent == 0:
-        return 1
-    if 2 * exponent == d:
-        return -1
-    raise AssertionError("(d/2)**2 mod d is always 0 or d/2 for even d")
+    return -1 if d // 2 % 2 else 1
 
 
 class Check:
@@ -331,10 +325,11 @@ def checks_psi4_embedded(state: StateVector) -> list[Check]:
     return checks
 
 
-def run_state_checks(name: str) -> tuple[StateVector, list[Check]]:
-    state = build_state(name)
-    if name == "psi1234":
-        return state, checks_psi1234(state)
-    if name == "psi4-qubit":
-        return state, checks_psi4_qubit(state)
-    return state, checks_psi4_embedded(state)
+#: Each built-in state's check suite, by state name.
+_SUITES = {"psi1234": checks_psi1234, "psi4-qubit": checks_psi4_qubit,
+           "psi4-embedded": checks_psi4_embedded}
+
+
+def run_state_checks(name: str) -> list[Check]:
+    state = build_state(name)  # first: it rejects an unknown name
+    return _SUITES[name](state)

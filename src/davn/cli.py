@@ -16,8 +16,8 @@ well-formed command line is parsed without argparse, which is imported
 only for help, usage errors and unusual syntax.  ``main`` is the
 in-process API; a ``davn`` process enters through ``run``, which ends it
 by ``os._exit`` after flushing stdout and running the atexit handlers,
-so no module teardown runs.  A report that cannot reach stdout (closed,
-full or with no reader) exits 2.
+so no module teardown runs.  A report or help text that cannot reach
+stdout (full or with no reader, or a report to a closed stdout) exits 2.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def _parse_outcome(text: str, n_sites: int) -> BasisKet:
 
 def cmd_verify_state(args: argparse.Namespace | SimpleNamespace) -> int:
     _load("run_state_checks", "reports")
-    _, checks = run_state_checks(args.state)
+    checks = run_state_checks(args.state)
     if args.format == "json":
         _emit(reports.checks_json(args.state, checks), args.output)
     else:
@@ -269,7 +269,13 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # argparse drops a failed write
+            if file is None and sys.stdout is not None:
+                return _emit(self.format_help(), None)
+            super().print_help(file)
+
+    parser = Parser(
         prog="davn",
         description=(
             "Exact verification of a four-ququart deterministic "
@@ -319,8 +325,8 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_plain(argv) or build_parser().parse_args(argv)
     try:
+        args = _parse_plain(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,7 +95,8 @@ TABLE_ALIASES = {
 def canonical_table_label(label: str) -> str:
     name = label.strip().upper()
     name = TABLE_ALIASES.get(name, name)
-    if name not in TABLE_BLOCKS:
+    # ASCII as given: strip and upper turn some non-ASCII labels into ASCII.
+    if not label.isascii() or name not in TABLE_BLOCKS:
         raise ValueError(f"unknown table label: {quote_input(label)}")
     return name
 

@@ -7,8 +7,8 @@ exact eigen-relations of that residual yields the deterministic
 value constraints of the argument:
 
 * basic constraint  - the first eigenword found in row-major scan order,
-* extended constraint - its even-exponent consequence (the square for an
-  odd-degree basic, the basic itself when it is already even),
+* extended constraint - its even-exponent consequence: the square
+  ((2u, 2v), 2t) mod 4 of an odd basic ((u, v), t), else the basic,
 * ``---``            - no eigenword exists for that residual.
 
 Single-site words (u or v = 0) are not candidates: they never fix the
@@ -232,8 +232,8 @@ def derive_constraints(
 
     Returns (all eigenwords in scan order, basic, extended).  The basic
     constraint is the first eigenword found; the extended one is its
-    even-exponent form, which is itself an eigen-relation (squaring an
-    eigen-relation squares the eigenvalue).  The scan is a pure function
+    even-exponent form, computed rather than scanned for, as squaring an
+    eigen-relation squares the eigenvalue.  The scan is a pure function
     of the phases, so the function is its own memo, keyed on the
     residual (one object per distinct residual of a state); the memo
     keeps no exception, so an invalid residual raises on every call.
@@ -253,18 +253,10 @@ def derive_constraints(
     if not eigenwords:
         return eigenwords, None, None
     basic = eigenwords[0]
-    (u, v), _ = basic
+    (u, v), t = basic
     if u % 2 == 0 and v % 2 == 0:
         return eigenwords, basic, basic
-    # The square of an odd word may act on one site only (u or v even),
-    # so it is tested on its own rather than looked up among the nine.
-    u, v = 2 * u % 4, 2 * v % 4
-    t = _shift_eigenvalue(phases, u, v)
-    if t is None:
-        raise AssertionError(
-            f"square of eigenword {basic} did not verify; scan is broken"
-        )
-    return eigenwords, basic, ((u, v), t)
+    return eigenwords, basic, ((2 * u % 4, 2 * v % 4), 2 * t % 4)
 
 
 SITE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))

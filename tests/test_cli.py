@@ -122,6 +122,13 @@ def test_tables_unknown_label(capsys):
     code, _, err = run_cli(capsys, "tables", "--table", "XI")
     assert code == 2
     assert "unknown table" in err
+    # Labels are ASCII as given: str.upper would map the dotless i to I,
+    # and strip would drop the ideographic space.
+    for label in ("\u0131\u0131", "\u3000I"):
+        code, out, err = run_cli(capsys, "tables", "--table", label)
+        assert (code, out) == (2, "")
+        assert_exit_contract(code, err)
+        assert "unknown table label" in err
 
 
 def test_paradox_command(capsys):
@@ -316,6 +323,19 @@ def test_fixtures_diff_rejects_a_row_of_another_table(tmp_path, capsys):
         " file): 'table=II | pair=Z1=1,Z2=1 | residual=00:0;13:1;22:2;31:3"
         " | basic=1,3:-i | extended=2,2:-1'\n"
     )
+
+
+def test_fixtures_diff_rejects_a_non_ascii_table_label(tmp_path, capsys):
+    # "\u0131\u0131" (dotless i) upper-cases to "II".
+    table = copy_fixtures(tmp_path) / "table_II.txt"
+    text = table.read_text(encoding="utf-8")
+    table.write_text(
+        text.replace("table=II |", "table=\u0131\u0131 |", 1), encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, "fixtures-diff", "--dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert_exit_contract(code, err)
+    assert err.startswith("error: table_II.txt: bad fixture line 3 (unknown table label")
 
 
 def test_fixtures_diff_rejects_a_row_before_any_block_header(tmp_path, capsys):
@@ -857,16 +877,14 @@ SMALL_REPORTS = {
 @pytest.mark.parametrize(
     ("command", "sink", "unbuffered"),
     [(command, sink, unbuffered) for command in SMALL_REPORTS
-     for sink in ("no-reader", "/dev/full") for unbuffered in (False, True)
-     # argparse ignores a failed write of the help, which PYTHONUNBUFFERED
-     # makes fail at once instead of at the flush.
-     if not (unbuffered and command == "help")],
+     for sink in ("no-reader", "/dev/full") for unbuffered in (False, True)],
     ids=lambda value: {False: "buffered", True: "unbuffered",
                        "/dev/full": "dev-full"}.get(value, value),
 )
 def test_a_stdout_that_takes_no_bytes_is_an_input_error(command, sink, unbuffered):
     # Users and CI leave PYTHONUNBUFFERED unset, so a small report waits
-    # in the buffer and only the flush at exit can fail.
+    # in the buffer and only the flush at exit can fail.  Unbuffered, the
+    # help's own write fails, which argparse alone would ignore.
     env = child_env(PYTHONUNBUFFERED="1")
     if not unbuffered:
         del env["PYTHONUNBUFFERED"]
@@ -899,6 +917,18 @@ def test_a_closed_stdout_is_an_input_error():
     err = result.stderr.decode("utf-8")
     assert_exit_contract(result.returncode, err)
     assert result.returncode == 2
+
+
+def test_help_to_a_closed_stdout_goes_to_stderr():
+    # With no stdout there is no report to lose: argparse writes the help
+    # to stderr instead.
+    result = subprocess.run(
+        [sys.executable, "-m", "davn", "--help"],
+        stderr=subprocess.PIPE, env=child_env(), timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert result.returncode == 0
+    assert result.stderr.decode("utf-8").startswith("usage: davn ")
 
 
 def test_import_pulls_in_neither_dataclasses_nor_inspect():

@@ -24,6 +24,7 @@ from davn.fixtures import (
     parse_fixture_text,
     verify_reference_row,
 )
+from davn import postselect
 from davn.lhv import verify_davn
 from davn.postselect import (
     CANDIDATE_WORDS,
@@ -215,6 +216,25 @@ def test_a_fresh_refutation_compares_states_only_to_share_residuals(monkeypatch)
     )
     verify_davn(build_psi_1234())
     assert 0 < len(calls) <= 58
+
+
+@pytest.mark.parametrize(
+    ("name", "shifts"), [("psi1234", 9 * 38), ("psi4-embedded", 27)]
+)
+def test_each_distinct_residual_is_scanned_once(monkeypatch, name, shifts):
+    # Nine candidate words per distinct residual (38 among psi1234's 96
+    # selections, 3 among psi4-embedded's 24) and no further test: an
+    # extended constraint is its basic one squared, not looked up again.
+    _selections.cache_clear()
+    derive_constraints.cache_clear()
+    calls = []
+    shift = postselect._shift_eigenvalue
+    monkeypatch.setattr(
+        postselect, "_shift_eigenvalue", lambda *a: calls.append(1) or shift(*a)
+    )
+    verify_davn(build_state(name))
+    assert len(calls) == shifts
+    assert derive_constraints.cache_info().misses * 9 == shifts
 
 
 def test_residual_norm_matches_projected_weight():
