@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Commands:
+Commands, each run by the ``run(args)`` of its module in
+``davn.commands``:
 
 * ``verify-state``  - run the exact check suite of a built-in state
 * ``tables``        - regenerate a condition table from the state
@@ -12,12 +13,14 @@ Commands:
 
 Exit codes are a stable contract: 0 all checks pass, 1 a verification
 failed, 2 usage or input error.  ``COMMANDS`` declares every option; a
-well-formed command line is parsed without argparse, which is imported
-only for help, usage errors and unusual syntax.  ``main`` is the
-in-process API; a ``davn`` process enters through ``run``, which ends it
-by ``os._exit`` after flushing stdout and running the atexit handlers,
-so no module teardown runs.  A report or help text that cannot reach
-stdout (full or with no reader, or a report to a closed stdout) exits 2.
+well-formed command line is parsed without argparse, which
+``davn.usage`` imports only for help, usage errors and unusual syntax.
+``main`` is the in-process API; it imports the module of the parsed
+command alone, so a command compiles no other command's code.  A
+``davn`` process enters through ``run``, which ends it by ``os._exit``
+after flushing stdout and running the atexit handlers, so no module
+teardown runs.  A report or help text that cannot reach stdout (full or
+with no reader, or a report to a closed stdout) exits 2.
 """
 
 from __future__ import annotations
@@ -26,22 +29,19 @@ import sys
 from importlib import import_module
 from types import SimpleNamespace
 
-from .factory import (
-    STATE_NAMES, TABLE_ALIASES, TABLE_BLOCKS, TABLE_LABELS, build_state,
-    canonical_table_label,
-)
-from .states import BasisKet
+from .factory import STATE_NAMES, TABLE_ALIASES, TABLE_LABELS, build_state
 
 # Type checkers take any TYPE_CHECKING as true; run time skips the block.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import argparse
     from typing import NoReturn
 
 #: Home module of each name a command imports on first use, so that a
 #: command loads only the modules it runs.  ``reports`` is the module;
 #: each command imports its text renderer from ``text`` in its non-JSON
-#: branch, so a JSON report compiles none of them.
+#: branch, so a JSON report compiles none of them.  The commands call
+#: these names and ``build_state`` as attributes of this module, where a
+#: tracer can replace them.
 _LAZY = {
     "reports": "reports",
     "run_state_checks": "checks",
@@ -60,18 +60,9 @@ def __getattr__(name: str):
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     module = import_module(f".{home}", __package__)
-    # ``_load`` calls this for bound names too: whatever is bound (a
-    # wrapper installed by a tracer, say) stays.
     return globals().setdefault(
         name, module if name == home else getattr(module, name)
     )
-
-
-def _load(*names: str) -> None:
-    """Bind each name of ``_LAZY`` that is not yet a global of this
-    module; the commands then call it through the global."""
-    for name in names:
-        __getattr__(name)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -83,144 +74,6 @@ def _emit(text: str, output: str | None) -> None:
         raise OSError("standard output is closed; name a file with -o")
     else:
         sys.stdout.write(text)
-
-
-def _parse_outcome(text: str, n_sites: int) -> BasisKet:
-    parts = [p.strip() for p in text.split(",")]
-    # isdigit alone admits non-ASCII digits (Arabic-Indic, superscripts).
-    if len(parts) != n_sites or not all(
-        p.isascii() and p.isdigit() for p in parts
-    ):
-        raise ValueError(
-            f"outcome must be {n_sites} comma-separated digits, e.g. 0,2,3,3"
-        )
-    outcome = tuple(map(int, parts))
-    if max(outcome) > 3:  # the digits are ASCII, so no exponent is negative
-        raise ValueError("outcome exponents must be in 0..3 (i^k per site)")
-    return outcome
-
-
-def cmd_verify_state(args: argparse.Namespace | SimpleNamespace) -> int:
-    _load("run_state_checks", "reports")
-    checks = run_state_checks(args.state)
-    if args.format == "json":
-        _emit(reports.checks_json(args.state, checks), args.output)
-    else:
-        from .text import render_checks_text
-
-        _emit(render_checks_text(args.state, checks), args.output)
-    return 0 if all(c.passed for c in checks) else 1
-
-
-def cmd_tables(args: argparse.Namespace | SimpleNamespace) -> int:
-    label = canonical_table_label(args.table)
-    _load("table_for_outcome", "reports")
-    state = build_state("psi1234")
-    blocks = [
-        (outcome, table_for_outcome(state, outcome))
-        for outcome in TABLE_BLOCKS[label]
-    ]
-    if args.format == "json":
-        text = reports.render_table_json(label, blocks)
-    elif args.format in ("markdown", "md"):
-        from .text import render_table_markdown
-
-        text = render_table_markdown(label, blocks)
-    else:
-        from .text import render_table_text
-
-        text = render_table_text(label, blocks)
-    _emit(text, args.output)
-    return 0
-
-
-def cmd_paradox(args: argparse.Namespace | SimpleNamespace) -> int:
-    state = build_state(args.state)
-    outcome = _parse_outcome(args.outcome, state.n_sites)
-    if outcome not in state.phases:
-        raise ValueError(
-            f"outcome {args.outcome} has probability 0; only the "
-            f"{len(state.phases)} supported outcomes admit a paradox"
-        )
-    _load("verify_paradox", "reports")
-    report = verify_paradox(state, outcome)
-    if args.format == "json":
-        payload = reports.paradox_json(report, include_rows=True)
-        payload = {"schema": "davn.paradox/1", "state": args.state, **payload}
-        _emit(reports.to_json(payload), args.output)
-    else:
-        from .text import render_paradox_text
-
-        _emit(render_paradox_text(report), args.output)
-    return 0 if report.is_paradox else 1
-
-
-def cmd_davn(args: argparse.Namespace | SimpleNamespace) -> int:
-    state = build_state(args.state)
-    _load("verify_davn", "reports")
-    report = verify_davn(state)
-    if args.format == "json":
-        _emit(reports.davn_json(report), args.output)
-    else:
-        from .text import render_davn_text
-
-        _emit(render_davn_text(report), args.output)
-    return 0 if report.verdict == "DAVN" else 1
-
-
-def cmd_sample(args: argparse.Namespace | SimpleNamespace) -> int:
-    from .sampling import sample_outcomes
-
-    state = build_state(args.state)
-    summary = sample_outcomes(state, args.runs, args.seed)
-    _load("reports")
-    if args.format == "json":
-        _emit(reports.sample_json(args.state, summary), args.output)
-    else:
-        from .text import render_sample_text
-
-        _emit(render_sample_text(args.state, summary), args.output)
-    return 0
-
-
-def cmd_fixtures_diff(args: argparse.Namespace | SimpleNamespace) -> int:
-    from pathlib import Path
-
-    _load("parse_fixture_text", "check_table_shape", "parse_allowlist",
-          "diff_fixture_rows", "reports")
-    packaged = Path(__file__).with_name("fixtures")
-    fixdir = packaged if args.dir is None else Path(args.dir)
-    state = build_state("psi1234")
-    rows = []
-    # utf-8-sig skips a byte-order mark at the start of a file.
-    for label in TABLE_LABELS:
-        resource = fixdir / f"table_{label}.txt"
-        try:
-            table = parse_fixture_text(resource.read_text(encoding="utf-8-sig"), label)
-            check_table_shape(table, label)
-        except FileNotFoundError as exc:
-            raise ValueError(f"missing fixture table {label}: {exc}") from exc
-        except (ValueError, OSError) as exc:
-            raise ValueError(f"{resource.name}: {exc}") from exc
-        rows += table
-    resource = fixdir / "allowlist.txt"
-    try:
-        # A missing allowlist excuses nothing; an unreadable or
-        # undecodable one is an input error that names the file.
-        try:
-            allowlist_text = resource.read_text(encoding="utf-8-sig")
-        except FileNotFoundError:
-            allowlist_text = ""
-        report = diff_fixture_rows(state, rows, parse_allowlist(allowlist_text))
-    except (ValueError, OSError) as exc:
-        raise ValueError(f"{resource.name}: {exc}") from exc
-    if args.format == "json":
-        _emit(reports.diff_json(report), args.output)
-    else:
-        from .text import render_diff_text
-
-        _emit(render_diff_text(report), args.output)
-    return 0 if report.ok else 1
 
 
 #: The options every command takes after its own.
@@ -236,71 +89,45 @@ _ANY_STATE = (("--state",), {"choices": STATE_NAMES, "default": "psi1234"})
 _DAVN_STATE = (("--state",), {"choices": ("psi1234", "psi4-embedded"),
                               "default": "psi1234"})
 
-#: Each command's help line, handler and options, in ``--help`` order.
-#: An option is the ``(flags, keywords)`` of its ``add_argument`` call,
-#: long flag last; this is the only place an option is declared.
+#: Each command's help line and options, in ``--help`` order; command
+#: ``a-b`` runs in module ``davn.commands.a_b``.  An option is the
+#: ``(flags, keywords)`` of its ``add_argument`` call, long flag last;
+#: this is the only place an option is declared.
 COMMANDS = {
-    "verify-state": ("run a state's exact check suite", cmd_verify_state,
-                     [_ANY_STATE]),
-    "tables": ("regenerate a condition table", cmd_tables, [
+    "verify-state": ("run a state's exact check suite", [_ANY_STATE]),
+    "tables": ("regenerate a condition table", [
         (("--table",), {"required": True, "metavar": "LABEL", "help":
          "one of: " + ", ".join([*TABLE_LABELS, *sorted(TABLE_ALIASES)])}),
     ]),
-    "paradox": ("refute the LHV model for one outcome", cmd_paradox, [
+    "paradox": ("refute the LHV model for one outcome", [
         (("--outcome",), {"required": True, "metavar": "K1,K2,K3,K4", "help":
          "Z outcomes as phase exponents, e.g. 0,2,3,3 for 1,-1,-i,-i"}),
         _DAVN_STATE,
     ]),
-    "davn": ("refute the LHV model on the whole support", cmd_davn,
-             [_DAVN_STATE]),
-    "sample": ("seeded draw from the exact distribution", cmd_sample, [
+    "davn": ("refute the LHV model on the whole support", [_DAVN_STATE]),
+    "sample": ("seeded draw from the exact distribution", [
         (("--runs",), {"type": int, "required": True}),
         (("--seed",), {"type": int, "required": True}),
         _ANY_STATE,
     ]),
-    "fixtures-diff": ("diff reference tables against the derivation",
-                      cmd_fixtures_diff, [
+    "fixtures-diff": ("diff reference tables against the derivation", [
         (("--dir",), {"metavar": "PATH", "default": None, "help":
          "fixture directory (default: the packaged tables)"}),
     ]),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        def print_help(self, file=None):  # argparse drops a failed write
-            if file is None and sys.stdout is not None:
-                return _emit(self.format_help(), None)
-            super().print_help(file)
-
-    parser = Parser(
-        prog="davn",
-        description=(
-            "Exact verification of a four-ququart deterministic "
-            "all-versus-nothing Bell-nonlocality argument."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, func, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        for flags, keywords in (*options, *_COMMON):
-            p.add_argument(*flags, **keywords)
-        p.set_defaults(func=func)
-    return parser
-
-
 def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
     """Parse ``COMMAND FLAG VALUE ...``, each flag declared exactly and no
-    value starting with ``-``, as ``build_parser`` would; return None for
-    anything else (help, ``--flag=value``, abbreviations, missing options,
-    bad values), which argparse, the one formatter of errors, then parses.
+    value starting with ``-``, as ``usage.build_parser`` would; return None
+    for anything else (help, ``--flag=value``, abbreviations, missing
+    options, bad values), which argparse, the one formatter of errors,
+    then parses.
     """
     if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
         return None
-    _, func, options = COMMANDS[argv[0]]
-    values = {"command": argv[0], "func": func}
+    _, options = COMMANDS[argv[0]]
+    values = {"command": argv[0]}
     by_flag, required = {}, set()
     for flags, keywords in (*options, *_COMMON):
         dest = flags[-1][2:]
@@ -326,8 +153,13 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse_plain(argv) or build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parse_plain(argv)
+        if args is None:
+            from .usage import build_parser
+
+            args = build_parser().parse_args(argv)
+        command = args.command.replace("-", "_")
+        return import_module(f".commands.{command}", __package__).run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,0 +1,33 @@
+"""``davn tables``: regenerate a condition table from the state."""
+
+from __future__ import annotations
+
+from types import SimpleNamespace
+
+from .. import cli
+from ..factory import TABLE_BLOCKS, canonical_table_label
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import argparse
+
+
+def run(args: argparse.Namespace | SimpleNamespace) -> int:
+    label = canonical_table_label(args.table)
+    state = cli.build_state("psi1234")
+    blocks = [
+        (outcome, cli.table_for_outcome(state, outcome))
+        for outcome in TABLE_BLOCKS[label]
+    ]
+    if args.format == "json":
+        text = cli.reports.render_table_json(label, blocks)
+    elif args.format in ("markdown", "md"):
+        from ..text import render_table_markdown
+
+        text = render_table_markdown(label, blocks)
+    else:
+        from ..text import render_table_text
+
+        text = render_table_text(label, blocks)
+    cli._emit(text, args.output)
+    return 0

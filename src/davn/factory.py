@@ -34,18 +34,28 @@ _PSI_1234_COMPONENTS = """
 """
 
 
-def _parse_components(text: str) -> dict[BasisKet, int]:
-    terms: dict[BasisKet, int] = {}
-    for token in text.split():
-        digits, value = token.split(":")
-        ket = tuple(int(c) for c in digits)
-        if ket in terms:
-            raise ValueError(f"duplicate component {digits}")
-        terms[ket] = parse_phase(value)
-    return terms
+def _parse_components(text: str) -> list[dict[BasisKet, int]]:
+    """One dict of ket -> phase exponent per line of ``text``; a ket
+    written twice anywhere in the text raises ValueError."""
+    lines, seen = [], set()
+    for line in text.strip().splitlines():
+        terms: dict[BasisKet, int] = {}
+        for token in line.split():
+            digits, value = token.split(":")
+            ket = tuple(map(int, digits))
+            if ket in seen:
+                raise ValueError(f"duplicate component {digits}")
+            seen.add(ket)
+            terms[ket] = parse_phase(value)
+        lines.append(terms)
+    return lines
 
 
-PSI_1234_TERMS: dict[BasisKet, int] = _parse_components(_PSI_1234_COMPONENTS)
+_COMPONENT_LINES = _parse_components(_PSI_1234_COMPONENTS)
+
+PSI_1234_TERMS: dict[BasisKet, int] = {
+    ket: t for line in _COMPONENT_LINES for ket, t in line.items()
+}
 
 #: The ten condition tables, in document order.  Tables beyond the first
 #: two come in A/B twins, one per phase of a family's +-i components.
@@ -54,7 +64,7 @@ TABLE_LABELS = (
 )
 
 
-def _table_blocks(text: str) -> dict[str, tuple[BasisKet, ...]]:
+def _table_blocks(lines: list[dict]) -> dict[str, tuple[BasisKet, ...]]:
     """The outcomes of each condition table, in table order.
 
     Table I is the first component line.  Each later line is one family:
@@ -63,18 +73,17 @@ def _table_blocks(text: str) -> dict[str, tuple[BasisKet, ...]]:
     the six family lines.  A line of the wrong length is a transcription
     error and raises AssertionError, as the checksum does.
     """
-    lines = [tuple(_parse_components(line)) for line in text.strip().splitlines()]
     shape = [len(line) for line in lines]
     if shape != [2, 9, 9, 9, 9, 9, 9]:
         raise AssertionError(
             f"component lines hold {shape} terms, expected 2 then six of 9"
         )
-    first, *families = lines
+    first, *families = map(tuple, lines)
     return dict(zip(TABLE_LABELS, (first, *zip(*families))))
 
 
 #: Outcome kets of each table, one block per outcome.
-TABLE_BLOCKS = _table_blocks(_PSI_1234_COMPONENTS)
+TABLE_BLOCKS = _table_blocks(_COMPONENT_LINES)
 
 #: The table each of the 56 outcome kets belongs to, the label of its
 #: family: I covers the two constant outcomes, II the placements of two

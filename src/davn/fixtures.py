@@ -15,7 +15,7 @@ from functools import lru_cache
 from .factory import TABLE_BLOCKS, canonical_table_label
 from .postselect import SITE_PAIRS, Eigenword, PairSelection, _constraint_row
 from .states import (
-    BasisKet, StateVector, outcome_digits, parse_phase, phase_between, quote_input,
+    BasisKet, StateVector, outcome_digits, parse_phase, quote_input,
 )
 
 # Table files and the allowlist share one line grammar: fields
@@ -209,6 +209,24 @@ class RowVerdict:
     @property
     def reasons(self) -> tuple[str, ...]:
         return sum(self.failed.values(), ())
+
+
+def phase_between(a: dict, b: dict) -> int | None:
+    """c with a[k] == b[k] + c (mod 4) on one common support, or None.
+
+    On phase-exponent maps this is the global phase i**c between the
+    two amplitude maps; the first ket fixes c.
+    """
+    if a.keys() != b.keys():
+        return None
+    first = next(iter(a), None)
+    if first is None:
+        return 0
+    c = (a[first] - b[first]) % 4
+    for k, t in a.items():
+        if (t - b[k]) % 4 != c:
+            return None
+    return c
 
 
 def verify_reference_row(state: StateVector, row: FixtureRow) -> RowVerdict:

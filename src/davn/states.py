@@ -141,21 +141,3 @@ class StateVector:
     def support(self) -> list[BasisKet]:
         """Kets with nonzero amplitude, in lexicographic order."""
         return sorted(self.phases)
-
-
-def phase_between(a: dict, b: dict) -> int | None:
-    """c with a[k] == b[k] + c (mod 4) on one common support, or None.
-
-    On phase-exponent maps this is the global phase i**c between the
-    two amplitude maps; the first ket fixes c.
-    """
-    if a.keys() != b.keys():
-        return None
-    first = next(iter(a), None)
-    if first is None:
-        return 0
-    c = (a[first] - b[first]) % 4
-    for k, t in a.items():
-        if (t - b[k]) % 4 != c:
-            return None
-    return c

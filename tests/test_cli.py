@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 import davn
 from davn import cli
 from davn.cli import main
+from davn.usage import build_parser
 from reference import reference_parser
 from test_goldens import GOLDENS
 
@@ -985,15 +986,21 @@ NO_COMMAND_LOADS = {"decimal", "fractions", "json", "numbers"}
 def test_import_loads_only_what_every_command_needs(code, expected):
     loaded = loaded_modules(code)
     assert {m for m in loaded if m.split(".")[0] == "davn"} == expected
+    # The argparse parser and the commands load in main, as needed.
+    assert not {"davn.usage", "davn.commands"} & loaded
     # pathlib serves fixtures-diff and -o only, and no command needs
     # importlib.resources (with zipfile and tempfile).
     assert not {"importlib.resources", "pathlib"} & loaded
 
 
+def command_module(name: str) -> str:
+    """The module that runs command ``name``."""
+    return f"davn.commands.{name.replace('-', '_')}"
+
+
 @pytest.mark.parametrize(
     ("argv", "added"),
     [
-        (["--help"], set()),
         (["verify-state"], {"checks", "reports", "text"}),
         (["sample", "--runs", "10", "--seed", "1"], {"reports", "sampling", "text"}),
         (["sample", "--runs", "0", "--seed", "1"], {"sampling"}),
@@ -1012,19 +1019,36 @@ def test_import_loads_only_what_every_command_needs(code, expected):
         (["tables", "--table", "I", "--format", "json"], {"postselect", "reports"}),
         (["fixtures-diff", "--format", "json"],
          {"fixtures", "postselect", "reports"}),
+        # Syntax that the plain parser declines goes through argparse,
+        # and then the command runs as above.
+        (["tables", "--table=I", "--format=json"],
+         {"usage", "postselect", "reports"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, added):
     # Compiling a module is a large share of a short command when no
-    # bytecode cache is written, so each command imports the engine
-    # modules it calls, and no others.
+    # bytecode cache is written, so each command imports its own module
+    # and the engine modules it calls, and no others.
     loaded = loaded_modules(RUN_MAIN, *argv)
-    expected = CLI_MODULES | {f"davn.{name}" for name in added}
+    expected = (CLI_MODULES | {"davn.commands", command_module(argv[0])}
+                | {f"davn.{name}" for name in added})
     assert {m for m in loaded if m.split(".")[0] == "davn"} == expected
     assert not NO_COMMAND_LOADS & loaded
     if argv[:3] == ["sample", "--runs", "0"]:
         # A rejected run stops before any report is rendered.
         assert "json" not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["tables", "--help"], ["tables"], ["davn", "--state", "psi0"],
+     ["fix"]],
+    ids=["help", "command-help", "missing-option", "bad-choice", "bad-command"],
+)
+def test_help_and_usage_errors_load_the_parser_and_no_command(argv):
+    loaded = loaded_modules(RUN_MAIN, *argv)
+    expected = CLI_MODULES | {"davn.usage"}
+    assert {m for m in loaded if m.split(".")[0] == "davn"} == expected
 
 
 NO_ARGPARSE = {"argparse", "gettext", "locale"}
@@ -1134,7 +1158,7 @@ def option_values(keywords):
 def generated_command_line(rng):
     """A command line from the option table, then up to three mutations."""
     name = rng.choice(list(cli.COMMANDS))
-    _, _, options = cli.COMMANDS[name]
+    _, options = cli.COMMANDS[name]
     options = [*options, *cli._COMMON]
     pairs = []
     for flags, keywords in options:
@@ -1176,7 +1200,7 @@ def test_plain_parser_accepts_a_strict_subset_of_argparse():
     # plain parser declines, so argparse alone prints help and errors.
     rng = random.Random(20)
     corpus = [generated_command_line(rng) for _ in range(6000)]
-    parser = cli.build_parser()
+    parser = build_parser()
     plain_count = 0
     for argv in corpus:
         plain = cli._parse_plain(argv)
@@ -1216,8 +1240,9 @@ def test_goldens_and_benchmark_command_lines_take_the_plain_path(tmp_path):
 
 def test_command_annotations_admit_both_namespaces():
     # argparse is bound only for type checkers, so it is supplied here.
-    for _, func, _ in cli.COMMANDS.values():
-        hints = typing.get_type_hints(func, localns={"argparse": argparse})
+    for name in cli.COMMANDS:
+        module = importlib.import_module(command_module(name))
+        hints = typing.get_type_hints(module.run, localns={"argparse": argparse})
         assert hints == {
             "args": argparse.Namespace | types.SimpleNamespace, "return": int,
         }

@@ -349,4 +349,4 @@ def test_table_blocks_trip_on_a_misshapen_component_line(old, new):
     text = factory._PSI_1234_COMPONENTS
     assert old in text
     with pytest.raises(AssertionError):
-        factory._table_blocks(text.replace(old, new, 1))
+        factory._table_blocks(factory._parse_components(text.replace(old, new, 1)))

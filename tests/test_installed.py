@@ -53,9 +53,11 @@ def build(tmp_path_factory):
 
 
 def test_build_holds_every_module_and_fixture_file(build):
+    # rglob, so a subpackage left out of the build fails here too; no
+    # *.py file sits in a __pycache__ directory.
     for pattern in ("*.py", "fixtures/*.txt"):
-        source = {p.relative_to(PACKAGE) for p in PACKAGE.glob(pattern)}
-        built = {p.relative_to(build / "davn") for p in (build / "davn").glob(pattern)}
+        source = {p.relative_to(PACKAGE) for p in PACKAGE.rglob(pattern)}
+        built = {p.relative_to(build / "davn") for p in (build / "davn").rglob(pattern)}
         assert source and built == source
 
 

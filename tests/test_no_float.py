@@ -19,7 +19,8 @@ import pytest
 
 import davn
 
-MODULES = sorted(Path(davn.__file__).parent.glob("*.py"))
+PACKAGE = Path(davn.__file__).parent
+MODULES = sorted(PACKAGE.rglob("*.py"))
 MATH_ALLOWED = {"gcd", "isqrt"}
 NOT_IMPORTED = {"decimal", "fractions", "json", "numbers"}
 
@@ -60,11 +61,17 @@ def float_uses(tree: ast.AST) -> list[str]:
     return found
 
 
+def module_id(path: Path) -> str:
+    return path.relative_to(PACKAGE).as_posix()
+
+
 def test_every_module_is_walked():
-    assert {"states.py", "postselect.py", "reports.py"} <= {p.name for p in MODULES}
+    assert {"states.py", "postselect.py", "reports.py", "commands/paradox.py"} <= {
+        module_id(p) for p in MODULES
+    }
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[module_id(p) for p in MODULES])
 def test_no_float_enters_the_package(path):
     assert float_uses(ast.parse(path.read_text(encoding="utf-8"), str(path))) == []
 
@@ -80,7 +87,7 @@ def imported_modules(tree: ast.AST) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES, ids=[module_id(p) for p in MODULES])
 def test_no_module_imports_json_or_fractions(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert not imported_modules(tree) & NOT_IMPORTED

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from davn.states import StateVector, outcome_digits, phase_between, quote_input
+from davn.fixtures import phase_between
+from davn.states import StateVector, outcome_digits, quote_input
 from reference import (
     PauliWord,
     apply_to_state,
