@@ -191,4 +191,6 @@ def run() -> NoReturn:
 
 
 if __name__ == "__main__":
+    # Also davn.cli, so the command modules do not compile this file again.
+    sys.modules["davn"].cli = sys.modules["davn.cli"] = sys.modules[__name__]
     run()

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from math import isqrt
 from operator import itemgetter
 
-from .states import BasisKet, StateVector, phase_str
+from .states import BasisKet, StateVector, outcome_digits, phase_str
 
 #: An eigen-relation of a two-site residual: ((u, v), eigenvalue exponent).
 Eigenword = tuple[tuple[int, int], int]
@@ -159,6 +160,32 @@ def constraint_from_row(
     exps[sites[0]] = u
     exps[sites[1]] = v
     return Constraint(tuple(exps), t)
+
+
+def lift_words(row: ConstraintRow, *words: Eigenword | None) -> list[Constraint | None]:
+    """Each of ``row``'s words as its four-site constraint; None stays None."""
+    return [constraint_from_row(row.sites, word) if word else None for word in words]
+
+
+#: The sign of a ket-sum term, by its phase exponent.
+_SIGNS = ("+", "+i", "-", "-i")
+
+
+def render_state(state: StateVector) -> str:
+    """Ket-sum rendering with the exact normalisation as a suffix.  A
+    state of zero norm has no normalisation and raises ValueError."""
+    phases = state.phases
+    if not phases:
+        raise ValueError("a state of zero norm has no normalisation")
+    terms = "".join(
+        f"{_SIGNS[phases[ket]]}|{outcome_digits(ket)}>" for ket in state.support()
+    )
+    body = "(" + terms.removeprefix("+") + ")"
+    n = state.norm_sq
+    if n == 1:
+        return body
+    root = isqrt(n)
+    return body + (f"/{root}" if root * root == n else f"/sqrt({n})")
 
 
 def postselect_pair(state: StateVector, pair: PairSelection) -> StateVector:

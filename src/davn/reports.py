@@ -5,15 +5,14 @@ rationals are rendered as strings like ``1/56``, and nothing
 time-dependent is included, so byte-identical reruns are guaranteed for
 the non-sampling commands.  The schemas are documented in the README.
 Text and markdown reports live in `davn.text`, which a ``--format
-json`` command does not import.
+json`` command does not import; neither renderer imports the other.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import isqrt
 
-from .states import BasisKet, StateVector, outcome_digits, phase_str, ratio_str
+from .states import BasisKet, phase_str, ratio_str
 
 # Type checkers take any TYPE_CHECKING as true; at run time the block is
 # skipped, so rendering a report does not import typing.
@@ -24,7 +23,7 @@ if TYPE_CHECKING:
     from .checks import Check
     from .fixtures import DiffReport
     from .lhv import DavnReport, ParadoxReport
-    from .postselect import Constraint, ConstraintRow, Eigenword
+    from .postselect import Constraint, ConstraintRow
     from .sampling import SampleSummary
 
 
@@ -108,27 +107,6 @@ def outcome_json(outcome: BasisKet) -> dict[str, Any]:
     }
 
 
-#: The sign of a ket-sum term, by its phase exponent.
-_SIGNS = ("+", "+i", "-", "-i")
-
-
-def render_state(state: StateVector) -> str:
-    """Ket-sum rendering with the exact normalisation as a suffix.  A
-    state of zero norm has no normalisation and raises ValueError."""
-    phases = state.phases
-    if not phases:
-        raise ValueError("a state of zero norm has no normalisation")
-    terms = "".join(
-        f"{_SIGNS[phases[ket]]}|{outcome_digits(ket)}>" for ket in state.support()
-    )
-    body = "(" + terms.removeprefix("+") + ")"
-    n = state.norm_sq
-    if n == 1:
-        return body
-    root = isqrt(n)
-    return body + (f"/{root}" if root * root == n else f"/sqrt({n})")
-
-
 @cache
 def constraint_json(constraint: Constraint) -> dict[str, Any]:
     """One shared dict per distinct constraint; callers must not mutate it."""
@@ -152,17 +130,14 @@ def _constraint_list(constraints: tuple[Constraint, ...]) -> list[dict[str, Any]
 # --- condition tables -----------------------------------------------------
 
 
-def _lift(row: ConstraintRow, *words: Eigenword | None) -> list[Constraint | None]:
-    """Each of ``row``'s words as its four-site constraint; None stays None."""
-    from .postselect import constraint_from_row
-
-    return [constraint_from_row(row.sites, word) if word else None for word in words]
-
-
 def table_rows_json(rows: tuple[ConstraintRow, ...]) -> list[dict[str, Any]]:
+    from .postselect import lift_words, render_state
+
     out = []
     for row in rows:
-        basic, extended, *words = _lift(row, row.basic, row.extended, *row.eigenwords)
+        basic, extended, *words = lift_words(
+            row, row.basic, row.extended, *row.eigenwords
+        )
         out.append(
             {
                 "pair": row.pair.describe(),

@@ -1,15 +1,15 @@
 """Rendering of derived objects as text and markdown.
 
 A command imports this module only for a text or markdown report, so a
-``--format json`` command compiles none of it.  The cells a table row
-shares with its JSON form (the lifted constraints, the residual's ket
-sum) come from `davn.reports`.
+``--format json`` command compiles none of it.  Like `davn.reports`, it
+reads only the engine: the cells a table row shares with its JSON form
+(the lifted constraints, the residual's ket sum) come from
+`davn.postselect`, which a report with no table row does not load.
 """
 
 from __future__ import annotations
 
-from .reports import _lift, render_state
-from .states import outcome_digits, phase_str, ratio_str
+from .states import BasisKet, outcome_digits, phase_str, ratio_str
 
 # Type checkers take any TYPE_CHECKING as true; at run time the block is
 # skipped, so rendering a report does not import typing.
@@ -20,18 +20,20 @@ if TYPE_CHECKING:
     from .lhv import DavnReport, ParadoxReport
     from .postselect import ConstraintRow
     from .sampling import SampleSummary
-    from .states import BasisKet
 
 
-def outcome_eigenvalues(outcome: BasisKet) -> str:
-    return ",".join(map(phase_str, outcome))
+def outcome_label(outcome: BasisKet) -> str:
+    eigenvalues = ",".join(map(phase_str, outcome))
+    return f"outcome {outcome_digits(outcome)} (Z = {eigenvalues})"
 
 
 # --- condition tables -----------------------------------------------------
 
 
 def _row_cells(row: ConstraintRow) -> tuple[str, str, str, str]:
-    basic, extended = _lift(row, row.basic, row.extended)
+    from .postselect import lift_words, render_state
+
+    basic, extended = lift_words(row, row.basic, row.extended)
     return (
         row.pair.describe(),
         render_state(row.residual),
@@ -45,10 +47,7 @@ def render_table_text(
 ) -> str:
     lines = [f"condition table {label}"]
     for number, (outcome, rows) in enumerate(blocks, start=1):
-        lines.append(
-            f"\nblock {number}: outcome {outcome_digits(outcome)} "
-            f"(Z = {outcome_eigenvalues(outcome)})"
-        )
+        lines.append(f"\nblock {number}: {outcome_label(outcome)}")
         cells = [_row_cells(row) for row in rows]
         widths = [max(len(c[i]) for c in cells) for i in range(4)]
         for c in cells:
@@ -64,10 +63,7 @@ def render_table_markdown(
 ) -> str:
     lines = [f"## Condition table {label}"]
     for number, (outcome, rows) in enumerate(blocks, start=1):
-        lines.append(
-            f"\n### Block {number}: outcome {outcome_digits(outcome)} "
-            f"(Z = {outcome_eigenvalues(outcome)})"
-        )
+        lines.append(f"\n### Block {number}: {outcome_label(outcome)}")
         lines.append("| pair | residual | basic | extended |")
         lines.append("|---|---|---|---|")
         for row in rows:
@@ -81,8 +77,7 @@ def render_table_markdown(
 
 def render_paradox_text(report: ParadoxReport) -> str:
     lines = [
-        f"outcome {outcome_digits(report.outcome)} "
-        f"(Z = {outcome_eigenvalues(report.outcome)})",
+        outcome_label(report.outcome),
         f"type: {report.type_label or 'unclassified'}    "
         f"probability: {ratio_str(*report.probability)}",
         "",

@@ -657,6 +657,31 @@ def test_a_davn_process_exits_with_its_heap_frozen(monkeypatch, module, argv):
     assert (result.returncode, result.stdout, "".join(err)) == in_process(argv)
 
 
+#: Runs ``python -m davn.cli`` on the process's arguments, with an
+#: atexit handler that writes to stderr whether the module running as
+#: ``__main__`` is the ``davn.cli`` that the command modules import.
+SAME_CLI_PROBE = """\
+import atexit, runpy, sys
+atexit.register(lambda: print(
+    sys.modules["davn.cli"] is sys.modules["__main__"] is sys.modules["davn"].cli,
+    file=sys.stderr,
+))
+runpy.run_module("davn.cli", run_name="__main__", alter_sys=True)"""
+
+
+def test_python_m_davn_cli_runs_the_one_cli_module():
+    # Else the command module imports davn.cli and compiles cli.py again.
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", SAME_CLI_PROBE, "davn", "--format", "json"],
+        capture_output=True, env=child_env(),
+    )
+    digests = {argv: digest for argv, _, digest in GOLDENS}
+    assert (result.returncode, result.stderr) == (0, b"True\n")
+    assert hashlib.sha256(result.stdout).hexdigest() == digests[
+        ("davn", "--format", "json")
+    ]
+
+
 def test_main_in_process_leaves_the_heap_unfrozen():
     # Tests and the benchmark's traced passes call main in process.
     before = gc.get_freeze_count()
@@ -1001,14 +1026,14 @@ def command_module(name: str) -> str:
 @pytest.mark.parametrize(
     ("argv", "added"),
     [
-        (["verify-state"], {"checks", "reports", "text"}),
-        (["sample", "--runs", "10", "--seed", "1"], {"reports", "sampling", "text"}),
+        # A text or markdown report compiles no JSON writer.
+        (["verify-state"], {"checks", "text"}),
+        (["sample", "--runs", "10", "--seed", "1"], {"sampling", "text"}),
         (["sample", "--runs", "0", "--seed", "1"], {"sampling"}),
-        (["davn"], {"lhv", "postselect", "reports", "text"}),
-        (["paradox", "--outcome", "0,2,3,3"],
-         {"lhv", "postselect", "reports", "text"}),
-        (["tables", "--table", "I"], {"postselect", "reports", "text"}),
-        (["fixtures-diff"], {"fixtures", "postselect", "reports", "text"}),
+        (["davn"], {"lhv", "postselect", "text"}),
+        (["paradox", "--outcome", "0,2,3,3"], {"lhv", "postselect", "text"}),
+        (["tables", "--table", "I"], {"postselect", "text"}),
+        (["fixtures-diff"], {"fixtures", "postselect", "text"}),
         # A JSON report compiles no text or markdown renderer.
         (["verify-state", "--format", "json"], {"checks", "reports"}),
         (["sample", "--runs", "10", "--seed", "1", "--format", "json"],
@@ -1023,6 +1048,8 @@ def command_module(name: str) -> str:
         # and then the command runs as above.
         (["tables", "--table=I", "--format=json"],
          {"usage", "postselect", "reports"}),
+        # Markdown renders its rows with text's cells: no JSON writer.
+        (["tables", "--table", "I", "--format", "md"], {"postselect", "text"}),
     ],
 )
 def test_each_command_loads_only_the_modules_it_runs(argv, added):
@@ -1037,6 +1064,16 @@ def test_each_command_loads_only_the_modules_it_runs(argv, added):
     if argv[:3] == ["sample", "--runs", "0"]:
         # A rejected run stops before any report is rendered.
         assert "json" not in loaded
+
+
+def test_a_renderer_imports_neither_the_other_renderer_nor_postselect():
+    # Importing either renderer loads only states; a table row's shared
+    # cells load postselect when the first row is rendered.
+    for renderer in ("davn.text", "davn.reports"):
+        loaded = loaded_modules(f"import {renderer}")
+        assert {m for m in loaded if m.split(".")[0] == "davn"} == {
+            "davn", "davn.states", renderer,
+        }
 
 
 @pytest.mark.parametrize(

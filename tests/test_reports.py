@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 import davn.reports
 from davn.factory import build_psi_1234
 from davn.lhv import verify_davn
-from davn.postselect import Constraint
-from davn.reports import (
-    constraint_json, paradox_json, ratio_str, render_state, to_json,
-)
+from davn.postselect import Constraint, render_state
+from davn.reports import constraint_json, paradox_json, ratio_str, to_json
 from davn.states import StateVector
 from davn.text import two_decimals
 
