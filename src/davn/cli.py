@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Commands, each run by the ``run(args)`` of its module in
-``davn.commands``:
+Commands, each a ``run`` of its module in ``davn.commands`` that takes
+the command's options as keywords and returns its report and exit code:
 
 * ``verify-state``  - run the exact check suite of a built-in state
 * ``tables``        - regenerate a condition table from the state
@@ -15,19 +15,20 @@ Exit codes are a stable contract: 0 all checks pass, 1 a verification
 failed, 2 usage or input error.  ``COMMANDS`` declares every option; a
 well-formed command line is parsed without argparse, which
 ``davn.usage`` imports only for help, usage errors and unusual syntax.
-``main`` is the in-process API; it imports the module of the parsed
-command alone, so a command compiles no other command's code.  A
-``davn`` process enters through ``run``, which ends it by ``os._exit``
-after flushing stdout and running the atexit handlers, so no module
-teardown runs.  A report or help text that cannot reach stdout (full or
-with no reader, or a report to a closed stdout) exits 2.
+``main`` is the in-process API and the one writer of reports: it
+parses, imports the module of the parsed command alone (so a command
+compiles no other command's code), writes what its ``run`` returns to
+stdout or a non-empty ``-o`` and returns the exit code.  A ``davn``
+process enters through ``run``, which ends it by ``os._exit`` after
+flushing stdout and running the atexit handlers, so no module teardown
+runs.  A report or help text that cannot reach stdout (full or with no
+reader, or a report to a closed stdout) exits 2.
 """
 
 from __future__ import annotations
 
 import sys
 from importlib import import_module
-from types import SimpleNamespace
 
 from .factory import STATE_NAMES, TABLE_ALIASES, TABLE_LABELS, build_state
 
@@ -66,7 +67,7 @@ def __getattr__(name: str):
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    if output is not None:
         from pathlib import Path
 
         Path(output).write_text(text, encoding="utf-8")
@@ -117,12 +118,12 @@ COMMANDS = {
 }
 
 
-def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+def _parse_plain(argv: list[str]) -> dict[str, object] | None:
     """Parse ``COMMAND FLAG VALUE ...``, each flag declared exactly and no
-    value starting with ``-``, as ``usage.build_parser`` would; return None
-    for anything else (help, ``--flag=value``, abbreviations, missing
-    options, bad values), which argparse, the one formatter of errors,
-    then parses.
+    value starting with ``-``, to the dict that ``usage.build_parser``
+    would give; return None for anything else (help, ``--flag=value``,
+    abbreviations, missing options, bad values), which argparse, the one
+    formatter of errors, then parses.
     """
     if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
         return None
@@ -147,19 +148,25 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
             return None
         values[dest] = value
         required.discard(dest)
-    return None if required else SimpleNamespace(**values)
+    return None if required else values
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse_plain(argv)
-        if args is None:
+        options = _parse_plain(argv)
+        if options is None:
             from .usage import build_parser
 
-            args = build_parser().parse_args(argv)
-        command = args.command.replace("-", "_")
-        return import_module(f".commands.{command}", __package__).run(args)
+            options = vars(build_parser().parse_args(argv))
+        command = options.pop("command").replace("-", "_")
+        output = options.pop("output")
+        if output == "":
+            raise ValueError("-o names no file")
+        module = import_module(f".commands.{command}", __package__)
+        text, code = module.run(**options)
+        _emit(text, output)
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

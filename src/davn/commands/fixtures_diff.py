@@ -4,19 +4,14 @@ the derivation, honouring the discrepancy allowlist."""
 from __future__ import annotations
 
 from pathlib import Path
-from types import SimpleNamespace
 
 from .. import cli
 from ..factory import TABLE_LABELS
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    import argparse
 
-
-def run(args: argparse.Namespace | SimpleNamespace) -> int:
+def run(*, dir: str | None, format: str) -> tuple[str, int]:
     packaged = Path(__file__).parent.with_name("fixtures")
-    fixdir = packaged if args.dir is None else Path(args.dir)
+    fixdir = packaged if dir is None else Path(dir)
     state = cli.build_state("psi1234")
     rows = []
     # utf-8-sig skips a byte-order mark at the start of a file.
@@ -45,10 +40,10 @@ def run(args: argparse.Namespace | SimpleNamespace) -> int:
         )
     except (ValueError, OSError) as exc:
         raise ValueError(f"{resource.name}: {exc}") from exc
-    if args.format == "json":
-        cli._emit(cli.reports.diff_json(report), args.output)
+    if format == "json":
+        text = cli.reports.diff_json(report)
     else:
         from ..text import render_diff_text
 
-        cli._emit(render_diff_text(report), args.output)
-    return 0 if report.ok else 1
+        text = render_diff_text(report)
+    return text, 0 if report.ok else 1

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from .. import cli
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    import argparse
-
     from ..states import BasisKet
 
 
@@ -28,21 +24,21 @@ def _parse_outcome(text: str, n_sites: int) -> BasisKet:
     return outcome
 
 
-def run(args: argparse.Namespace | SimpleNamespace) -> int:
-    state = cli.build_state(args.state)
-    outcome = _parse_outcome(args.outcome, state.n_sites)
-    if outcome not in state.phases:
+def run(*, outcome: str, state: str, format: str) -> tuple[str, int]:
+    vector = cli.build_state(state)
+    ket = _parse_outcome(outcome, vector.n_sites)
+    if ket not in vector.phases:
         raise ValueError(
-            f"outcome {args.outcome} has probability 0; only the "
-            f"{len(state.phases)} supported outcomes admit a paradox"
+            f"outcome {outcome} has probability 0; only the "
+            f"{len(vector.phases)} supported outcomes admit a paradox"
         )
-    report = cli.verify_paradox(state, outcome)
-    if args.format == "json":
+    report = cli.verify_paradox(vector, ket)
+    if format == "json":
         payload = cli.reports.paradox_json(report, include_rows=True)
-        payload = {"schema": "davn.paradox/1", "state": args.state, **payload}
-        cli._emit(cli.reports.to_json(payload), args.output)
+        payload = {"schema": "davn.paradox/1", "state": state, **payload}
+        text = cli.reports.to_json(payload)
     else:
         from ..text import render_paradox_text
 
-        cli._emit(render_paradox_text(report), args.output)
-    return 0 if report.is_paradox else 1
+        text = render_paradox_text(report)
+    return text, 0 if report.is_paradox else 1

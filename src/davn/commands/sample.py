@@ -2,25 +2,18 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from .. import cli
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    import argparse
 
-
-def run(args: argparse.Namespace | SimpleNamespace) -> int:
+def run(*, runs: int, seed: int, state: str, format: str) -> tuple[str, int]:
     # Looked up on its module at each call, where a tracer replaces it.
     from ..sampling import sample_outcomes
 
-    state = cli.build_state(args.state)
-    summary = sample_outcomes(state, args.runs, args.seed)
-    if args.format == "json":
-        cli._emit(cli.reports.sample_json(args.state, summary), args.output)
+    summary = sample_outcomes(cli.build_state(state), runs, seed)
+    if format == "json":
+        text = cli.reports.sample_json(state, summary)
     else:
         from ..text import render_sample_text
 
-        cli._emit(render_sample_text(args.state, summary), args.output)
-    return 0
+        text = render_sample_text(state, summary)
+    return text, 0

@@ -2,26 +2,20 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 from .. import cli
 from ..factory import TABLE_BLOCKS, canonical_table_label
 
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    import argparse
 
-
-def run(args: argparse.Namespace | SimpleNamespace) -> int:
-    label = canonical_table_label(args.table)
+def run(*, table: str, format: str) -> tuple[str, int]:
+    label = canonical_table_label(table)
     state = cli.build_state("psi1234")
     blocks = [
         (outcome, cli.table_for_outcome(state, outcome))
         for outcome in TABLE_BLOCKS[label]
     ]
-    if args.format == "json":
+    if format == "json":
         text = cli.reports.render_table_json(label, blocks)
-    elif args.format in ("markdown", "md"):
+    elif format in ("markdown", "md"):
         from ..text import render_table_markdown
 
         text = render_table_markdown(label, blocks)
@@ -29,5 +23,4 @@ def run(args: argparse.Namespace | SimpleNamespace) -> int:
         from ..text import render_table_text
 
         text = render_table_text(label, blocks)
-    cli._emit(text, args.output)
-    return 0
+    return text, 0

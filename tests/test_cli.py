@@ -1,10 +1,10 @@
 """CLI behaviour: exit codes, formats, determinism, file output."""
 
-import argparse
 import atexit
 import gc
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -875,6 +875,22 @@ def test_unwritable_output_file_is_an_input_error(tmp_path, capsys, target):
     assert_exit_contract(code, err)
 
 
+@pytest.mark.parametrize(
+    ("flags", "plain"), [(["-o", ""], True), (["--output="], False)],
+    ids=["plain", "argparse"],
+)
+def test_an_empty_output_path_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                flags, plain):
+    # Either parser hands main the empty path: an input error, not a
+    # report to stdout, and no file written.
+    argv = ["tables", "--table", "I", *flags]
+    assert (cli._parse_plain(argv) is not None) == plain
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: -o names no file\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_a_stdout_with_no_reader_is_an_input_error():
     # The pipe's read end is closed before the child starts, so its first
     # write fails whatever the timing.
@@ -1248,7 +1264,7 @@ def test_plain_parser_accepts_a_strict_subset_of_argparse():
             assert plain is None, argv
             continue
         if plain is not None:
-            assert vars(plain) == expected, argv
+            assert plain == expected, argv
             plain_count += 1
     # At least a tenth of the corpus takes each path.
     assert len(corpus) // 10 < plain_count < len(corpus) * 9 // 10
@@ -1275,11 +1291,22 @@ def test_goldens_and_benchmark_command_lines_take_the_plain_path(tmp_path):
         assert cli._parse_plain(argv) is not None, argv
 
 
-def test_command_annotations_admit_both_namespaces():
-    # argparse is bound only for type checkers, so it is supplied here.
-    for name in cli.COMMANDS:
-        module = importlib.import_module(command_module(name))
-        hints = typing.get_type_hints(module.run, localns={"argparse": argparse})
-        assert hints == {
-            "args": argparse.Namespace | types.SimpleNamespace, "return": int,
-        }
+def test_each_command_runs_on_its_own_options_as_keywords():
+    # main writes the report and the -o file; run takes every other option.
+    for name, (_, options) in cli.COMMANDS.items():
+        run = importlib.import_module(command_module(name)).run
+        dests = [flags[-1][2:] for flags, _ in (*options, *cli._COMMON)]
+        parameters = inspect.signature(run).parameters.values()
+        assert [p.name for p in parameters] == [d for d in dests if d != "output"]
+        assert {p.kind for p in parameters} == {inspect.Parameter.KEYWORD_ONLY}
+        assert typing.get_type_hints(run)["return"] == tuple[str, int]
+
+
+def test_a_command_returns_its_report_and_writes_nothing(capsys):
+    from davn.commands import tables
+
+    text, code = tables.run(table="I", format="md")
+    assert capsys.readouterr() == ("", "")
+    argv = ("tables", "--table", "I", "--format", "md")
+    (digest,) = [d for args, c, d in GOLDENS if (args, c) == (argv, code)]
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -334,6 +334,10 @@ def test_transcription_checksum_trips_on_corruption():
     del broken[(0, 0, 2, 2)]
     with pytest.raises(AssertionError):
         factory._check_transcription(broken)
+    # 56 kets and the right census again, but one of digit sum 1 mod 4.
+    broken[(0, 0, 0, 1)] = PSI_1234_TERMS[(0, 0, 2, 2)]
+    with pytest.raises(AssertionError, match="digit sum != 0 mod 4"):
+        factory._check_transcription(broken)
 
 
 @pytest.mark.parametrize(
