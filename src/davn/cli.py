@@ -18,11 +18,11 @@ well-formed command line is parsed without argparse, which
 ``main`` is the in-process API and the one writer of reports: it
 parses, imports the module of the parsed command alone (so a command
 compiles no other command's code), writes what its ``run`` returns to
-stdout or a non-empty ``-o`` and returns the exit code.  A ``davn``
-process enters through ``run``, which ends it by ``os._exit`` after
-flushing stdout and running the atexit handlers, so no module teardown
-runs.  A report or help text that cannot reach stdout (full or with no
-reader, or a report to a closed stdout) exits 2.
+stdout or a non-empty ``-o`` and returns the exit code, also for help
+and usage errors.  A report or help text that stdout refuses at the
+write or its flush (full or with no reader, or closed for a report)
+exits 2.  A ``davn`` process enters through ``run``, which ends it by
+``os._exit`` after the atexit handlers, so no module teardown runs.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ def _emit(text: str, output: str | None) -> None:
         raise OSError("standard output is closed; name a file with -o")
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 #: The options every command takes after its own.
@@ -158,11 +159,16 @@ def main(argv: list[str] | None = None) -> int:
         if options is None:
             from .usage import build_parser
 
-            options = vars(build_parser().parse_args(argv))
+            try:
+                options = vars(build_parser().parse_args(argv))
+            except SystemExit as exc:  # help (0) or a usage error (2)
+                return exc.code
         command = options.pop("command").replace("-", "_")
         output = options.pop("output")
         if output == "":
             raise ValueError("-o names no file")
+        if options.get("dir") == "":
+            raise ValueError("--dir names no directory")
         module = import_module(f".commands.{command}", __package__)
         text, code = module.run(**options)
         _emit(text, output)
@@ -173,22 +179,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> NoReturn:
-    """``main()`` on ``sys.argv``, ended by ``os._exit`` after a checked
-    flush of stdout and the atexit handlers: the one way out of
+    """End the process with ``main()``'s code on ``sys.argv``, by
+    ``os._exit`` after the atexit handlers: the one way out of
     ``python -m davn``, ``python -m davn.cli`` and the console script."""
     import atexit
     import os
 
-    try:
-        code = main()
-    except SystemExit as exc:
-        code = exc.code
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
+    code = main()
     atexit._run_exitfuncs()
     try:
         sys.stderr.flush()

@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, formats, determinism, file output."""
 
+import ast
 import atexit
 import gc
 import hashlib
@@ -13,7 +14,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import types
 import typing
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -572,10 +572,13 @@ def test_output_file_writing(tmp_path, capsys):
     assert payload["verdict"] == "DAVN"
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["tables"])  # missing required --table
-    assert exc.value.code == 2
+def test_usage_error_exit_code(capsys):
+    code, out, err = run_cli(capsys, "tables")  # missing required --table
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: davn tables ")
+    assert err.endswith(
+        "davn tables: error: the following arguments are required: --table\n"
+    )
 
 
 def test_json_reports_are_byte_identical_across_processes():
@@ -608,14 +611,10 @@ def test_files_are_read_and_written_as_utf8(tmp_path):
 
 
 def in_process(argv):
-    """``main(argv)``'s exit code, stdout and stderr, a ``SystemExit``
-    from argparse included."""
+    """``main(argv)``'s exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -636,7 +635,6 @@ runpy.run_module(module, run_name="__main__", alter_sys=True)"""
         ["tables", "--table", "I"],
         ["davn", "--state", "psi4-embedded"],
         ["sample", "--runs", "0", "--seed", "1"],
-        # Help and usage errors leave main by SystemExit.
         ["--help"],
         ["tables"],
     ],
@@ -695,47 +693,23 @@ class Exited(Exception):
     """Raised by a stand-in for ``os._exit``, which never returns."""
 
 
-@pytest.mark.parametrize(
-    ("outcome", "flush", "calls", "err"),
-    [
-        (1, None, ["main", "flush", "atexit", "exit 1"], ""),
-        (SystemExit(2), None, ["main", "flush", "atexit", "exit 2"], ""),
-        (0, BrokenPipeError(32, "Broken pipe"), ["main", "flush", "atexit", "exit 2"],
-         "error: [Errno 32] Broken pipe\n"),
-        # fd 1 closed: nothing to flush, and _emit reports a lost report.
-        (0, "closed", ["main", "atexit", "exit 0"], ""),
-    ],
-    ids=["main-returns", "main-exits", "flush-fails", "stdout-closed"],
-)
-def test_run_flushes_stdout_then_runs_atexit_then_exits(
-    monkeypatch, capsys, outcome, flush, calls, err
-):
+@pytest.mark.parametrize("code", [0, 1, 2])
+def test_run_ends_the_process_with_mains_code_after_atexit(monkeypatch, code):
+    # run decides nothing and writes nothing: a stdout without a single
+    # attribute stays untouched.
     log = []
 
-    def fake_main():
-        log.append("main")
-        if isinstance(outcome, SystemExit):
-            raise outcome
-        return outcome
-
-    def fake_flush():
-        log.append("flush")
-        if flush is not None:
-            raise flush
-
-    def fake_exit(code):
-        log.append(f"exit {code}")
+    def fake_exit(status):
+        log.append(f"exit {status}")
         raise Exited
 
-    monkeypatch.setattr(cli, "main", fake_main)
-    stdout = None if flush == "closed" else types.SimpleNamespace(flush=fake_flush)
-    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli, "main", lambda: log.append("main") or code)
+    monkeypatch.setattr(sys, "stdout", object())
     monkeypatch.setattr(atexit, "_run_exitfuncs", lambda: log.append("atexit"))
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Exited):
         cli.run()
-    assert log == calls
-    assert capsys.readouterr().err == err
+    assert log == ["main", "atexit", f"exit {code}"]
 
 
 #: The packaged fixture files by name, read once for the mutation fuzz.
@@ -891,6 +865,89 @@ def test_an_empty_output_path_is_an_input_error(tmp_path, monkeypatch, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    ("flags", "plain"), [(["--dir", ""], True), (["--dir="], False)],
+    ids=["plain", "argparse"],
+)
+def test_an_empty_fixture_dir_is_an_input_error(tmp_path, monkeypatch, capsys,
+                                                flags, plain):
+    # Path("") is the current directory: here one that holds the packaged
+    # tables, which an empty --dir must not read.
+    argv = ["fixtures-diff", *flags]
+    assert (cli._parse_plain(argv) is not None) == plain
+    copy_fixtures(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: --dir names no directory\n")
+
+
+class RefusingStdout(io.StringIO):
+    """A stdout that takes every write and refuses to flush it."""
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv", [["paradox", "--outcome", "0,2,3,3"], ["--help"]],
+    ids=["report", "help"],
+)
+def test_a_stdout_whose_flush_fails_is_an_input_error(argv):
+    # main flushes what it writes, so the failure is main's to report.
+    err = io.StringIO()
+    with redirect_stdout(RefusingStdout()), redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+def stdout_uses(tree: ast.AST, writer: str | None = None) -> list[str]:
+    """Each ``print`` without ``file=`` and each call of a ``sys.stdout``
+    method outside the function named ``writer``."""
+    allowed = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name == writer
+        for node in ast.walk(function)
+    }
+    uses = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in allowed:
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "print":
+            if not any(keyword.arg == "file" for keyword in node.keywords):
+                uses.append(f"line {node.lineno}: print")
+        elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+              and func.value.attr == "stdout" and isinstance(func.value.value, ast.Name)
+              and func.value.value.id == "sys"):
+            uses.append(f"line {node.lineno}: sys.stdout.{func.attr}")
+    return uses
+
+
+@pytest.mark.parametrize(
+    ("source", "uses"),
+    [
+        ('print("x")', ["line 1: print"]),
+        ("sys.stdout.write(x)", ["line 1: sys.stdout.write"]),
+        ("def _emit():\n    sys.stdout.flush()", ["line 2: sys.stdout.flush"]),
+        ('print("x", file=sys.stderr)', []),
+        ("sys.stdout is None", []),
+    ],
+)
+def test_the_walk_flags_each_stdout_use(source, uses):
+    assert stdout_uses(ast.parse(source)) == uses
+
+
+def test_only_the_report_writer_touches_stdout():
+    # run flushes no stdout: a write outside cli._emit would be flushed by
+    # no one, and its failure would reach no exit code.
+    package = Path(davn.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        writer = "_emit" if path == package / "cli.py" else None
+        assert stdout_uses(tree, writer) == [], path
+
+
 def test_a_stdout_with_no_reader_is_an_input_error():
     # The pipe's read end is closed before the child starts, so its first
     # write fails whatever the timing.
@@ -1004,10 +1061,7 @@ import io, sys
 from contextlib import redirect_stdout
 from davn.cli import main
 with redirect_stdout(io.StringIO()):
-    try:
-        main(sys.argv[1:])
-    except SystemExit:
-        pass"""
+    main(sys.argv[1:])"""
 
 #: What ``import davn.cli`` loads: the modules every command needs.
 CLI_MODULES = {"davn", "davn.cli", "davn.factory", "davn.states"}
@@ -1146,11 +1200,8 @@ import io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 from davn.cli import main
 out, err = io.StringIO(), io.StringIO()
-try:
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main()
-except SystemExit as exc:
-    code = exc.code
+with redirect_stdout(out), redirect_stderr(err):
+    code = main()
 print(json.dumps([code, out.getvalue(), err.getvalue(), sorted(sys.modules)]))"""
 
 
@@ -1268,6 +1319,18 @@ def test_plain_parser_accepts_a_strict_subset_of_argparse():
             plain_count += 1
     # At least a tenth of the corpus takes each path.
     assert len(corpus) // 10 < plain_count < len(corpus) * 9 // 10
+
+
+def test_main_returns_a_contract_code_for_every_command_line(
+        tmp_path, monkeypatch):
+    # Help and usage errors included: main returns, it never exits.  The
+    # corpus writes -o files such as out.txt, so it runs in tmp_path.
+    rng = random.Random(34)
+    monkeypatch.chdir(tmp_path)
+    for _ in range(400):
+        argv = generated_command_line(rng)
+        code, _, _ = in_process(argv)
+        assert code in (0, 1, 2), argv
 
 
 def test_goldens_and_benchmark_command_lines_take_the_plain_path(tmp_path):
