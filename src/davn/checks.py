@@ -143,11 +143,8 @@ def z_word_fixes(state: StateVector, power: int) -> bool:
 
     Z**p sends |k> to i**(p*k) |k>, so the word multiplies each ket by the
     phase of p times its digit sum and fixes the state exactly when that
-    is 0 mod 4 on every support ket.  Raises on a zero state, where the
-    relation is vacuous.
+    is 0 mod 4 on every support ket.
     """
-    if state.is_zero():
-        raise ValueError("zero state has no eigenvalues")
     return all(power * sum(ket) % 4 == 0 for ket in state.phases)
 
 
@@ -155,8 +152,7 @@ def check_global_stabilizer(state: StateVector) -> StabilizerAudit:
     """Does Z1 Z2 ... Zn fix the state exactly?
 
     In fourth-root units Z is i**(p*k) with p = 4 // d: Z itself for
-    d = 4 and the qubit diag(1, -1) for d = 2.  Raises on a zero state
-    and on any other level.
+    d = 4 and the qubit diag(1, -1) for d = 2.  Raises on any other level.
     """
     d = state.level
     if d not in (2, 4):

@@ -182,9 +182,6 @@ def joint_z_probability(state: StateVector, outcome: BasisKet) -> tuple[int, int
 
     Measuring every Z projectively is measurement in the computational
     basis, so this is |amplitude|**2 / norm_sq: the pair (1, norm_sq) on
-    the support, since every amplitude is a unit, and (0, norm_sq) off
-    it.  A state of zero norm has no distribution and raises.
+    the support, since every amplitude is a unit, and (0, norm_sq) off it.
     """
-    if state.is_zero():
-        raise ValueError("a state of zero norm has no outcome distribution")
     return (1 if outcome in state.phases else 0, state.norm_sq)

@@ -217,8 +217,6 @@ class DavnReport:
 def verify_davn(state: StateVector) -> DavnReport:
     """Run verify_paradox over the whole support, in outcome order; each
     distinct pair of merged and extended sets is refuted once per call."""
-    if state.is_zero():
-        raise ValueError("a state of zero norm has no outcome distribution")
     outcomes, refuted = state.support(), {}
     reports = tuple(_paradox(state, o, refuted) for o in outcomes)
     covered = sum(r.probability[0] for r in reports)

@@ -36,13 +36,15 @@ CANDIDATE_WORDS = tuple(product(range(1, 4), repeat=2))
 
 
 class PairSelection:
-    """Z outcomes on two distinct sites (0-based), as phase exponents."""
+    """Z outcomes on two distinct sites (0-based), as phase exponents in 0..3."""
 
     __slots__ = ("site_i", "site_j", "m_i", "m_j")
 
     def __init__(self, site_i: int, site_j: int, m_i: int, m_j: int) -> None:
         if site_i == site_j:
             raise ValueError("pair selection needs two distinct sites")
+        if not (type(m_i) is type(m_j) is int and 0 <= m_i < 4 and 0 <= m_j < 4):
+            raise ValueError(f"Z outcomes {m_i!r}, {m_j!r} are not ints in 0..3")
         self.site_i = site_i
         self.site_j = site_j
         self.m_i = m_i
@@ -172,11 +174,8 @@ _SIGNS = ("+", "+i", "-", "-i")
 
 
 def render_state(state: StateVector) -> str:
-    """Ket-sum rendering with the exact normalisation as a suffix.  A
-    state of zero norm has no normalisation and raises ValueError."""
+    """Ket-sum rendering with the exact normalisation as a suffix."""
     phases = state.phases
-    if not phases:
-        raise ValueError("a state of zero norm has no normalisation")
     terms = "".join(
         f"{_SIGNS[phases[ket]]}|{outcome_digits(ket)}>" for ket in state.support()
     )
@@ -239,8 +238,7 @@ def _shift_eigenvalue(phases: dict, u: int, v: int) -> int | None:
     phases[k] == phases[k + (u, v)] + c (mod 4) with one common c.  The
     shift is a bijection, so every ket's partner lying in the support
     makes the supports equal; the scan stops at the first missing
-    partner or the first phase that disagrees.  ``phases`` must not be
-    empty.
+    partner or the first phase that disagrees.
     """
     c = None
     for (a, b), t in phases.items():
@@ -267,8 +265,6 @@ def derive_constraints(
     """
     if residual.n_sites != 2:
         raise ValueError("constraints are derived from two-site residuals")
-    if residual.is_zero():
-        raise ValueError("zero state has no eigenvalues")
     if residual.level != 4:
         raise ValueError("Pauli words act on 4-level states only")
     phases = residual.phases

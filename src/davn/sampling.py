@@ -100,8 +100,6 @@ def sample_outcomes(state: StateVector, runs: int, seed: int) -> SampleSummary:
         raise ValueError("seed must be a non-negative integer")
     if type(runs) is not int or runs <= 0:
         raise ValueError("runs must be a positive integer")
-    if state.is_zero():
-        raise ValueError("cannot sample a state of zero norm")
     outcomes = state.support()
     n = len(outcomes)
     rng = random.Random(seed)

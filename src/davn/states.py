@@ -7,12 +7,12 @@ mod 4; the group law is addition mod 4.  Probabilities are pairs
 (numerator, norm_sq) of ints, and all checks downstream are equality
 tests, never tolerance comparisons.
 
-A state is an unnormalised map from the basis kets of its support
-(tuples over Z_d) to phase exponents: ket k carries the amplitude
-i**phases[k].  Every state in this package has unit amplitudes, so the
-squared norm is the number of kets.  Nothing is ever divided: the
-physical state is the vector divided by sqrt(norm_sq), and every
-consumer works with the integer data directly.
+A state is an unnormalised, non-empty map from the basis kets of its
+support (tuples over Z_d) to phase exponents: ket k carries the
+amplitude i**phases[k].  Every state in this package has unit
+amplitudes, so the squared norm is the number of kets.  Nothing is ever
+divided: the physical state is the vector divided by sqrt(norm_sq), and
+every consumer works with the integer data directly.
 
 A state is a value: every slot is set when it is built and never
 after, its hash included, so states can be shared freely between
@@ -20,9 +20,9 @@ threads and used as memo keys.  Memos over states live with the
 modules that compute them (postselect keeps its own selections).
 
 The constructor validates every ket and exponent, since they come from
-outside.  A residual that postselect cuts from a validated state is
-valid by construction, so it is built by ``StateVector._cut`` with no
-re-check.
+outside, and rejects an empty map, so no consumer tests for one.  A
+residual that postselect cuts from a validated state is valid by
+construction, so it is built by ``StateVector._cut`` with no re-check.
 """
 
 from __future__ import annotations
@@ -80,11 +80,13 @@ class StateVector:
     def __init__(
         self, n_sites: int, phases: dict[BasisKet, int], level: int = 4
     ) -> None:
+        if not phases:
+            raise ValueError("a state needs at least one ket")
         for ket, t in phases.items():
             if len(ket) != n_sites:
                 raise ValueError(f"ket {ket} does not have {n_sites} digits")
-            if any(not 0 <= k < level for k in ket):
-                raise ValueError(f"ket {ket} has digits outside 0..{level - 1}")
+            if any(type(k) is not int or not 0 <= k < level for k in ket):
+                raise ValueError(f"ket {ket} needs int digits in 0..{level - 1}")
             if type(t) is not int or not 0 <= t < 4:
                 raise ValueError(
                     f"phase exponent of ket {ket} is {t!r}, not an int in 0..3"
@@ -100,9 +102,10 @@ class StateVector:
     ) -> StateVector:
         """A state from phases already known valid, without a re-check.
 
-        Every exponent must be an int in 0..3 and every ket must have
-        ``n_sites`` digits in 0..level-1; only a cut of a validated state
-        meets that without checking.  ``phases`` is kept, not copied.
+        ``phases`` must be non-empty, every exponent an int in 0..3 and
+        every ket ``n_sites`` int digits in 0..level-1; only a non-empty
+        cut of a validated state meets that without checking.  ``phases``
+        is kept, not copied.
         """
         state = cls.__new__(cls)
         state.level = level
@@ -134,9 +137,6 @@ class StateVector:
             f"StateVector(n_sites={self.n_sites}, level={self.level}, "
             f"terms={len(self.phases)}, norm_sq={self.norm_sq})"
         )
-
-    def is_zero(self) -> bool:
-        return not self.phases
 
     def support(self) -> list[BasisKet]:
         """Kets with nonzero amplitude, in lexicographic order."""

