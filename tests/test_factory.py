@@ -246,6 +246,12 @@ def test_joint_probabilities():
     assert total == 1
 
 
+def test_a_state_of_zero_norm_has_no_distribution():
+    # The empty state is refused where it is built, before the distribution.
+    with pytest.raises(ValueError, match="at least one ket"):
+        joint_z_probability(StateVector(4, {}), (0, 0, 0, 0))
+
+
 def test_z_support_sizes():
     assert len(build_psi_1234().support()) == 56
     single = StateVector(4, {(0, 0, 0, 0): 0})

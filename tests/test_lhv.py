@@ -420,6 +420,12 @@ def test_davn_not_awarded_to_product_state():
     assert report.failing_outcomes == ((0, 0, 0, 0),)
 
 
+def test_davn_refuses_a_state_of_zero_norm():
+    # The empty state is refused where it is built, before the refutation.
+    with pytest.raises(ValueError, match="at least one ket"):
+        verify_davn(StateVector(4, {}))
+
+
 def neighbours_of_psi():
     """The 224 states one ket away from PSI, by kind: each ket's phase
     moved by 1, 2 or 3, and each ket dropped."""

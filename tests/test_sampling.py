@@ -164,6 +164,12 @@ def test_builtin_states_match_the_per_draw_reference(name):
         assert summary.counts == reference_counts(state, 20000, seed)
 
 
+def test_zero_norm_state_is_an_error():
+    # The empty state is refused where it is built, before any draw.
+    with pytest.raises(ValueError, match="at least one ket"):
+        sample_outcomes(StateVector(1, {}), 10, 1)
+
+
 def test_draw_counts_equal_a_per_word_count():
     # Every draw count up to the largest (norm_sq 255), at every length
     # up to five lanes of 8 words, on random words and on all-rejected

@@ -130,6 +130,12 @@ def test_eigenvalue_of_two_ket_residual():
     assert eigenvalue_of(word, state) == 2
 
 
+def test_eigenvalue_requires_nonzero_state():
+    # The empty state is refused where it is built, before the eigenvalue.
+    with pytest.raises(ValueError, match="at least one ket"):
+        eigenvalue_of(X, StateVector(1, {}))
+
+
 def test_eigen_relation_is_exact_proportionality():
     word = PauliWord.from_exponents(2, x_exps={0: 2, 1: 2})
     c = eigenvalue_of(word, RESIDUAL)
